@@ -27,7 +27,7 @@ of age t0 already, so absolute time is the correct argument.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -321,7 +321,6 @@ class EvolveReport:
     cfl_x: float
     cfl_v: float
     scheme: str
-    substeps: list = dc_field(default_factory=list)
 
 
 def _upwind_x(rho, vs, dx, dt):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_are
 
 
 SYMMETRY_TOL = 1e-12
@@ -130,6 +130,8 @@ class CurvatureBound:
             K = np.array(matrix, dtype=float)
             if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2:
                 raise ValueError(f"K must be square 2n x 2n, got {K.shape}")
+            if not np.isfinite(K).all():
+                raise ValueError("K must be finite")
             if np.abs(K - K.T).max() > SYMMETRY_TOL:
                 raise ValueError("K must be symmetric")
             self.n = K.shape[0] // 2
@@ -140,13 +142,14 @@ class CurvatureBound:
                 raise ValueError("scalar form needs both k1 and k2")
             if n < 1:
                 raise ValueError("n must be a positive integer")
+            k1, k2 = float(k1), float(k2)
+            if not (np.isfinite(k1) and np.isfinite(k2)):
+                raise ValueError(f"k1 and k2 must be finite, got ({k1}, {k2})")
             I = np.eye(n)
-            K = np.block(
-                [[float(k1) * I, np.zeros((n, n))], [np.zeros((n, n)), float(k2) * I]]
-            )
+            K = np.block([[k1 * I, np.zeros((n, n))], [np.zeros((n, n)), k2 * I]])
             self.n = n
-            self.k1 = float(k1)
-            self.k2 = float(k2)
+            self.k1 = k1
+            self.k2 = k2
         lo = float(np.linalg.eigvalsh(K)[0])
         if lo < -PSD_TOL:
             raise ValueError(f"K must be positive semidefinite; min eig {lo:.3e}")
@@ -200,19 +203,20 @@ def _riccati_rhs(S, C, D, K):
     return -C @ S - S @ C.T - D + S @ K @ S
 
 
-# Dormand-Prince 5(4) tableau; row 7 doubles as the 5th-order weights (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
+# Dormand-Prince 5(4) tableau, zero-padded to 7 x 7; row 7 doubles as the
+# 5th-order weights (FSAL).  _DP_E holds the 5th- minus 4th-order weights.
+_DP_A = np.array(
+    [
+        [0.0] * 7,
+        [1 / 5] + [0.0] * 6,
+        [3 / 40, 9 / 40] + [0.0] * 5,
+        [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]
+)
+_DP_E = _DP_A[6] - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 
@@ -262,9 +266,9 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     t = 0.0
     out = [(0.0, BlockSym2n(S.copy()))]
     h = min(1e-3, t_end / 10.0)
-    f0 = _riccati_rhs(S, C, D, Km)
-    ks = [None] * 7
-    ks[0] = f0
+    ks = np.empty((7, dim, dim))  # stage derivatives; ks[0] is the FSAL slot
+    flat = ks.reshape(7, dim * dim)  # view: tableau rows contract it in one matmul
+    ks[0] = _riccati_rhs(S, C, D, Km)
     ti = 0  # next target index
 
     while ti < len(targets):
@@ -272,21 +276,20 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
         if t >= t_next - 1e-15:
             ti += 1
             continue
-        h = min(h, t_next - t)
+        hits_target = h >= t_next - t
+        if hits_target:
+            h = t_next - t
         if h < 1e-14 * max(t_end, 1.0):
             raise StepUnderflowError(t)
         for i in range(1, 7):
-            acc = np.zeros_like(S)
-            for j, a in enumerate(_DP_A[i]):
-                if a:
-                    acc += a * ks[j]
-            ks[i] = _riccati_rhs(S + h * acc, C, D, Km)
-        S5 = S + h * sum(b * k for b, k in zip(_DP_B5, ks) if b)
-        S4 = S + h * sum(b * k for b, k in zip(_DP_B4, ks) if b)
+            stage = S + h * (_DP_A[i, :i] @ flat[:i]).reshape(dim, dim)
+            ks[i] = _riccati_rhs(stage, C, D, Km)
+        S5 = stage  # the last stage is taken at the 5th-order solution (FSAL)
         scale = tol * (1.0 + np.abs(S5).max())
-        err = float(np.abs(S5 - S4).max()) / scale
+        err = float(h * np.abs(_DP_E @ flat).max() / scale)
         if err <= 1.0:
-            t += h
+            # land on the target exactly: t + (t_next - t) can miss it by an ulp
+            t = t_next if hits_target else t + h
             drift = float(np.abs(S5 - S5.T).max())
             if drift > SYMMETRY_ABORT:
                 raise SymmetryDriftError(
@@ -320,26 +323,98 @@ def _scaled_inverse(S, t, n):
     return Ninv
 
 
-def bound_N(K, t, tol=1e-10, t_min=T_MIN_DEFAULT):
-    """Sharp bound matrix N(t) = S(t)^{-1}.
+def bound_curve(K, times, tol=1e-10, t_min=T_MIN_DEFAULT, trajectory=None):
+    """Sharp bound matrices N(t) = S(t)^{-1} at every requested time.
 
-    For t < t_min the analytic small-time expansion replaces the
-    integrated S (inversion there would lose ~3 digits per decade).
+    One integration of S to the largest requested time supplies every
+    N(t); times below t_min use the analytic small-time expansion
+    instead (inversion there would lose ~3 digits per decade).
+
+    Parameters
+    ----------
+    K : CurvatureBound or array_like or scalar
+    times : sequence of float
+        Positive times, in any order; duplicates are allowed.
+    tol : float
+        Local error tolerance of the integration.
+    t_min : float
+        Crossover time of the small-time expansion.
+    trajectory : list of (t, BlockSym2n), optional
+        An integrate_S trajectory of K whose grid already contains every
+        requested time >= t_min; it replaces the integration.
+
+    Returns
+    -------
+    list of BlockSym2n
+        Symmetric negative-definite N(t), in the order of `times`.
+
+    Raises
+    ------
+    ValueError
+        If a time is not positive, or `trajectory` lacks a requested time.
+    """
+    K = _as_curvature(K)
+    times = np.asarray(times, dtype=float).ravel()
+    if times.size == 0:
+        raise ValueError("times must not be empty")
+    if not (times > 0).all():
+        raise ValueError(f"times must be positive, got {times[~(times > 0)][0]}")
+    late = times[times >= t_min]
+    if late.size:
+        if trajectory is None:
+            trajectory = integrate_S(K, late.max(), tol=tol, eval_times=late)
+        grid = np.array([t for t, _ in trajectory])
+    out = []
+    for t in times:
+        if t < t_min:
+            S = small_time_S(K, t).entries
+        else:
+            # integrate_S skips a target within 1e-15 of a grid time
+            row = int(np.abs(grid - t).argmin())
+            if abs(grid[row] - t) > 1e-15:
+                raise ValueError(f"trajectory has no grid time at t={t!r}")
+            S = trajectory[row][1].entries
+        out.append(BlockSym2n(_scaled_inverse(S, t, K.n), symmetrize=True))
+    return out
+
+
+def bound_N(K, t, tol=1e-10, t_min=T_MIN_DEFAULT):
+    """Sharp bound matrix N(t) = S(t)^{-1}; bound_curve at a single time.
 
     Returns
     -------
     BlockSym2n
         Symmetric negative-definite N(t).
     """
+    return bound_curve(K, [t], tol=tol, t_min=t_min)[0]
+
+
+def stationary_N(K):
+    """Large-time limit of N(t), from the algebraic Riccati equation.
+
+    N_inf solves 0 = N C + C^T N + N D N - K; it is -X for the
+    stabilising solution X of the continuous algebraic Riccati equation
+    with A = C, B = [0; I], Q = K, R = I/2 (Laub's Schur method).  It is
+    independent of both the integration and the exponential route.
+
+    Raises
+    ------
+    ValueError
+        If the K_xx block is singular: (K, C) is then not detectable,
+        the equation has no stabilising solution, and N(t) converges
+        only algebraically (k1 = 0).
+    """
     K = _as_curvature(K)
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if t < t_min:
-        S = small_time_S(K, t).entries
-    else:
-        S = integrate_S(K, t, tol=tol)[-1][1].entries
-    N = _scaled_inverse(S, t, K.n)
-    return BlockSym2n(N, symmetrize=True)
+    n = K.n
+    if float(np.linalg.eigvalsh(K.K[:n, :n])[0]) <= PSD_TOL:
+        raise ValueError(
+            "stationary bound needs a nonsingular K_xx block; with k1 = 0 "
+            "N(t) converges only algebraically"
+        )
+    sp = build_structural(n)
+    B = np.vstack([np.zeros((n, n)), np.eye(n)])
+    X = solve_continuous_are(sp.C, B, K.K, 0.5 * np.eye(n))
+    return BlockSym2n(-X, symmetrize=True)
 
 
 def hamiltonian_matrix(K):
@@ -510,5 +585,5 @@ def trajectory_to_csv(trajectory):
     lines = [header]
     for t, S in trajectory:
         vals = ",".join(repr(float(x)) for x in S.entries.ravel())
-        lines.append(f"{t!r},{vals}")
+        lines.append(f"{float(t)!r},{vals}")
     return "\n".join(lines) + "\n"

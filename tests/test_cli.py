@@ -66,6 +66,29 @@ class TestMain:
         )
         assert report["passed"] is True
 
+    @pytest.mark.parametrize(
+        "campaign, artifact",
+        [
+            ("riccati", "riccati_trajectory.csv"),
+            ("closed-form", "closed_form_agreement.csv"),
+        ],
+    )
+    def test_csv_fields_are_float_literals_or_labels(
+        self, tmp_path, campaign, artifact
+    ):
+        # numpy scalars must not leak their repr, e.g. np.float64(0.5)
+        assert cli.main([campaign, "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / artifact).read_text().splitlines()
+        assert rows
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == len(header.split(","))
+            for text in fields:
+                try:
+                    float(text)
+                except ValueError:
+                    assert text.isidentifier(), (row, text)
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # an impossible tolerance turns agreement into a reported failure
         code = cli.main(

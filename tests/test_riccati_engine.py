@@ -9,6 +9,7 @@ from harnack_forge.riccati_engine import (
     SingularityError,
     S_from_M,
     bound_N,
+    bound_curve,
     build_structural,
     comparison_check,
     exponential_route_residual,
@@ -17,6 +18,7 @@ from harnack_forge.riccati_engine import (
     integrate_S,
     residual_defect,
     small_time_S,
+    stationary_N,
     trajectory_to_csv,
 )
 
@@ -74,6 +76,20 @@ class TestCurvatureBound:
         with pytest.raises(ValueError, match="semidefinite"):
             CurvatureBound(matrix=np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k1": np.nan, "k2": 1.0},
+            {"k1": 1.0, "k2": np.inf},
+            {"matrix": np.diag([np.nan, 1.0])},
+            {"matrix": np.diag([1.0, -np.inf])},
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        # used to build, then fail later as a step underflow at t = 0
+        with pytest.raises(ValueError, match="finite"):
+            CurvatureBound(**kwargs)
+
 
 def test_structural_pair_entries():
     sp = build_structural(2)
@@ -94,6 +110,15 @@ class TestIntegrateS:
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
         times = [0.3, 0.7, 1.1]
         hit = {t for t, _ in integrate_S(K, 1.5, eval_times=times)}
+        for t in times:
+            assert t in hit
+
+    def test_eval_times_land_exactly_on_early_long_steps(self):
+        # t + (t_target - t) rounds past these targets when the step
+        # spans more than half of t
+        K = CurvatureBound(k1=0.0, k2=0.0, n=1)
+        times = [0.024286006590309158, 0.029542610335024366, 0.03872119526354014]
+        hit = {t for t, _ in integrate_S(K, times[-1], eval_times=times)}
         for t in times:
             assert t in hit
 
@@ -167,6 +192,32 @@ class TestBoundN:
             K = random_psd_curvature(rng, n)
             N = bound_N(K, 0.8)
             assert N.max_eigenvalue() < 0
+
+
+class TestBoundCurve:
+    def test_trajectory_reuse_and_validation(self):
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        times = [1.2, 5e-4, 0.4, 1.2]
+        traj = integrate_S(K, 1.2, eval_times=[0.4, 1.2])
+        reused = bound_curve(K, times, trajectory=traj)
+        for got, want in zip(reused, bound_curve(K, times)):
+            assert np.array_equal(got.entries, want.entries)
+        with pytest.raises(ValueError, match="grid time"):
+            bound_curve(K, [0.5], trajectory=traj)
+        with pytest.raises(ValueError, match="empty"):
+            bound_curve(K, [])
+
+    @pytest.mark.parametrize("k1, k2", [(1.0, 2.0), (2.0, 1.0), (1.0, 0.5)])
+    def test_large_time_meets_stationary_limit(self, k1, k2):
+        K = CurvatureBound(k1=k1, k2=k2, n=1)
+        N_inf = stationary_N(K).entries
+        assert np.abs(bound_N(K, 1e3).entries - N_inf).max() < 1e-8
+        assert np.linalg.eigvalsh(N_inf)[-1] < 0
+
+    def test_stationary_limit_needs_position_curvature(self):
+        # k1 = 0: N(t) converges only algebraically, no stabilising solution
+        with pytest.raises(ValueError, match="K_xx"):
+            stationary_N(CurvatureBound(k1=0.0, k2=1.0, n=1))
 
 
 class TestHamiltonianRoute:
