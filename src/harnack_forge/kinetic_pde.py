@@ -680,16 +680,15 @@ def verify_matrix_harnack(
         raise UntestableRegionError(
             "no testable grid points: density floor or region excludes everything"
         )
-    a = gxx - N[0, 0]
-    b = gxv - N[0, 1]
-    c = gvv - N[1, 1]
-    half_tr = 0.5 * (a + c)
-    radius = np.sqrt(np.square(0.5 * (a - c)) + np.square(b))
-    min_eig = np.where(testable, half_tr - radius, np.inf)
-    flat = int(np.argmin(min_eig))
-    ii, jj = np.unravel_index(flat, min_eig.shape)
-    min_margin = float(min_eig[ii, jj])
-    frac_ok = float((min_eig[testable] >= -tolerance).mean())
+    # smaller eigenvalue of the 2x2 margin matrix, on testable points only
+    a = gxx[testable] - N[0, 0]
+    b = gxv[testable] - N[0, 1]
+    c = gvv[testable] - N[1, 1]
+    min_eig = 0.5 * (a + c) - np.sqrt(np.square(0.5 * (a - c)) + np.square(b))
+    k = int(np.argmin(min_eig))
+    ii, jj = (idx[k] for idx in np.nonzero(testable))
+    min_margin = float(min_eig[k])
+    frac_ok = float((min_eig >= -tolerance).mean())
     return HarnackCheckReport(
         kind="matrix",
         t=field.t,
@@ -764,13 +763,12 @@ def matrix_implies_scalar_gap(matrix_report, scalar_report, n=1, slack=1e-12):
 
 
 def snapshot_csv(field):
-    """Serialize a field as CSV rows x,v,rho (row-major over the grid)."""
+    """Serialize a field as CSV rows x,v,rho (row-major, exact float literals)."""
+    vs = [repr(v) for v in field.vs.tolist()]
     lines = ["x,v,rho"]
-    nx, nv = field.rho.shape
-    for i in range(nx):
-        x = field.xs[i]
-        for j in range(nv):
-            lines.append(f"{x!r},{field.vs[j]!r},{field.rho[i, j]!r}")
+    for x, row in zip(field.xs.tolist(), field.rho.tolist()):
+        x = repr(x)
+        lines.extend(f"{x},{v},{r!r}" for v, r in zip(vs, row))
     return "\n".join(lines) + "\n"
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class CampaignConfig:
     params: dict
     out_dir: str
     seed: int
-    jobs: int
 
 
 DEFAULTS = {
@@ -82,6 +81,11 @@ DEFAULTS = {
     "harnack-integrated": {"s": 1.0, "t": 2.0, "n_pairs": 1000, "box": 3.0},
     "errata": {"t_grid": [0.5, 1.0, 2.0]},
 }
+
+# Counts, times and scales (s and the curvatures k1, k2 may be 0).
+POSITIVE_KEYS = {"n", "n_eval", "n_t", "n_grid", "n_pairs", "m", "t_end", "t_lo",
+                 "t_hi", "t0", "t1", "t", "tol", "rel_tol", "tolerance", "extent",
+                 "sigma2", "box"}
 
 POTENTIALS = {
     "zero": kinetic_pde.ZeroPotential,
@@ -202,28 +206,17 @@ def _campaign_pde_harnack(cfg):
     return metrics, files, mrep.passed and srep.passed
 
 
-def _one_cost_pair(args):
-    s, t, row, m = args
-    x0, v0, x1, v1 = row
-    prob = control_cost.ControlProblem.make(s, t, [x0], [v0], [x1], [v1])
-    exact = control_cost.energy_cost(prob)
-    res = control_cost.transcribe_cost(prob, m=m)
-    return exact, res.cost, (s, t, x0, v0, x1, v1)
-
-
 def _campaign_control_cost(cfg):
     p = cfg.params
+    s, t = p["s"], p["t"]
     rng = np.random.default_rng(cfg.seed)
     rows = rng.uniform(-p["box"], p["box"], size=(int(p["n_pairs"]), 4))
-    tasks = [(p["s"], p["t"], tuple(map(float, r)), int(p["m"])) for r in rows]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            results = list(ex.map(_one_cost_pair, tasks))
-    else:
-        results = [_one_cost_pair(task) for task in tasks]
     worst = 0.0
     csv_rows = []
-    for exact, trans, (s, t, x0, v0, x1, v1) in results:
+    for x0, v0, x1, v1 in rows.tolist():
+        prob = control_cost.ControlProblem.make(s, t, [x0], [v0], [x1], [v1])
+        exact = control_cost.energy_cost(prob)
+        trans = control_cost.transcribe_cost(prob, m=int(p["m"])).cost
         gap = abs(trans - exact) / max(1.0, abs(exact))
         worst = max(worst, gap)
         csv_rows.append((s, t, x0, v0, x1, v1, exact, "closed_form", 0, 0.0))
@@ -313,6 +306,21 @@ def _apply_key(params, campaign, key, value):
     params[key] = value
 
 
+def _value_problem(key, value, default):
+    """Why value cannot replace the default of key (None if it can)."""
+    if isinstance(default, (list, str)):
+        ok = isinstance(value, type(default))
+        return None if ok else f"expected a {type(default).__name__}"
+    want = int if isinstance(default, int) else (int, float)
+    if isinstance(value, bool) or not isinstance(value, want):
+        return "expected an int" if want is int else "expected a number"
+    if not math.isfinite(value):
+        return "expected a finite number"
+    if key in POSITIVE_KEYS and value <= 0:
+        return "expected a positive value"
+    return None
+
+
 def parse_cli(argv):
     """Parse arguments into a CampaignConfig."""
     parser = argparse.ArgumentParser(
@@ -330,12 +338,6 @@ def parse_cli(argv):
     )
     parser.add_argument("--out", default="harnack_out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("HARNACK_FORGE_JOBS", "1")),
-        help="worker processes for pair sweeps (env HARNACK_FORGE_JOBS)",
-    )
     args = parser.parse_args(argv)
 
     params = dict(DEFAULTS[args.campaign])
@@ -360,14 +362,12 @@ def parse_cli(argv):
             _apply_key(params, args.campaign, key, _parse_value(value))
         except KeyError as exc:
             parser.error(str(exc))
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    for key, value in params.items():
+        problem = _value_problem(key, value, DEFAULTS[args.campaign][key])
+        if problem:
+            parser.error(f"{key}={value!r}: {problem}")
     return CampaignConfig(
-        name=args.campaign,
-        params=params,
-        out_dir=args.out,
-        seed=args.seed,
-        jobs=args.jobs,
+        name=args.campaign, params=params, out_dir=args.out, seed=args.seed
     )
 
 

@@ -13,7 +13,7 @@ class TestParse:
     def test_defaults(self):
         cfg = cli.parse_cli(["errata"])
         assert cfg.name == "errata"
-        assert cfg.seed == 0 and cfg.jobs >= 1
+        assert cfg.seed == 0
         assert cfg.params == cli.DEFAULTS["errata"]
 
     def test_set_override(self):
@@ -46,6 +46,42 @@ class TestParse:
     def test_json_values_in_set(self):
         cfg = cli.parse_cli(["errata", "--set", "t_grid=[0.5,1.0]"])
         assert cfg.params["t_grid"] == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pde-harnack", "--set", "n_grid=abc"],
+            ["harnack-integrated", "--set", "n_pairs=abc"],
+            ["riccati", "--set", "k1=abc"],
+            ["riccati", "--set", "t_end=-1"],
+            ["control-cost", "--set", "n_pairs=0"],
+            ["control-cost", "--set", "m=32.5"],
+            ["pde-harnack", "--set", "region=2.0"],
+            ["riccati", "--set", "k2=NaN"],
+            ["riccati", "--set", "n=true"],
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, argv, tmp_path):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+
+    def test_bad_config_value_is_usage_error(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"riccati.t_end": "long"}))
+        with pytest.raises(SystemExit):
+            cli.parse_cli(["riccati", "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["control-cost", "--set", "s=0.0", "--set", "t=1"],
+            ["riccati", "--set", "k1=0.0", "--set", "t_end=2"],
+            ["closed-form", "--set", "pairs=[[0.0, 1.0], [2.0, 2.0]]"],
+            ["pde-harnack", "--set", "region=[-2.0, 2.0, -2.0, 2.0]",
+             "--set", "potential=\"zero\"", "--set", "scheme=strang"],
+        ],
+    )
+    def test_valid_values_are_accepted(self, argv):
+        assert cli.parse_cli(argv).name == argv[0]
 
 
 class TestMain:

@@ -1,10 +1,13 @@
 """Grid PDE tests: potentials, evolution ledger, Hessian checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from harnack_forge.gaussian_kernel import kernel_state, grid_density, propagate
 from harnack_forge.kinetic_pde import (
+    FLOOR_FRAC_DEFAULT,
     CFLError,
     CustomPotential,
     GridField,
@@ -24,7 +27,10 @@ from harnack_forge.kinetic_pde import (
     snapshot_csv,
     verify_matrix_harnack,
     verify_scalar_harnack,
+    _region_mask,
+    _stencil_arrays,
 )
+from harnack_forge.riccati_engine import bound_N
 
 
 class TestPotentials:
@@ -239,6 +245,26 @@ class TestHarnackVerification:
         b = verify_matrix_harnack(f, ZeroPotential(), bound_source="closed_form")
         assert abs(a.min_margin - b.min_margin) < 1e-6
 
+    def test_untestable_points_raise_no_warning(self):
+        # the strang run leaves empty cells, whose stencils are not finite
+        f = kernel_field(0.2, extent=4.0, n=64, sigma2=1.0)
+        out, _ = evolve(f, ZeroPotential(), 0.6, scheme="strang")
+        region = (-2.0, 2.0, -2.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_matrix_harnack(out, ZeroPotential(), region=region)
+        # reference: eigenvalues of the margin matrix at every tested point
+        gxx, gxv, gvv, ok = _stencil_arrays(out, ZeroPotential(), FLOOR_FRAC_DEFAULT)
+        ok &= _region_mask(out, region)
+        N = bound_N(curvature_of(ZeroPotential()), out.t).entries
+        margins = np.full(ok.shape, np.inf)
+        H = np.stack([gxx, gxv, gxv, gvv], axis=-1)[ok].reshape(-1, 2, 2)
+        margins[ok] = np.linalg.eigvalsh(H - N)[:, 0]
+        i, j = np.unravel_index(np.argmin(margins), margins.shape)
+        assert rep.n_tested == int(ok.sum()) > 0
+        assert rep.min_margin == pytest.approx(margins[i, j], abs=1e-9)
+        assert rep.argmin == (float(out.xs[i + 2]), float(out.vs[j + 2]))
+
     def test_evolved_field_with_potential_passes(self):
         # short drift run, then verify in an interior window
         f = kernel_field(0.2, extent=4.0, n=96, sigma2=1.0)
@@ -256,6 +282,15 @@ class TestSnapshots:
         lines = snapshot_csv(f).strip().split("\n")
         assert lines[0] == "x,v,rho"
         assert len(lines) == 1 + 16 * 16
+
+    def test_csv_fields_round_trip_exactly(self):
+        f = kernel_field(0.3, extent=2.0, n=16)
+        _, *rows = snapshot_csv(f).splitlines()
+        values = np.array([[float(text) for text in row.split(",")] for row in rows])
+        X, V = np.meshgrid(f.xs, f.vs, indexing="ij")
+        assert np.array_equal(values[:, 0], X.ravel())
+        assert np.array_equal(values[:, 1], V.ravel())
+        assert np.array_equal(values[:, 2], f.rho.ravel())
 
     def test_save_load_roundtrip(self, tmp_path):
         f = kernel_field(0.3, extent=2.0, n=16)
