@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csv
 from .riccati_engine import BlockSym2n, CurvatureBound, S_from_M, fundamental_M
 
 HYP_ARG_CAP = 700.0
@@ -316,10 +317,9 @@ def reconcile(k1, k2, t_grid, rel_tol=1e-9):
 
 def errata_csv(rows):
     """Serialize errata rows: regime,k1,k2,t,block,printed,oracle,ratio."""
-    lines = ["regime,k1,k2,t,block,printed,oracle,ratio"]
-    for r in rows:
-        lines.append(
-            f"{r.regime},{r.k1!r},{r.k2!r},{r.t!r},{r.block},"
-            f"{r.printed!r},{r.oracle!r},{r.ratio!r}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ["regime", "k1", "k2", "t", "block", "printed", "oracle", "ratio"]
+    columns = ([getattr(r, name) for r in rows] for name in header)
+    return _csv.csv_text(header, [
+        col if name in ("regime", "block") else _csv.floats(col)
+        for name, col in zip(header, columns)
+    ])

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csv
+
 ENDPOINT_TOL = 1e-9
 
 
@@ -466,16 +468,10 @@ def cost_csv(rows):
 
     Vector endpoint components are joined with ';' inside their field.
     """
-
-    def fmt(a):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        return ";".join(repr(float(c)) for c in a)
-
-    lines = ["s,t,x0,v0,x1,v1,cost,method,m,gap"]
-    for r in rows:
-        s, t, x0, v0, x1, v1, cost, method, m, gap = r
-        lines.append(
-            f"{s!r},{t!r},{fmt(x0)},{fmt(v0)},{fmt(x1)},{fmt(v1)},"
-            f"{cost!r},{method},{m},{gap!r}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ["s", "t", "x0", "v0", "x1", "v1", "cost", "method", "m", "gap"]
+    s, t, x0, v0, x1, v1, cost, method, m, gap = zip(*rows) if rows else [()] * 10
+    ends = ((";".join(_csv.floats(a)) for a in col) for col in (x0, v0, x1, v1))
+    return _csv.csv_text(header, [
+        _csv.floats(s), _csv.floats(t), *ends, _csv.floats(cost), method, map(str, m),
+        _csv.floats(gap),
+    ])

@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
+from . import _csv
 from .closed_forms import assemble_bound, eval_sfuncs
 from .riccati_engine import BlockSym2n, CurvatureBound, bound_N
 
@@ -764,12 +766,11 @@ def matrix_implies_scalar_gap(matrix_report, scalar_report, n=1, slack=1e-12):
 
 def snapshot_csv(field):
     """Serialize a field as CSV rows x,v,rho (row-major, exact float literals)."""
-    vs = [repr(v) for v in field.vs.tolist()]
-    lines = ["x,v,rho"]
-    for x, row in zip(field.xs.tolist(), field.rho.tolist()):
-        x = repr(x)
-        lines.extend(f"{x},{v},{r!r}" for v, r in zip(vs, row))
-    return "\n".join(lines) + "\n"
+    nx, nv = field.rho.shape
+    # each distinct x and v is formatted once; the columns are streamed
+    xs = chain.from_iterable(map(repeat, _csv.floats(field.xs), repeat(nv)))
+    vs = chain.from_iterable(repeat(list(_csv.floats(field.vs)), nx))
+    return _csv.csv_text(["x", "v", "rho"], [xs, vs, _csv.floats(field.rho)])
 
 
 def save_snapshot(field, path_base):

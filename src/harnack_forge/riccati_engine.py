@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm, solve_continuous_are
 
+from . import _csv
 
 SYMMETRY_TOL = 1e-12
 SYMMETRY_ABORT = 1e-9
@@ -579,11 +580,7 @@ def exponential_route_residual(K, t_grid, dt=1e-6):
 def trajectory_to_csv(trajectory):
     """Serialize a trajectory as CSV: header t,entry_00,entry_01,... row-major."""
     dim = trajectory[0][1].entries.shape[0]
-    header = "t," + ",".join(
-        f"entry_{i}{j}" for i in range(dim) for j in range(dim)
-    )
-    lines = [header]
-    for t, S in trajectory:
-        vals = ",".join(repr(float(x)) for x in S.entries.ravel())
-        lines.append(f"{float(t)!r},{vals}")
-    return "\n".join(lines) + "\n"
+    header = ["t"] + [f"entry_{i}{j}" for i in range(dim) for j in range(dim)]
+    ts, states = zip(*trajectory)
+    entries = np.array([S.entries.ravel() for S in states])
+    return _csv.csv_text(header, [_csv.floats(ts), *map(_csv.floats, entries.T)])

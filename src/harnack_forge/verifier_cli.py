@@ -18,10 +18,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from . import closed_forms, control_cost, gaussian_kernel, kinetic_pde
+from . import _csv, closed_forms, control_cost, gaussian_kernel, kinetic_pde
 from . import riccati_engine as ric
 
 CAMPAIGNS = (
@@ -94,7 +95,8 @@ POTENTIALS = {
 }
 
 
-def _write(path, text):
+def _write(cfg, name, text):
+    path = os.path.join(cfg.out_dir, name)
     with open(path, "w") as fh:
         fh.write(text)
     return path
@@ -105,10 +107,7 @@ def _campaign_riccati(cfg):
     K = ric.CurvatureBound(k1=p["k1"], k2=p["k2"], n=int(p["n"]))
     times = np.linspace(p["t_end"] / p["n_eval"], p["t_end"], int(p["n_eval"]))
     traj = ric.integrate_S(K, p["t_end"], tol=p["tol"], eval_times=times)
-    csv_path = _write(
-        os.path.join(cfg.out_dir, "riccati_trajectory.csv"),
-        ric.trajectory_to_csv(traj),
-    )
+    csv_path = _write(cfg, "riccati_trajectory.csv", ric.trajectory_to_csv(traj))
     max_eig = max(S.max_eigenvalue() for t, S in traj if t > 0)
     defect = ric.residual_defect(K, traj[:: max(1, len(traj) // 20)])
     expo = ric.exponential_route_residual(K, times)
@@ -132,8 +131,7 @@ def _campaign_riccati(cfg):
 def _campaign_closed_form(cfg):
     p = cfg.params
     times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
-    worst = 0.0
-    lines = ["regime,k1,k2,t,entry,closed_form,oracle,rel_err"]
+    rows = []
     for k1, k2 in p["pairs"]:
         K = ric.CurvatureBound(k1=k1, k2=k2, n=1)
         for t in times:
@@ -143,33 +141,32 @@ def _campaign_closed_form(cfg):
             scale = float(np.abs(N_or).max())
             for lbl, (i, j) in (("xx", (0, 0)), ("xv", (0, 1)), ("vv", (1, 1))):
                 rel = abs(N_cf[i, j] - N_or[i, j]) / scale
-                worst = max(worst, rel)
-                lines.append(
-                    f"{sf.regime.tag},{float(k1)!r},{float(k2)!r},{float(t)!r},{lbl},"
-                    f"{float(N_cf[i, j])!r},{float(N_or[i, j])!r},{float(rel)!r}"
-                )
-    csv_path = _write(
-        os.path.join(cfg.out_dir, "closed_form_agreement.csv"), "\n".join(lines) + "\n"
+                rows.append((sf.regime.tag, k1, k2, t, lbl, N_cf[i, j], N_or[i, j], rel))
+    tags, k1s, k2s, ts, entries, cfs, ors, rels = zip(*rows) if rows else [()] * 8
+    text = _csv.csv_text(
+        ["regime", "k1", "k2", "t", "entry", "closed_form", "oracle", "rel_err"],
+        [tags, *map(_csv.floats, (k1s, k2s, ts)), entries,
+         *map(_csv.floats, (cfs, ors, rels))],
     )
-    metrics = {"worst_relative_error": worst}
-    return metrics, [csv_path], worst <= p["rel_tol"]
+    csv_path = _write(cfg, "closed_form_agreement.csv", text)
+    worst = max(rels, default=0.0)
+    return {"worst_relative_error": worst}, [csv_path], worst <= p["rel_tol"]
 
 
 def _campaign_kernel_sharpness(cfg):
     p = cfg.params
     times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
     n = int(p["n"])
-    worst = 0.0
-    lines = ["t,n,gap"]
-    for t in times:
-        x0 = np.zeros(n)
-        state = gaussian_kernel.kernel_state(x0, x0, float(t))
-        gap = gaussian_kernel.sharpness_gap(state)
-        worst = max(worst, gap)
-        lines.append(f"{float(t)!r},{n},{gap!r}")
-    csv_path = _write(
-        os.path.join(cfg.out_dir, "kernel_sharpness.csv"), "\n".join(lines) + "\n"
+    x0 = np.zeros(n)
+    gaps = [
+        gaussian_kernel.sharpness_gap(gaussian_kernel.kernel_state(x0, x0, float(t)))
+        for t in times
+    ]
+    text = _csv.csv_text(
+        ["t", "n", "gap"], [_csv.floats(times), repeat(str(n)), _csv.floats(gaps)]
     )
+    csv_path = _write(cfg, "kernel_sharpness.csv", text)
+    worst = max(gaps)
     return {"worst_gap": worst}, [csv_path], worst <= p["tol"]
 
 
@@ -187,10 +184,7 @@ def _campaign_pde_harnack(cfg):
     srep = kinetic_pde.verify_scalar_harnack(
         field, pot, tolerance=p["tolerance"], region=region
     )
-    files = [
-        _write(os.path.join(cfg.out_dir, "final_field.csv"),
-               kinetic_pde.snapshot_csv(field))
-    ]
+    files = [_write(cfg, "final_field.csv", kinetic_pde.snapshot_csv(field))]
     files.extend(
         kinetic_pde.save_snapshot(field, os.path.join(cfg.out_dir, "final_field"))
     )
@@ -221,10 +215,7 @@ def _campaign_control_cost(cfg):
         worst = max(worst, gap)
         csv_rows.append((s, t, x0, v0, x1, v1, exact, "closed_form", 0, 0.0))
         csv_rows.append((s, t, x0, v0, x1, v1, trans, "transcribe", p["m"], gap))
-    csv_path = _write(
-        os.path.join(cfg.out_dir, "control_costs.csv"),
-        control_cost.cost_csv(csv_rows),
-    )
+    csv_path = _write(cfg, "control_costs.csv", control_cost.cost_csv(csv_rows))
     return {"worst_relative_gap": worst}, [csv_path], worst <= p["rel_tol"]
 
 
@@ -247,9 +238,7 @@ def _campaign_errata(cfg):
     rows = []
     for k1, k2 in ((0.0, 0.0), (0.0, 1.0)):
         rows.extend(closed_forms.reconcile(k1, k2, p["t_grid"]))
-    csv_path = _write(
-        os.path.join(cfg.out_dir, "errata.csv"), closed_forms.errata_csv(rows)
-    )
+    csv_path = _write(cfg, "errata.csv", closed_forms.errata_csv(rows))
     case5 = [r for r in rows if r.regime == closed_forms.CASE5]
     ok = bool(case5) and all(
         abs(r.ratio - 0.5) < 1e-9 for r in case5 if r.block in ("xx", "xv")
@@ -281,10 +270,8 @@ def run_campaign(cfg):
         "artifacts": [os.path.basename(f) for f in files],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    _write(
-        os.path.join(cfg.out_dir, f"report_{cfg.name}.json"),
-        json.dumps(report, indent=1, sort_keys=True) + "\n",
-    )
+    _write(cfg, f"report_{cfg.name}.json",
+           json.dumps(report, indent=1, sort_keys=True) + "\n")
     return report
 
 
