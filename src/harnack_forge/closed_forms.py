@@ -77,8 +77,10 @@ def classify(k1, k2, eq_tol=EQ_TOL_DEFAULT):
     """Classify (k1, k2) into one of the five regimes.
 
     The CASE2 boundary k2^2 = 2 k1 is matched with relative tolerance
-    eq_tol * max(1, k2^2); the regime formulas are continuous across the
-    boundary so nearby pairs land on either side without a jump.
+    eq_tol * max(1, k2^2).  The bound is continuous across the boundary,
+    so nearby pairs may land on either side; the s-functions are not:
+    the CASE1 and CASE3 ones carry a common factor (4 b^2, mu2^2) that
+    vanishes on the boundary and cancels in assemble_bound.
     """
     k1, k2 = float(k1), float(k2)
     if k1 < 0 or k2 < 0:
@@ -123,15 +125,18 @@ def _raw_sfuncs(regime, t):
     """Corrected s-triple and s0' for one regime at time t > 0."""
     k1, k2 = regime.k1, regime.k2
     if regime.tag == CASE1:
+        # With lambda1,2 = a +- b every function is 4 b^2 times a term free
+        # of the cancellation that the lambda form suffers as b -> 0 (near
+        # CASE2); b = r / (lambda1 + lambda2) avoids subtracting the rates.
         l1, l2 = regime.params["lambda1"], regime.params["lambda2"]
-        sh1, ch1 = math.sinh(l1 * t), math.cosh(l1 * t)
-        sh2, ch2 = math.sinh(l2 * t), math.cosh(l2 * t)
-        s0 = (l1**2 + l2**2) * sh1 * sh2 + 2 * l1 * l2 * (1 - ch1 * ch2)
-        s1 = l1 * l2 * (l1**2 - l2**2) * (l1 * sh1 * ch2 - l2 * ch1 * sh2)
-        s2 = l1 * l2 * ((l1**2 + l2**2) * (ch1 * ch2 - 1) - 2 * l1 * l2 * sh1 * sh2)
-        s0dot = (l1**2 + l2**2) * (l1 * ch1 * sh2 + l2 * sh1 * ch2) - 2 * l1 * l2 * (
-            l1 * sh1 * ch2 + l2 * ch1 * sh2
-        )
+        a, b = (l1 + l2) / 2, math.sqrt(k2 * k2 - 2 * k1) / (l1 + l2)
+        sh, q = math.sinh(a * t), a * math.sinh(b * t) / b  # q = a t sinhc(b t)
+        sh2, q2 = math.sinh(2 * a * t), a * math.sinh(2 * b * t) / b
+        c = 4 * b * b
+        s0 = c * (sh - q) * (sh + q)
+        s1 = c * a * (a * a - b * b) * (sh2 + q2)
+        s2 = c * (a * a - b * b) * (sh * sh + q * q)
+        s0dot = c * a * (sh2 - q2)
         return s0, s1, s2, s0dot
     if regime.tag == CASE2:
         rk = regime.params["lam"]
