@@ -1,6 +1,7 @@
 """CLI parsing, exit codes, artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -168,6 +169,9 @@ class TestMain:
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -179,6 +183,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report_errata.json").exists()

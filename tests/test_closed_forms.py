@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from harnack_forge.closed_forms import (
     CASE1,
@@ -32,6 +33,20 @@ REGIME_PAIRS = {
     CASE4: (0.0, 2.0),
     CASE5: (0.0, 0.0),
 }
+
+
+# (k1, k2) anywhere in [0, 3]^2, or a log-uniform relative distance
+# delta in [1e-14, 1e-1] below (CASE1 side) or above (CASE3 side) the
+# CASE2 boundary k2^2 = 2 k1, where the regime formulas cancel most
+near_boundary = st.builds(
+    lambda k2, exponent, side: (k2 * k2 * (1.0 - side * 10.0**exponent) / 2.0, k2),
+    st.floats(0.05, 3.0),
+    st.floats(-14.0, -1.0),
+    st.sampled_from((1.0, -1.0)),
+)
+curvature_pairs = st.one_of(
+    near_boundary, st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+)
 
 
 class TestClassify:
@@ -69,6 +84,13 @@ class TestAgainstExponentialOracle:
                 want = S_from_M(fundamental_M(K, t)).entries
                 rel = np.abs(got - want).max() / np.abs(want).max()
                 assert rel < 1e-9, (k1, k2, t, rel)
+
+    @given(pair=curvature_pairs, t=st.floats(0.1, 2.0))
+    def test_closed_form_matches_oracle(self, pair, t):
+        k1, k2 = pair
+        got = assemble_bound(eval_sfuncs(k1, k2, t)).entries
+        want = S_from_M(fundamental_M(CurvatureBound(k1=k1, k2=k2, n=1), t)).entries
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_block_scaling_with_n(self):
         sf = eval_sfuncs(1.0, 2.0, 0.8)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from harnack_forge.control_cost import (
     ENDPOINT_TOL,
@@ -13,9 +13,6 @@ from harnack_forge.control_cost import (
     verify_harnack_kernel,
 )
 from harnack_forge.gaussian_kernel import kernel_state, log_density
-
-# Few, reproducible examples keep the suite fast and deterministic.
-PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 coord = st.floats(-2.0, 2.0)
 
@@ -37,7 +34,6 @@ def zero_h_grad(X, V):
     return np.zeros_like(X), np.zeros_like(V)
 
 
-@PROPERTY
 @given(problems(), st.integers(2, 16))
 def test_exact_route_matches_optimizer_route(prob, m):
     # h = 0 given as a function forces the L-BFGS-B route on the same problem
@@ -47,7 +43,6 @@ def test_exact_route_matches_optimizer_route(prob, m):
     assert exact.cost == pytest.approx(optimized.cost, rel=1e-9, abs=1e-12)
 
 
-@PROPERTY
 @given(st.integers(1, 3).flatmap(problems), st.integers(2, 40))
 def test_exact_route_hits_endpoint_above_continuous_cost(prob, m):
     res = transcribe_cost(prob, m=m)
@@ -58,7 +53,6 @@ def test_exact_route_hits_endpoint_above_continuous_cost(prob, m):
     assert res.cost >= energy_cost(prob) - 1e-12
 
 
-@PROPERTY
 @given(problems(n=2), st.integers(2, 40))
 def test_exact_route_dimensions_decouple(prob, m):
     parts = [
@@ -73,7 +67,6 @@ def test_exact_route_dimensions_decouple(prob, m):
     assert transcribe_cost(prob, m=m).cost == pytest.approx(sum(parts), rel=1e-12, abs=1e-15)
 
 
-@PROPERTY
 @given(
     st.floats(0.1, 2.0),
     st.floats(0.05, 2.0),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from harnack_forge.riccati_engine import (
     T_MIN_DEFAULT,
@@ -11,9 +11,6 @@ from harnack_forge.riccati_engine import (
     bound_curve,
     integrate_S,
 )
-
-# Few, reproducible examples keep the suite fast and deterministic.
-PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 # The two routes take different step sequences, so they agree only to the
 # integration error.  The step control is absolute, tol * (1 + max|S|),
@@ -40,7 +37,6 @@ def time_sets(draw):
     return draw(st.permutations(times))
 
 
-@PROPERTY
 @given(K=curvatures(), times=time_sets())
 def test_bound_curve_matches_bound_N_per_time(K, times):
     curve = bound_curve(K, times, tol=TOL)
@@ -52,7 +48,6 @@ def test_bound_curve_matches_bound_N_per_time(K, times):
         assert N.max_eigenvalue() < 0
 
 
-@PROPERTY
 @given(K=curvatures(), times=time_sets())
 def test_S_negative_semidefinite_at_every_requested_time(K, times):
     late = [t for t in times if t >= T_MIN_DEFAULT]
@@ -62,7 +57,6 @@ def test_S_negative_semidefinite_at_every_requested_time(K, times):
         assert S.max_eigenvalue() <= 1e-12 * (1.0 + np.abs(S.entries).max())
 
 
-@PROPERTY
 @given(
     K=curvatures(),
     times=time_sets(),
