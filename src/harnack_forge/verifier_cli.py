@@ -6,7 +6,8 @@ Reports are deterministic for a fixed seed and configuration modulo the
 timestamp field.
 
 Exit codes: 0 all checks passed, 1 a numeric check failed, 2 usage
-error, 3 internal error.
+error (including values of the wrong type, out of range, or inconsistent
+with each other), 3 internal error.
 """
 
 from __future__ import annotations
@@ -92,6 +93,25 @@ POTENTIALS = {
     "zero": kinetic_pde.ZeroPotential,
     "quadratic_v": lambda: kinetic_pde.QuadraticPotential(q_vv=1.0),
     "bilinear": lambda: kinetic_pde.QuadraticPotential(q_xv=1.0),
+}
+
+# Constraints that tie keys together or name a choice, per campaign: a
+# test on the params and the requirement it enforces (formatted with them).
+_CONSTRAINTS = {
+    "pde-harnack": [
+        (lambda p: p["potential"] in POTENTIALS,
+         "potential={potential!r}: expected one of " + ", ".join(POTENTIALS)),
+        (lambda p: p["scheme"] in ("lie", "strang"),
+         "scheme={scheme!r}: expected lie or strang"),
+        (lambda p: p["t1"] > p["t0"], "needs t1 > t0, got t0={t0!r}, t1={t1!r}"),
+    ],
+    "control-cost": [
+        (lambda p: p["m"] >= 2, "needs m >= 2, got m={m!r}"),
+        (lambda p: p["t"] > p["s"], "needs s < t, got s={s!r}, t={t!r}"),
+    ],
+    "harnack-integrated": [
+        (lambda p: 0 < p["s"] < p["t"], "needs 0 < s < t, got s={s!r}, t={t!r}"),
+    ],
 }
 
 
@@ -353,6 +373,9 @@ def parse_cli(argv):
         problem = _value_problem(key, value, DEFAULTS[args.campaign][key])
         if problem:
             parser.error(f"{key}={value!r}: {problem}")
+    for holds, need in _CONSTRAINTS.get(args.campaign, ()):
+        if not holds(params):
+            parser.error(need.format(**params))
     return CampaignConfig(
         name=args.campaign, params=params, out_dir=args.out, seed=args.seed
     )

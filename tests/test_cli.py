@@ -60,10 +60,17 @@ class TestParse:
             ["pde-harnack", "--set", "region=2.0"],
             ["riccati", "--set", "k2=NaN"],
             ["riccati", "--set", "n=true"],
+            ["harnack-integrated", "--set", "s=3.0"],
+            ["pde-harnack", "--set", "t1=0.1"],
+            ["pde-harnack", "--set", "scheme=foo"],
+            ["control-cost", "--set", "m=1"],
+            ["pde-harnack", "--set", "potential=foo"],
         ],
     )
-    def test_bad_values_are_usage_errors(self, argv, tmp_path):
+    def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        key = argv[-1].split("=")[0]
+        assert f"{key}=" in capsys.readouterr().err  # the message names the key
 
     def test_bad_config_value_is_usage_error(self, tmp_path):
         path = tmp_path / "conf.json"
