@@ -45,6 +45,8 @@ class GaussianState:
             raise ValueError(f"mean must have shape (2n,), got {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean {mean.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and cov must be finite")
         if np.abs(cov - cov.T).max() > SPD_TOL:
             raise ValueError("cov must be symmetric")
         lo = float(np.linalg.eigvalsh(cov)[0])

@@ -254,6 +254,8 @@ class GridField:
                 f"rho shape {rho.shape} does not match grid "
                 f"({self.xs.size}, {self.vs.size})"
             )
+        if not np.isfinite(rho).all():
+            raise ValueError("density has non-finite entries")
         if float(rho.min()) < -1e-12:
             raise ValueError(f"density has negative entries: min {rho.min():.3e}")
         self.rho = np.maximum(rho, 0.0)

@@ -117,6 +117,14 @@ class TestDensity:
             GaussianState.make(np.zeros(3), np.eye(3), 1.0)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_moments_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState.make([value, 0.0], np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState.make(np.zeros(2), np.diag([value, 1.0]), 1.0)
+
+
 class TestSharpness:
     def test_log_hessian_is_negative_inverse_covariance(self):
         st = kernel_state(0.0, 0.0, 0.7)

@@ -100,6 +100,13 @@ class TestGridField:
         with pytest.raises(ValueError, match="negative"):
             GridField(xs, xs, bad, t=0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_rejected(self, value):
+        xs = make_grid(2.0, 16)
+        for rho in (np.full((16, 16), value), np.where(np.eye(16) > 0, value, 1.0)):
+            with pytest.raises(ValueError, match="non-finite"):
+                GridField(xs, xs, rho, t=0.1)
+
     def test_boundary_warning(self):
         xs = make_grid(2.0, 16)
         rho = np.zeros((16, 16))
