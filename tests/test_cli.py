@@ -115,23 +115,33 @@ class TestMain:
         [
             ("riccati", "riccati_trajectory.csv"),
             ("closed-form", "closed_form_agreement.csv"),
+            ("kernel-sharpness", "kernel_sharpness.csv"),
+            ("control-cost", "control_costs.csv"),
+            ("errata", "errata.csv"),
+            ("pde-harnack", "final_field.csv"),
         ],
     )
     def test_csv_fields_are_float_literals_or_labels(
         self, tmp_path, campaign, artifact
     ):
-        # numpy scalars must not leak their repr, e.g. np.float64(0.5)
-        assert cli.main([campaign, "--out", str(tmp_path)]) == 0
+        # numpy scalars must not leak their repr, e.g. np.float64(0.5), and
+        # every number must be the literal that reads back to the same value
+        small = {"pde-harnack": ["--set", "n_grid=32"]}.get(campaign, [])
+        assert cli.main([campaign, "--out", str(tmp_path)] + small) == 0
         header, *rows = (tmp_path / artifact).read_text().splitlines()
+        assert all(label.isidentifier() for label in header.split(","))
         assert rows
         for row in rows:
             fields = row.split(",")
             assert len(fields) == len(header.split(","))
-            for text in fields:
+            # control_costs.csv joins vector endpoint components with ';'
+            for text in (part for field in fields for part in field.split(";")):
                 try:
-                    float(text)
+                    number = int(text) if text.lstrip("-").isdigit() else float(text)
                 except ValueError:
                     assert text.isidentifier(), (row, text)
+                else:
+                    assert repr(number) == text, (row, text)
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # an impossible tolerance turns agreement into a reported failure
