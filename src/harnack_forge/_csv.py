@@ -13,8 +13,5 @@ def floats(values):
 
 
 def csv_text(header, columns):
-    """Header labels, then one row per zipped entry of the string columns.
-
-    Columns are consumed in step, so a streamed column is never materialised.
-    """
+    """Header labels, then one row per zipped entry of the string columns."""
     return "\n".join(chain([",".join(header)], map(",".join, zip(*columns)), [""]))
