@@ -116,7 +116,6 @@ class TestDensity:
         with pytest.raises(ValueError):
             GaussianState.make(np.zeros(3), np.eye(3), 1.0)
 
-
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_moments_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
