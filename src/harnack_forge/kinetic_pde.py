@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from . import _csv
 from .closed_forms import assemble_bound, eval_sfuncs
@@ -238,16 +238,20 @@ def make_grid(extent, n):
 class GridField:
     """Nonnegative density on a tensor phase-space grid.
 
-    rho has shape (nx, nv) over cell-centered coordinates xs, vs; t is
-    the absolute time of the snapshot and t0 the birth time of the
-    run.  boundary_warning is set when more than BOUNDARY_LEAK_WARN of
-    the mass sits in the outermost cell ring (the Dirichlet boundary is
-    then visibly truncating the solution).
+    rho has shape (nx, nv) over uniform, strictly increasing (else
+    ValueError) cell-centered coordinates xs, vs; t is the absolute time
+    of the snapshot and t0 the birth time of the run.  boundary_warning
+    is set when more than BOUNDARY_LEAK_WARN of the mass sits in the
+    outermost cell ring (the Dirichlet boundary is then visibly
+    truncating the solution).
     """
 
     def __init__(self, xs, vs, rho, t, t0=None):
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
+        for name, axis in (("xs", self.xs), ("vs", self.vs)):
+            if not np.all(np.diff(axis) > 0):
+                raise ValueError(f"{name} must be strictly increasing")
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (self.xs.size, self.vs.size):
             raise ValueError(
@@ -327,65 +331,71 @@ class EvolveReport:
     scheme: str
 
 
+def _edge_diff(rho, axis):
+    """Differences of a 2-d rho along axis with an empty cell beyond both edges.
+
+    Returns n + 1 entries along axis: entry i is rho[i] - rho[i-1], with
+    rho[0] first and 0 - rho[-1] last (zero Dirichlet inflow).
+    """
+    d = np.empty((rho.shape[0] + (axis == 0), rho.shape[1] + (axis == 1)))
+    r, dd = (rho, d) if axis == 0 else (rho.T, d.T)
+    dd[0] = r[0]
+    np.subtract(r[1:], r[:-1], out=dd[1:-1])
+    np.subtract(0.0, r[-1], out=dd[-1])
+    return d
+
+
 def _upwind_x(rho, vs, dx, dt):
     """First-order upwind transport in x with speed v (columnwise).
 
     Returns (new_rho, boundary_loss) where the loss is the exact
-    telescoped edge flux; zero Dirichlet inflow.
+    telescoped edge flux; zero Dirichlet inflow.  vs must be increasing
+    (GridField guarantees it): the columns with negative and positive
+    Courant numbers are then two slices, and zero-speed columns between
+    them are left as they are.
     """
     c = vs * dt / dx  # per-column Courant number
-    pos = c > 0
-    neg = c < 0
+    neg = slice(None, int(np.searchsorted(c, 0.0, "left")))
+    pos = slice(int(np.searchsorted(c, 0.0, "right")), None)
+    d = _edge_diff(rho, 0)
     new = rho.copy()
-    left = np.vstack([np.zeros((1, rho.shape[1])), rho[:-1, :]])
-    right = np.vstack([rho[1:, :], np.zeros((1, rho.shape[1]))])
-    new[:, pos] = rho[:, pos] - c[pos] * (rho[:, pos] - left[:, pos])
-    new[:, neg] = rho[:, neg] - c[neg] * (right[:, neg] - rho[:, neg])
+    for cols, diff in ((pos, d[:-1]), (neg, d[1:])):
+        diff = diff[:, cols]
+        diff *= c[cols]
+        np.subtract(rho[:, cols], diff, out=new[:, cols])
     loss = float(np.sum(c[pos] * rho[-1, pos]) + np.sum(-c[neg] * rho[0, neg]))
     return new, loss
 
 
-def _upwind_v(rho, speed, dv, dt):
-    """First-order upwind drift in v with a pointwise speed field."""
-    cv = speed * dt / dv
-    left = np.pad(rho, ((0, 0), (1, 0)))[:, :-1]
-    right = np.pad(rho, ((0, 0), (0, 1)))[:, 1:]
-    return np.where(cv > 0, rho - cv * (rho - left), rho - cv * (right - rho))
+def _upwind_v(rho, cv):
+    """First-order upwind drift in v with pointwise Courant numbers cv."""
+    d = _edge_diff(rho, 1)
+    step = np.where(cv > 0, d[:, :-1], d[:, 1:])
+    step *= cv
+    return np.subtract(rho, step, out=step)
 
 
-def _diffuse_v(rho, dv, dt, nsub=1):
+def _diffuse_v(nv, dv, dt, nsub=1):
     """Implicit backward-Euler velocity diffusion, zero Dirichlet.
 
-    Returns (new_rho, boundary_loss); the loss is the exact telescoped
-    edge flux of the tridiagonal solve, accumulated over substeps.
+    Factors the (diagonally dominant, so never pivoted) tridiagonal
+    matrix once; the returned step(rho) -> (new_rho, boundary_loss)
+    makes nsub solves of step dt / nsub, and the loss is the exact
+    telescoped edge flux of the solves.
     """
-    nv = rho.shape[1]
     r = (dt / nsub) / dv**2
-    ab = np.zeros((3, nv))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    loss = 0.0
-    out = rho
-    for _ in range(nsub):
-        out = solve_banded((1, 1), ab, out.T).T
-        loss += r * float(out[:, 0].sum() + out[:, -1].sum())
-    return out, loss
+    off = np.full(nv - 1, -r)
+    factors = lapack.dgttrf(off, np.full(nv, 1.0 + 2.0 * r), off)[:5]
 
+    def step(rho):
+        out = rho.T  # velocity-major, so each solve works in place
+        loss = 0.0
+        for k in range(nsub):
+            out = lapack.dgttrs(*factors, out, overwrite_b=k > 0)[0]
+            loss += r * float(out[0].sum() + out[-1].sum())
+        return out.T, loss
 
-def _shift_col(col, k):
-    """Shift a column by k cells toward +x, zero fill (no wraparound)."""
-    n = col.size
-    out = np.zeros_like(col)
-    if k == 0:
-        return col.copy()
-    if abs(k) >= n:
-        return out
-    if k > 0:
-        out[k:] = col[:-k]
-    else:
-        out[: n + k] = col[-k:]
-    return out
+    return step
 
 
 def _sl_advect_x(rho, vs, dx, tau):
@@ -393,18 +403,21 @@ def _sl_advect_x(rho, vs, dx, tau):
 
     Exact for the integer part of the Courant number, first-order
     diffusive only in the fractional remainder; stable for any tau.
+    Column j is shifted k_j = floor(c_j) cells toward +x and blended
+    with its shift by k_j + 1 (zero fill, no wraparound).
     """
-    out = np.empty_like(rho)
-    for j, v in enumerate(vs):
-        c = v * tau / dx
-        k = int(np.floor(c))
-        a = c - k
-        col = rho[:, j]
-        shifted = _shift_col(col, k)
-        if a > 0.0:
-            shifted = (1.0 - a) * shifted + a * _shift_col(col, k + 1)
-        out[:, j] = shifted
-    return out
+    nx, nv = rho.shape
+    c = vs * tau / dx
+    k = np.floor(c)
+    a = c - k
+    # rows 0 and nx + 1 of padded are the empty cells beyond the edges
+    padded = np.zeros((nx + 2, nv))
+    padded[1:-1] = rho
+    src = np.arange(1, nx + 1)[:, None] - np.clip(k, -nx - 1, nx + 1).astype(int)
+    cols = np.arange(nv)
+    shifted = padded[np.clip(src, 0, nx + 1), cols]  # x_i - k_j
+    blend = padded[np.clip(src - 1, 0, nx + 1), cols]  # x_i - k_j - 1
+    return np.where(a > 0.0, (1.0 - a) * shifted + a * blend, shifted)
 
 
 def cfl_rates(field, potential):
@@ -453,6 +466,17 @@ def evolve(
     diff_loss = 0.0
     drift_src = 0.0
     worst_ledger = 0.0
+    total = field.rho.sum()
+
+    def mass_lost(rho, flux=None):
+        """Mass lost by the substep that produced rho; flux, the edge flux
+        the substep computed, must account for it."""
+        nonlocal total, worst_ledger
+        before, total = total, rho.sum()
+        if flux is not None:
+            gap = abs((before - total) - flux)
+            worst_ledger = max(worst_ledger, gap / max(before, 1.0))
+        return before - total
 
     if scheme == "lie":
         rate = max(rate_x, rate_v)
@@ -471,21 +495,18 @@ def evolve(
                     f"dt={dt:.3e} exceeds CFL limit {dt_max:.3e} "
                     f"(rates: x {rate_x:.3g}, v {rate_v:.3g})"
                 )
+        courant_v = speed * dt / field.dv
+        diffuse = _diffuse_v(field.vs.size, field.dv, dt)
         rho = field.rho
         for _ in range(n_steps):
-            before = rho.sum()
             rho, lx = _upwind_x(rho, field.vs, field.dx, dt)
-            gap = abs((before - rho.sum()) - lx)
-            worst_ledger = max(worst_ledger, gap / max(before, 1.0))
+            mass_lost(rho, lx)
             x_loss += lx * cell
             if has_drift:
-                before = rho.sum()
-                rho = _upwind_v(rho, speed, field.dv, dt)
-                drift_src += (rho.sum() - before) * cell
-            before = rho.sum()
-            rho, ld = _diffuse_v(rho, field.dv, dt, nsub=1)
-            gap = abs((before - rho.sum()) - ld)
-            worst_ledger = max(worst_ledger, gap / max(before, 1.0))
+                rho = _upwind_v(rho, courant_v)
+                drift_src -= mass_lost(rho) * cell
+            rho, ld = diffuse(rho)
+            mass_lost(rho, ld)
             diff_loss += ld * cell
         report_dt = dt
         cx, cv = rate_x * dt, rate_v * dt
@@ -498,24 +519,21 @@ def evolve(
                 f"drift CFL {rate_v * delta:.3g} > 1 at chunk size {delta:.3e}; "
                 "increase chunks for potentials with drift"
             )
+        diffuse = _diffuse_v(field.vs.size, field.dv, delta, nsub=diffusion_substeps)
 
         def transport(rho, tau):
-            nonlocal x_loss, drift_src, worst_ledger
-            before = rho.sum()
+            nonlocal x_loss, drift_src
             rho = _sl_advect_x(rho, field.vs, field.dx, tau)
-            x_loss += (before - rho.sum()) * cell
+            x_loss += mass_lost(rho) * cell
             if has_drift:
-                before = rho.sum()
-                rho = _upwind_v(rho, speed, field.dv, tau)
-                drift_src += (rho.sum() - before) * cell
+                rho = _upwind_v(rho, speed * tau / field.dv)
+                drift_src -= mass_lost(rho) * cell
             return rho
 
         rho = transport(field.rho, 0.5 * delta)
         for i in range(chunks):
-            before = rho.sum()
-            rho, ld = _diffuse_v(rho, field.dv, delta, nsub=diffusion_substeps)
-            gap = abs((before - rho.sum()) - ld)
-            worst_ledger = max(worst_ledger, gap / max(before, 1.0))
+            rho, ld = diffuse(rho)
+            mass_lost(rho, ld)
             diff_loss += ld * cell
             rho = transport(rho, delta if i < chunks - 1 else 0.5 * delta)
         n_steps = chunks
@@ -560,6 +578,13 @@ def _log_field(field, potential):
     return g - 0.5 * potential.value(X, V)
 
 
+def _window_min(a, w):
+    """Minimum of a over each w x w window: shape (nx - w + 1, nv - w + 1)."""
+    n, m = a.shape[0] - w + 1, a.shape[1] - w + 1
+    rows = reduce(np.minimum, [a[s : s + n] for s in range(w)])
+    return reduce(np.minimum, [rows[:, s : s + m] for s in range(w)])
+
+
 def _stencil_arrays(field, potential, floor_frac):
     """Second differences of g = log rho - U/2 on the 2-cell interior.
 
@@ -571,8 +596,7 @@ def _stencil_arrays(field, potential, floor_frac):
     if nx < 5 or nv < 5:
         raise ValueError("grid too small for the 5x5 Hessian stencil")
     floor = floor_frac * float(field.rho.max())
-    window_min = sliding_window_view(field.rho, (5, 5)).min(axis=(2, 3))
-    testable = window_min >= floor
+    testable = _window_min(field.rho, 5) >= floor
     g = _log_field(field, potential)
     dx, dv = field.dx, field.dv
     center = g[2:-2, 2:-2]
@@ -649,6 +673,31 @@ def _region_mask(field, region):
     return (X >= x_lo) & (X <= x_hi) & (V >= v_lo) & (V <= v_hi)
 
 
+def _margin_report(kind, field, bound_source, margin, testable, tolerance):
+    """Report on margin, the margins at the testable interior points in
+    row-major order; raises UntestableRegionError if there are none."""
+    n_tested = int(testable.sum())
+    if n_tested == 0:
+        raise UntestableRegionError(
+            "no testable grid points: density floor or region excludes everything"
+        )
+    k = int(np.argmin(margin))
+    ii, jj = (idx[k] for idx in np.nonzero(testable))
+    min_margin = float(margin[k])
+    return HarnackCheckReport(
+        kind=kind,
+        t=field.t,
+        bound_source=bound_source,
+        min_margin=min_margin,
+        argmin=(float(field.xs[ii + 2]), float(field.vs[jj + 2])),
+        n_tested=n_tested,
+        n_untestable=int((~testable).sum()),
+        fraction_ok=float((margin >= -tolerance).mean()),
+        tolerance=tolerance,
+        passed=min_margin >= -tolerance,
+    )
+
+
 def verify_matrix_harnack(
     field,
     potential,
@@ -678,33 +727,13 @@ def verify_matrix_harnack(
         curvature = curvature_of(potential)
     N = _bound_matrix(curvature, field.t, bound_source) + bound_shift * np.eye(2)
     gxx, gxv, gvv, testable = _stencil_arrays(field, potential, floor_frac)
-    testable = testable & _region_mask(field, region)
-    n_tested = int(testable.sum())
-    if n_tested == 0:
-        raise UntestableRegionError(
-            "no testable grid points: density floor or region excludes everything"
-        )
+    testable &= _region_mask(field, region)
     # smaller eigenvalue of the 2x2 margin matrix, on testable points only
     a = gxx[testable] - N[0, 0]
     b = gxv[testable] - N[0, 1]
     c = gvv[testable] - N[1, 1]
     min_eig = 0.5 * (a + c) - np.sqrt(np.square(0.5 * (a - c)) + np.square(b))
-    k = int(np.argmin(min_eig))
-    ii, jj = (idx[k] for idx in np.nonzero(testable))
-    min_margin = float(min_eig[k])
-    frac_ok = float((min_eig >= -tolerance).mean())
-    return HarnackCheckReport(
-        kind="matrix",
-        t=field.t,
-        bound_source=bound_source,
-        min_margin=min_margin,
-        argmin=(float(field.xs[ii + 2]), float(field.vs[jj + 2])),
-        n_tested=n_tested,
-        n_untestable=int((~testable).sum()),
-        fraction_ok=frac_ok,
-        tolerance=tolerance,
-        passed=min_margin >= -tolerance,
-    )
+    return _margin_report("matrix", field, bound_source, min_eig, testable, tolerance)
 
 
 def verify_scalar_harnack(
@@ -728,29 +757,9 @@ def verify_scalar_harnack(
     sf = eval_sfuncs(curvature.k1, curvature.k2, field.t)
     rhs = -sf.s0dot / (2.0 * sf.s0)  # n = 1 on a planar grid
     _, _, gvv, testable = _stencil_arrays(field, potential, floor_frac)
-    testable = testable & _region_mask(field, region)
-    n_tested = int(testable.sum())
-    if n_tested == 0:
-        raise UntestableRegionError(
-            "no testable grid points: density floor or region excludes everything"
-        )
-    margin = np.where(testable, gvv - rhs, np.inf)
-    flat = int(np.argmin(margin))
-    ii, jj = np.unravel_index(flat, margin.shape)
-    min_margin = float(margin[ii, jj])
-    frac_ok = float((margin[testable] >= -tolerance).mean())
-    return HarnackCheckReport(
-        kind="scalar",
-        t=field.t,
-        bound_source="closed_form",
-        min_margin=min_margin,
-        argmin=(float(field.xs[ii + 2]), float(field.vs[jj + 2])),
-        n_tested=n_tested,
-        n_untestable=int((~testable).sum()),
-        fraction_ok=frac_ok,
-        tolerance=tolerance,
-        passed=min_margin >= -tolerance,
-    )
+    testable &= _region_mask(field, region)
+    margin = gvv[testable] - rhs
+    return _margin_report("scalar", field, "closed_form", margin, testable, tolerance)
 
 
 def matrix_implies_scalar_gap(matrix_report, scalar_report, n=1, slack=1e-12):

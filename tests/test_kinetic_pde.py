@@ -4,6 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_banded
 
 from harnack_forge.gaussian_kernel import kernel_state, grid_density, propagate
 from harnack_forge.kinetic_pde import (
@@ -27,8 +31,13 @@ from harnack_forge.kinetic_pde import (
     snapshot_csv,
     verify_matrix_harnack,
     verify_scalar_harnack,
+    _diffuse_v,
     _region_mask,
+    _sl_advect_x,
     _stencil_arrays,
+    _upwind_v,
+    _upwind_x,
+    _window_min,
 )
 from harnack_forge.riccati_engine import bound_N
 
@@ -99,6 +108,16 @@ class TestGridField:
         bad[3, 3] = -1.0
         with pytest.raises(ValueError, match="negative"):
             GridField(xs, xs, bad, t=0.1)
+
+    @pytest.mark.parametrize("axis", ["xs", "vs"])
+    def test_axes_must_be_strictly_increasing(self, axis):
+        xs = make_grid(2.0, 16)
+        repeated = xs.copy()
+        repeated[5] = repeated[4]
+        for bad in (xs[::-1], repeated, np.full(16, np.nan)):
+            grid = {"xs": xs, "vs": xs, axis: bad}
+            with pytest.raises(ValueError, match=f"{axis} must be strictly increasing"):
+                GridField(grid["xs"], grid["vs"], np.ones((16, 16)), t=0.1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_density_rejected(self, value):
@@ -185,6 +204,160 @@ class TestEvolve:
         rx, rv = cfl_rates(f, QuadraticPotential(q_vv=1.0))
         assert rx == pytest.approx(np.abs(f.vs).max() / f.dx)
         assert rv == pytest.approx(np.abs(f.vs).max() / f.dv)
+
+
+# Straightforward forms of the solver kernels: masked columns, padded
+# copies, a banded solve per call, a Python loop over columns.  The
+# kernels in kinetic_pde must reproduce them bit for bit.
+
+
+def _reference_upwind_x(rho, vs, dx, dt):
+    c = vs * dt / dx
+    pos = c > 0
+    neg = c < 0
+    new = rho.copy()
+    left = np.vstack([np.zeros((1, rho.shape[1])), rho[:-1, :]])
+    right = np.vstack([rho[1:, :], np.zeros((1, rho.shape[1]))])
+    new[:, pos] = rho[:, pos] - c[pos] * (rho[:, pos] - left[:, pos])
+    new[:, neg] = rho[:, neg] - c[neg] * (right[:, neg] - rho[:, neg])
+    loss = float(np.sum(c[pos] * rho[-1, pos]) + np.sum(-c[neg] * rho[0, neg]))
+    return new, loss
+
+
+def _reference_upwind_v(rho, speed, dv, dt):
+    cv = speed * dt / dv
+    left = np.pad(rho, ((0, 0), (1, 0)))[:, :-1]
+    right = np.pad(rho, ((0, 0), (0, 1)))[:, 1:]
+    return np.where(cv > 0, rho - cv * (rho - left), rho - cv * (right - rho))
+
+
+def _reference_diffuse_v(rho, dv, dt, nsub):
+    nv = rho.shape[1]
+    r = (dt / nsub) / dv**2
+    ab = np.zeros((3, nv))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r
+    loss = 0.0
+    out = rho
+    for _ in range(nsub):
+        out = solve_banded((1, 1), ab, out.T).T
+        loss += r * float(out[:, 0].sum() + out[:, -1].sum())
+    return out, loss
+
+
+def _reference_shift_col(col, k):
+    n = col.size
+    out = np.zeros_like(col)
+    if k == 0:
+        return col.copy()
+    if abs(k) >= n:
+        return out
+    if k > 0:
+        out[k:] = col[:-k]
+    else:
+        out[: n + k] = col[-k:]
+    return out
+
+
+def _reference_sl_advect_x(rho, vs, dx, tau):
+    out = np.empty_like(rho)
+    for j, v in enumerate(vs):
+        c = v * tau / dx
+        k = int(np.floor(c))
+        a = c - k
+        col = rho[:, j]
+        shifted = _reference_shift_col(col, k)
+        if a > 0.0:
+            shifted = (1.0 - a) * shifted + a * _reference_shift_col(col, k + 1)
+        out[:, j] = shifted
+    return out
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def grid_fields(draw):
+    """(xs, rho) on an n x n grid, n even or odd, with non-negative values.
+
+    The axis is make_grid's, whose odd-n middle cell sits within 1e-15
+    of v = 0, or a linspace whose odd-n middle cell is exactly 0.
+    """
+    n = draw(st.integers(8, 21))
+    extent = draw(st.floats(0.5, 8.0))
+    xs = draw(st.sampled_from((make_grid(extent, n), np.linspace(-extent, extent, n))))
+    values = st.floats(0.0, 1e6) | st.just(0.0)
+    rho = draw(hnp.arrays(np.float64, (n, n), elements=values))
+    return xs, rho
+
+
+speeds = st.sampled_from(
+    (ZeroPotential(), QuadraticPotential(q_vv=1.0), QuadraticPotential(q_xv=1.0))
+)  # zero, sign by column (quadratic_v) and sign by row (bilinear)
+steps = st.floats(1e-4, 2.0)
+
+
+class TestKernelsMatchReferenceFormulas:
+    @given(field=grid_fields(), dt=steps)
+    def test_upwind_x(self, field, dt):
+        xs, rho = field
+        dx = float(xs[1] - xs[0])
+        new, loss = _upwind_x(rho, xs, dx, dt)
+        want, want_loss = _reference_upwind_x(rho, xs, dx, dt)
+        _assert_bitwise_equal(new, want)
+        assert loss == want_loss
+        if xs.size % 2 and xs[xs.size // 2] == 0.0:  # a v = 0 column stays as it is
+            _assert_bitwise_equal(new[:, xs.size // 2], rho[:, xs.size // 2])
+
+    @given(field=grid_fields(), potential=speeds, dt=steps)
+    def test_upwind_v(self, field, potential, dt):
+        xs, rho = field
+        dv = float(xs[1] - xs[0])
+        speed = potential.grad_v(*np.meshgrid(xs, xs, indexing="ij"))
+        _assert_bitwise_equal(
+            _upwind_v(rho, speed * dt / dv), _reference_upwind_v(rho, speed, dv, dt)
+        )
+
+    @pytest.mark.parametrize("nsub", [1, 16])
+    @given(field=grid_fields(), dt=steps)
+    def test_diffuse_v(self, nsub, field, dt):
+        xs, rho = field
+        dv = float(xs[1] - xs[0])
+        before = rho.copy()
+        new, loss = _diffuse_v(rho.shape[1], dv, dt, nsub)(rho)
+        want, want_loss = _reference_diffuse_v(rho, dv, dt, nsub)
+        _assert_bitwise_equal(new, want)
+        assert loss == want_loss
+        _assert_bitwise_equal(rho, before)  # the solves never overwrite the input
+
+    @given(field=grid_fields(), tau=st.floats(0.0, 30.0))
+    def test_sl_advect_x(self, field, tau):
+        xs, rho = field
+        dx = float(xs[1] - xs[0])
+        _assert_bitwise_equal(
+            _sl_advect_x(rho, xs, dx, tau), _reference_sl_advect_x(rho, xs, dx, tau)
+        )
+
+    def test_sl_advect_x_shifts_of_n_cells_and_more(self):
+        # integer Courant numbers -n - 2 .. n + 2 put whole columns past the edge
+        n = 9
+        vs = np.arange(-n - 2, n + 3, dtype=float)
+        rho = np.random.default_rng(3).uniform(0.0, 1.0, (n, vs.size))
+        for tau in (1.0, 0.999, 1.001):
+            _assert_bitwise_equal(
+                _sl_advect_x(rho, vs, 1.0, tau), _reference_sl_advect_x(rho, vs, 1.0, tau)
+            )
+
+    @given(field=grid_fields())
+    def test_window_min(self, field):
+        _, rho = field
+        _assert_bitwise_equal(
+            _window_min(rho, 5), sliding_window_view(rho, (5, 5)).min(axis=(2, 3))
+        )
 
 
 class TestHessianEstimation:
