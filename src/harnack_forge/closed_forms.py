@@ -88,11 +88,12 @@ def classify(k1, k2, eq_tol=EQ_TOL_DEFAULT):
     disc = k2 * k2 - 2.0 * k1
     if k1 == 0.0 and k2 == 0.0:
         return Regime(CASE5, k1, k2, {})
+    # before the discriminant test: k2 * k2 may underflow to 0 for tiny k2
+    if k1 == 0.0:
+        return Regime(CASE4, k1, k2, {"beta": math.sqrt(k2 / 2.0)})
     if abs(disc) <= eq_tol * max(1.0, k2 * k2) and k1 > 0:
         return Regime(CASE2, k1, k2, {"lam": math.sqrt(k2)})
     if disc > 0:
-        if k1 == 0.0:
-            return Regime(CASE4, k1, k2, {"beta": math.sqrt(k2 / 2.0)})
         r = math.sqrt(disc)
         return Regime(
             CASE1,

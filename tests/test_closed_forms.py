@@ -64,6 +64,17 @@ class TestClassify:
         with pytest.raises(ValueError, match="nonnegative"):
             classify(-1.0, 0.0)
 
+    @pytest.mark.parametrize("k2", [1e-200, 1e-300, 5e-324])
+    def test_k1_zero_is_case4_when_k2_squared_underflows(self, k2):
+        assert k2 * k2 == 0.0
+        regime = classify(0.0, k2)
+        assert regime.tag == CASE4
+        assert regime.params["beta"] == math.sqrt(k2 / 2.0)
+        # this close to CASE5 the CASE4 s0 cancels to zero: the documented
+        # DomainError, never a bare math-domain ValueError
+        with pytest.raises(DomainError):
+            eval_sfuncs(0.0, k2, 1.0)
+
     def test_spectral_params(self):
         r = classify(1.0, 2.0)
         assert r.params["lambda1"] == pytest.approx(math.sqrt(2 + math.sqrt(2)))
