@@ -294,11 +294,33 @@ def _apply_key(params, campaign, key, value):
     params[key] = value
 
 
+def _finite(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _list_problem(key, value):
+    """Why the entries of a list value do not fit key (None if they do)."""
+    if key == "region" and value and not (
+        len(value) == 4 and all(map(_finite, value))
+        and value[0] < value[1] and value[2] < value[3]
+    ):
+        return "expected [x_lo, x_hi, v_lo, v_hi], finite with lo < hi"
+    if key == "pairs" and not all(
+        isinstance(p, list) and len(p) == 2 and all(_finite(k) and k >= 0 for k in p)
+        for p in value
+    ):
+        return "expected pairs [k1, k2] of finite non-negative numbers"
+    if key == "t_grid" and not all(_finite(t) and t > 0 for t in value):
+        return "expected positive finite times"
+    return None
+
+
 def _value_problem(key, value, default):
     """Why value cannot replace the default of key (None if it can)."""
     if isinstance(default, (list, str)):
-        ok = isinstance(value, type(default))
-        return None if ok else f"expected a {type(default).__name__}"
+        if not isinstance(value, type(default)):
+            return f"expected a {type(default).__name__}"
+        return _list_problem(key, value) if isinstance(value, list) else None
     want = int if isinstance(default, int) else (int, float)
     if isinstance(value, bool) or not isinstance(value, want):
         return "expected an int" if want is int else "expected a number"

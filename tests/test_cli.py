@@ -65,6 +65,11 @@ class TestParse:
             ["pde-harnack", "--set", "scheme=foo"],
             ["control-cost", "--set", "m=1"],
             ["pde-harnack", "--set", "potential=foo"],
+            ["pde-harnack", "--set", "region=[1.0]"],
+            ["pde-harnack", "--set", "region=[2.0,-2.0,-2.0,2.0]"],
+            ["closed-form", "--set", "pairs=[[1.0]]"],
+            ["closed-form", "--set", "pairs=[[-1.0,1.0]]"],
+            ["errata", "--set", "t_grid=[-1]"],
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
