@@ -7,8 +7,11 @@ from hypothesis import given, strategies as st
 from harnack_forge.riccati_engine import (
     T_MIN_DEFAULT,
     CurvatureBound,
+    S_from_M,
     bound_N,
     bound_curve,
+    comparison_check,
+    fundamental_M,
     integrate_S,
 )
 
@@ -65,3 +68,52 @@ def test_S_negative_semidefinite_at_every_requested_time(K, times):
 def test_non_positive_time_raises(K, times, bad):
     with pytest.raises(ValueError, match="positive"):
         bound_curve(K, times + [bad])
+
+
+@given(K=curvatures(), times=time_sets())
+def test_S_non_increasing_in_loewner_order(K, times):
+    # P = dS/dt obeys P' = A P + P A^T with A = -C + S K, so P(t) is
+    # congruent to P(0) = -D <= 0: S never increases, and N = S^{-1} < 0
+    # never decreases (checked on the exponential route as well).
+    late = sorted(t for t in times if t >= T_MIN_DEFAULT)
+    if not late:
+        return
+    trajectory = [S.entries for _, S in integrate_S(K, late[-1], tol=TOL, eval_times=late)]
+    for earlier, later in zip(trajectory[:-1], trajectory[1:]):
+        step = np.linalg.eigvalsh(later - earlier)[-1]
+        assert step <= 1e-10 * (1.0 + np.abs(later).max())
+    curve = [N.entries for N in bound_curve(K, late, tol=TOL)]
+    exact = [S_from_M(fundamental_M(K, t)).entries for t in late]
+    for Ns in (curve, exact):
+        for earlier, later in zip(Ns[:-1], Ns[1:]):
+            step = np.linalg.eigvalsh(later - earlier)[0]
+            assert step >= -1e-8 * np.abs(earlier).max()
+
+
+@st.composite
+def ordered_curvatures(draw):
+    """Curvature matrices K_small <= K_large (Loewner order), n = 1 or 2."""
+    n = draw(st.sampled_from((1, 2)))
+    size = 4 * n * n
+    factors = st.lists(st.floats(-1.5, 1.5), min_size=size, max_size=size)
+
+    def psd():
+        L = np.reshape(draw(factors), (2 * n, 2 * n))
+        return 0.5 * (L @ L.T + (L @ L.T).T)
+
+    small = psd()
+    return CurvatureBound(matrix=small), CurvatureBound(matrix=small + psd())
+
+
+@given(pair=ordered_curvatures(), times=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4))
+def test_comparison_principle_on_ordered_pairs(pair, times):
+    # more curvature, less negative S: S_small <= S_large, so the bound
+    # N = S^{-1} of the larger curvature is the lower one
+    small, large = pair
+    rep = comparison_check(small, large, times, tol=TOL)
+    assert rep.status == "ok" and rep.ordering_holds
+    for t in times:
+        n_small = S_from_M(fundamental_M(small, t)).entries
+        n_large = S_from_M(fundamental_M(large, t)).entries
+        gap = np.linalg.eigvalsh(n_small - n_large)[0]
+        assert gap >= -1e-8 * np.abs(n_small).max()
