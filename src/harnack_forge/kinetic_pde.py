@@ -331,20 +331,6 @@ class EvolveReport:
     scheme: str
 
 
-def _edge_diff(rho, axis):
-    """Differences of a 2-d rho along axis with an empty cell beyond both edges.
-
-    Returns n + 1 entries along axis: entry i is rho[i] - rho[i-1], with
-    rho[0] first and 0 - rho[-1] last (zero Dirichlet inflow).
-    """
-    d = np.empty((rho.shape[0] + (axis == 0), rho.shape[1] + (axis == 1)))
-    r, dd = (rho, d) if axis == 0 else (rho.T, d.T)
-    dd[0] = r[0]
-    np.subtract(r[1:], r[:-1], out=dd[1:-1])
-    np.subtract(0.0, r[-1], out=dd[-1])
-    return d
-
-
 def _upwind_x(rho, vs, dx, dt):
     """First-order upwind transport in x with speed v (columnwise).
 
@@ -357,19 +343,27 @@ def _upwind_x(rho, vs, dx, dt):
     c = vs * dt / dx  # per-column Courant number
     neg = slice(None, int(np.searchsorted(c, 0.0, "left")))
     pos = slice(int(np.searchsorted(c, 0.0, "right")), None)
-    d = _edge_diff(rho, 0)
     new = rho.copy()
-    for cols, diff in ((pos, d[:-1]), (neg, d[1:])):
-        diff = diff[:, cols]
+    # differences toward the upwind cell, computed in place; the empty
+    # inflow cell leaves rho[0] (already copied) and 0 - rho[-1]
+    p, q = new[:, pos], new[:, neg]
+    np.subtract(rho[1:, pos], rho[:-1, pos], out=p[1:])
+    np.subtract(rho[1:, neg], rho[:-1, neg], out=q[:-1])
+    np.subtract(0.0, rho[-1, neg], out=q[-1])
+    for cols, diff in ((pos, p), (neg, q)):
         diff *= c[cols]
-        np.subtract(rho[:, cols], diff, out=new[:, cols])
+        np.subtract(rho[:, cols], diff, out=diff)
     loss = float(np.sum(c[pos] * rho[-1, pos]) + np.sum(-c[neg] * rho[0, neg]))
     return new, loss
 
 
 def _upwind_v(rho, cv):
     """First-order upwind drift in v with pointwise Courant numbers cv."""
-    d = _edge_diff(rho, 1)
+    # d[:, j] = rho[:, j] - rho[:, j - 1], with empty cells beyond both edges
+    d = np.empty((rho.shape[0], rho.shape[1] + 1))
+    d[:, 0] = rho[:, 0]
+    np.subtract(rho[:, 1:], rho[:, :-1], out=d[:, 1:-1])
+    np.subtract(0.0, rho[:, -1], out=d[:, -1])
     step = np.where(cv > 0, d[:, :-1], d[:, 1:])
     step *= cv
     return np.subtract(rho, step, out=step)
