@@ -99,7 +99,8 @@ def ordered_curvatures(draw):
 
     def psd():
         L = np.reshape(draw(factors), (2 * n, 2 * n))
-        return 0.5 * (L @ L.T + (L @ L.T).T)
+        G = L @ L.T
+        return 0.5 * (G + G.T)  # exactly symmetric
 
     small = psd()
     return CurvatureBound(matrix=small), CurvatureBound(matrix=small + psd())
