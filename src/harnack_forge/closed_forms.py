@@ -44,7 +44,8 @@ ORACLE_CALIBRATED = "ORACLE_CALIBRATED"
 
 
 class DomainError(ValueError):
-    """Requested time lies outside the validity window (s0 <= 0)."""
+    """s0 <= 0: the time lies outside the validity window, or inside it
+    where the closed form has cancelled to no precision at all."""
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,13 @@ def eval_sfuncs(k1, k2, t, eq_tol=EQ_TOL_DEFAULT):
     s0, s1, s2, s0dot = _raw_sfuncs(regime, t)
     if not s0 > 0:
         upper = validity_window(k1, k2, t_max=max(2 * t, 1.0))[1]
+        if t < upper:
+            raise DomainError(
+                f"s0({t:.6g}) = {s0:.3e} for regime {regime.tag}: the closed form "
+                f"lost all precision (s0 cancelled to 0) inside its validity window "
+                f"(0, {upper:.6g}); use the exponential route (fundamental_M, "
+                "S_from_M) or the Riccati route (bound_N) instead"
+            )
         raise DomainError(
             f"s0({t:.6g}) = {s0:.3e} <= 0 for regime {regime.tag}; "
             f"validity window is (0, {upper:.6g})"
@@ -299,12 +307,12 @@ def reconcile(k1, k2, t_grid, rel_tol=1e-9):
     """
     rows = []
     K = CurvatureBound(k1=k1, k2=k2, n=1)
-    for t in t_grid:
+    oracles = S_from_M(fundamental_M(K, t_grid))
+    for t, oracle in zip(t_grid, oracles):
         sf = printed_sfuncs(k1, k2, t)
         printed = assemble_bound(sf, n=1, normalization=PRINTED).entries
-        oracle = S_from_M(fundamental_M(K, t)).entries
         for block, (i, j) in (("xx", (0, 0)), ("xv", (0, 1)), ("vv", (1, 1))):
-            p, o = float(printed[i, j]), float(oracle[i, j])
+            p, o = float(printed[i, j]), float(oracle.entries[i, j])
             if abs(p - o) > rel_tol * max(1.0, abs(o)):
                 rows.append(
                     ErrataRow(

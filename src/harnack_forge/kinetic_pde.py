@@ -451,8 +451,11 @@ def evolve(
     T = t1 - field.t
     X, V = field.meshes()
     speed = potential.grad_v(X, V)
-    has_drift = bool(np.abs(speed).max() > 0)
-    rate_x, rate_v = cfl_rates(field, potential)
+    speed_max = float(np.abs(speed).max())
+    has_drift = speed_max > 0
+    # cfl_rates(field, potential), from the speed already at hand
+    rate_x = float(np.abs(field.vs).max() / field.dx)
+    rate_v = speed_max / field.dv
     m0 = field.mass()
     cell = field.dx * field.dv
 

@@ -147,7 +147,9 @@ class CurvatureBound:
             if not (np.isfinite(k1) and np.isfinite(k2)):
                 raise ValueError(f"k1 and k2 must be finite, got ({k1}, {k2})")
             I = np.eye(n)
-            K = np.block([[k1 * I, np.zeros((n, n))], [np.zeros((n, n)), k2 * I]])
+            K = np.zeros((2 * n, 2 * n))
+            K[:n, :n] = k1 * I
+            K[n:, n:] = k2 * I
             self.n = n
             self.k1 = k1
             self.k2 = k2
@@ -170,10 +172,11 @@ def build_structural(n):
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"invalid dimension n={n}; need a positive integer")
-    Z = np.zeros((n, n))
     I = np.eye(n)
-    C = np.block([[Z, -I], [Z, Z]])
-    D = np.block([[Z, Z], [Z, 2 * I]])
+    C = np.zeros((2 * n, 2 * n))
+    D = np.zeros((2 * n, 2 * n))
+    C[:n, n:] = -I
+    D[n:, n:] = 2 * I
     return StructuralPair(C=C, D=D)
 
 
@@ -422,27 +425,53 @@ def hamiltonian_matrix(K):
     """Hamiltonian block matrix H = [[C^T, -K], [-D, -C]] (4n x 4n)."""
     K = _as_curvature(K)
     sp = build_structural(K.n)
-    return np.block([[sp.C.T, -K.K], [-sp.D, -sp.C]])
+    dim = 2 * K.n
+    H = np.empty((2 * dim, 2 * dim))
+    H[:dim, :dim] = sp.C.T
+    H[:dim, dim:] = -K.K
+    H[dim:, :dim] = -sp.D
+    H[dim:, dim:] = -sp.C
+    return H
 
 
 def fundamental_M(K, t):
     """Fundamental matrix M(t) = exp(t H) by scaling-and-squaring.
 
-    Raises on arguments large enough to overflow double exponentials
-    rather than returning Inf.
+    Parameters
+    ----------
+    K : CurvatureBound or array_like or scalar
+    t : float or 1-D array_like of float
+        One time, or a grid of times (any order, zero allowed).
+
+    Returns
+    -------
+    (4n, 4n) ndarray for a scalar t; an (m, 4n, 4n) stack, one slice
+    per time, for a grid of m times.  H and the overflow guard are built
+    once per call, and each slice equals the scalar-t result bit for bit.
+
+    Raises
+    ------
+    ValueError
+        If a time is not finite.
+    OverflowError
+        If |t| ||H||_2 exceeds EXP_ARG_CAP at some time: double
+        exponentials would overflow there, so no Inf is returned.
     """
     K = _as_curvature(K)
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-D grid, got shape {ts.shape}")
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        raise ValueError(f"t must be finite, got {bad[0]}")
     H = hamiltonian_matrix(K)
-    if t == 0.0:
-        return np.eye(H.shape[0])
-    spread = abs(t) * float(np.linalg.norm(H, 2))
-    if spread > EXP_ARG_CAP:
+    spread = np.abs(ts) * float(np.linalg.norm(H, 2))
+    over = spread[spread > EXP_ARG_CAP]
+    if over.size:
         raise OverflowError(
-            f"|t|*||H|| = {spread:.3g} exceeds the exponential cap {EXP_ARG_CAP:g}"
+            f"|t|*||H|| = {over[0]:.3g} exceeds the exponential cap {EXP_ARG_CAP:g}"
         )
-    return expm(t * H)
+    return expm(ts[..., None, None] * H)
 
 
 def S_from_M(M):
@@ -450,28 +479,37 @@ def S_from_M(M):
 
     Parameters
     ----------
-    M : (4n, 4n) array_like
-        Fundamental matrix; the lower-left block M3 must be invertible.
+    M : (4n, 4n) or (m, 4n, 4n) array_like
+        Fundamental matrix, or a stack of them (fundamental_M of a time
+        grid); every lower-left block M3 must be invertible.
 
     Returns
     -------
-    BlockSym2n
+    BlockSym2n, or a list of m of them for a stack
         The same object bound_N produces (named S in the block-ratio
         formula; it is the N-normalized solution).
+
+    Raises
+    ------
+    SingularityError
+        For the first M3 block whose condition number exceeds 1e14.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 4:
-        raise ValueError(f"expected square 4n x 4n matrix, got {M.shape}")
-    dim = M.shape[0] // 2
-    M1 = M[:dim, :dim]
-    M3 = M[dim:, :dim]
-    cond = float(np.linalg.cond(M3))
-    if not np.isfinite(cond) or cond > 1e14:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] % 4:
+        raise ValueError(f"expected square 4n x 4n matrices, got {M.shape}")
+    dim = M.shape[-1] // 2
+    M1 = M[..., :dim, :dim]
+    M3 = M[..., dim:, :dim]
+    cond = np.linalg.cond(M3)
+    bad = cond[~(cond <= 1e14)]  # NaN counts as singular
+    if bad.size:
         raise SingularityError(
-            f"M3 block numerically singular (condition {cond:.3e})", cond=cond
+            f"M3 block numerically singular (condition {bad[0]:.3e})", cond=float(bad[0])
         )
     N = M1 @ np.linalg.inv(M3)
-    return BlockSym2n(N, symmetrize=True)
+    if N.ndim == 2:
+        return BlockSym2n(N, symmetrize=True)
+    return [BlockSym2n(Nt, symmetrize=True) for Nt in N]
 
 
 @dataclass
@@ -533,48 +571,53 @@ def residual_defect(K, trajectory, tol=1e-10):
     with 8 fixed RK4 substeps (an integrator independent of the adaptive
     pair) and measure the mismatch with the stored later snapshot,
     scaled the same way the step controller scales its local error.
-    Returns the max over the trajectory.
+    All intervals advance together as one stack.  Returns the max over
+    the trajectory.
     """
     K = _as_curvature(K)
+    if len(trajectory) < 2:
+        return 0.0
     sp = build_structural(K.n)
     C, D, Km = sp.C, sp.D, K.K
-    worst = 0.0
-    for (t0, S0), (t1, S1) in zip(trajectory[:-1], trajectory[1:]):
-        S = S0.entries.copy()
-        h = (t1 - t0) / 8.0
-        for _ in range(8):
-            k1 = _riccati_rhs(S, C, D, Km)
-            k2 = _riccati_rhs(S + 0.5 * h * k1, C, D, Km)
-            k3 = _riccati_rhs(S + 0.5 * h * k2, C, D, Km)
-            k4 = _riccati_rhs(S + h * k3, C, D, Km)
-            S = S + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        scale = 1.0 + np.abs(S1.entries).max()
-        worst = max(worst, float(np.abs(S - S1.entries).max()) / scale)
-    return worst
+    ts = np.array([t for t, _ in trajectory])
+    snaps = np.array([S.entries for _, S in trajectory])
+    S, S1 = snaps[:-1], snaps[1:]
+    h = ((ts[1:] - ts[:-1]) / 8.0)[:, None, None]
+    for _ in range(8):
+        k1 = _riccati_rhs(S, C, D, Km)
+        k2 = _riccati_rhs(S + 0.5 * h * k1, C, D, Km)
+        k3 = _riccati_rhs(S + 0.5 * h * k2, C, D, Km)
+        k4 = _riccati_rhs(S + h * k3, C, D, Km)
+        S = S + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    scale = 1.0 + np.abs(S1).max(axis=(1, 2))
+    return _worst(np.abs(S - S1).max(axis=(1, 2)) / scale)
 
 
-def exponential_route_residual(K, t_grid, dt=1e-6):
+def exponential_route_residual(K, t_grid):
     """Residual of the N-equation along the exponential pipeline.
 
     N_dot computed from the analytic derivative of the block ratio,
     N_dot = (M1_dot - N M3_dot) M3^{-1} with M_dot = H M, compared to
-    the Riccati right-hand side N C + C^T N + N D N - K.
+    the Riccati right-hand side N C + C^T N + N D N - K, on one
+    fundamental_M stack over the whole grid.
     """
     K = _as_curvature(K)
     sp = build_structural(K.n)
     H = hamiltonian_matrix(K)
     dim = 2 * K.n
-    worst = 0.0
-    for t in t_grid:
-        M = fundamental_M(K, t)
-        Mdot = H @ M
-        M1, M3 = M[:dim, :dim], M[dim:, :dim]
-        N = M1 @ np.linalg.inv(M3)
-        Ndot = (Mdot[:dim, :dim] - N @ Mdot[dim:, :dim]) @ np.linalg.inv(M3)
-        rhs = N @ sp.C + sp.C.T @ N + N @ sp.D @ N - K.K
-        scale = 1.0 + np.abs(rhs).max()
-        worst = max(worst, float(np.abs(Ndot - rhs).max()) / scale)
-    return worst
+    M = fundamental_M(K, np.ravel(t_grid))
+    Mdot = H @ M
+    M3inv = np.linalg.inv(M[:, dim:, :dim])
+    N = M[:, :dim, :dim] @ M3inv
+    Ndot = (Mdot[:, :dim, :dim] - N @ Mdot[:, dim:, :dim]) @ M3inv
+    rhs = N @ sp.C + sp.C.T @ N + N @ sp.D @ N - K.K
+    scale = 1.0 + np.abs(rhs).max(axis=(1, 2))
+    return _worst(np.abs(Ndot - rhs).max(axis=(1, 2)) / scale)
+
+
+def _worst(values):
+    """Largest value, at least 0.0; NaNs are skipped, as max(worst, v) does."""
+    return float(np.fmax.reduce(values, initial=0.0))
 
 
 def trajectory_to_csv(trajectory):

@@ -75,6 +75,14 @@ class TestClassify:
         with pytest.raises(DomainError):
             eval_sfuncs(0.0, k2, 1.0)
 
+    def test_cancelled_s0_inside_the_window_blames_precision(self):
+        # t = 1 lies inside the validity window (0, inf), so the error must
+        # not read as a window violation; it names the routes that still work
+        with pytest.raises(DomainError, match="lost all precision") as err:
+            eval_sfuncs(0.0, 1e-200, 1.0)
+        assert "exponential route" in str(err.value)
+        assert "Riccati route" in str(err.value)
+
     def test_spectral_params(self):
         r = classify(1.0, 2.0)
         assert r.params["lambda1"] == pytest.approx(math.sqrt(2 + math.sqrt(2)))

@@ -205,6 +205,15 @@ class TestEvolve:
         assert rx == pytest.approx(np.abs(f.vs).max() / f.dx)
         assert rv == pytest.approx(np.abs(f.vs).max() / f.dv)
 
+    @pytest.mark.parametrize("scheme", ["lie", "strang"])
+    def test_report_cfl_numbers_are_cfl_rates_times_dt(self, scheme):
+        # evolve derives the rates from its own drift array, bit for bit
+        f = kernel_field(0.2, extent=4.0, n=64)
+        for pot in (ZeroPotential(), QuadraticPotential(q_vv=1.0, q_xv=0.5)):
+            rx, rv = cfl_rates(f, pot)
+            _, rep = evolve(f, pot, 0.5, scheme=scheme, chunks=40)
+            assert (rep.cfl_x, rep.cfl_v) == (rx * rep.dt, rv * rep.dt)
+
 
 # Straightforward forms of the solver kernels: masked columns, padded
 # copies, a banded solve per call, a Python loop over columns.  The
