@@ -1,4 +1,4 @@
-"""Property tests of the single-pass bound over random curvatures and times."""
+"""Property tests of the Riccati bound routes over random curvatures and times."""
 
 import numpy as np
 import pytest
