@@ -41,6 +41,7 @@ from .riccati_engine import BlockSym2n, CurvatureBound, bound_N
 BOUNDARY_LEAK_WARN = 1e-4
 LEDGER_TOL = 1e-10
 FLOOR_FRAC_DEFAULT = 1e-12
+CURVATURE_FEAS_TOL = 1e-10
 
 
 class CFLError(RuntimeError):
@@ -102,22 +103,6 @@ class Potential:
         return worst
 
 
-class ZeroPotential(Potential):
-    """Free equation, U identically zero."""
-
-    def value(self, x, v):
-        return np.zeros(np.broadcast(x, v).shape)
-
-    def grad_x(self, x, v):
-        return np.zeros(np.broadcast(x, v).shape)
-
-    def grad_v(self, x, v):
-        return np.zeros(np.broadcast(x, v).shape)
-
-    def lap_v(self, x, v):
-        return np.zeros(np.broadcast(x, v).shape)
-
-
 class QuadraticPotential(Potential):
     """U = (q_xx x^2 + 2 q_xv x v + q_vv v^2) / 2 with exact derivatives."""
 
@@ -141,6 +126,18 @@ class QuadraticPotential(Potential):
 
     def lap_v(self, x, v):
         return np.full(np.broadcast(x, v).shape, self.q_vv)
+
+    def hess_h(self):
+        """Constant Hessian of compute_h's h, as (h_xx, h_xv, h_vv)."""
+        a, b, c = self.q_xx, self.q_xv, self.q_vv
+        return -0.5 * b * b, -0.5 * (a + b * c), -b - 0.5 * c * c
+
+
+class ZeroPotential(QuadraticPotential):
+    """Free equation, U identically zero: the all-zero quadratic."""
+
+    def __init__(self):
+        super().__init__()
 
 
 class CustomPotential(Potential):
@@ -180,47 +177,34 @@ def compute_h(potential, x, v):
     )
 
 
-def _hessian_h(potential, x, v, step=1e-4):
-    """Second differences of h at sample points; (hxx, hxv, hvv) arrays."""
-    e = step
-
-    def h(a, b):
-        return compute_h(potential, a, b)
-
-    hxx = (h(x + e, v) - 2 * h(x, v) + h(x - e, v)) / e**2
-    hvv = (h(x, v + e) - 2 * h(x, v) + h(x, v - e)) / e**2
-    hxv = (h(x + e, v + e) - h(x + e, v - e) - h(x - e, v + e) + h(x - e, v - e)) / (
-        4 * e**2
-    )
-    return hxx, hxv, hvv
-
-
-def curvature_of(potential, box=4.0, samples=41, feas_tol=1e-10):
-    """Minimal scalar curvature pair (k1, k2) for a potential.
+def curvature_of(potential):
+    """Minimal scalar curvature pair (k1, k2) for a quadratic potential.
 
     Finds the lexicographically minimal pair (k2 first, then k1) such
-    that Hess h + diag(k1, k2) is positive semidefinite at every sample
-    point of [-box, box]^2, via the Schur complement of the (v, v)
-    entry.  The minimum over k2 may be an infimum rather than attained;
-    feas_tol sets the attainment margin.
-    """
-    g = np.linspace(-box, box, samples)
-    X, V = np.meshgrid(g, g, indexing="ij")
-    hxx, hxv, hvv = _hessian_h(potential, X, V)
-    hxx, hxv, hvv = hxx.ravel(), hxv.ravel(), hvv.ravel()
+    that Hess h + diag(k1, k2) is positive semidefinite, via the Schur
+    complement of the (v, v) entry.  Hess h is the exact constant
+    matrix of QuadraticPotential.hess_h (ZeroPotential included).  The
+    minimum over k2 may be an infimum rather than attained;
+    CURVATURE_FEAS_TOL sets the attainment margin.
 
-    k2 = max(0.0, float(-hvv.min()))
-    # points whose (v,v) entry is exactly pinned need zero cross term;
-    # otherwise the Schur complement forces k2 strictly above the pin
-    cross = np.abs(hxv) > feas_tol
-    if np.any(cross):
-        k2 = max(k2, float(-(hvv[cross].min())) + feas_tol)
-    k2 = max(k2, 0.0)
-    denom = hvv + k2
-    need = np.where(
-        denom > feas_tol, np.square(hxv) / np.maximum(denom, feas_tol) - hxx, -hxx
-    )
-    k1 = max(0.0, float(need.max()))
+    Raises ValueError for any other potential: pass its curvature pair
+    as curvature= to verify_matrix_harnack / verify_scalar_harnack.
+    """
+    if not isinstance(potential, QuadraticPotential):
+        raise ValueError(
+            f"curvature_of needs a QuadraticPotential, got "
+            f"{type(potential).__name__}; pass curvature= to "
+            "verify_matrix_harnack / verify_scalar_harnack instead"
+        )
+    hxx, hxv, hvv = potential.hess_h()
+    tol = CURVATURE_FEAS_TOL
+    k2 = max(0.0, -hvv)
+    # a pinned (v,v) entry needs a zero cross term; otherwise the Schur
+    # complement forces k2 strictly above the pin
+    if abs(hxv) > tol:
+        k2 = max(k2, -hvv + tol)
+    # the pinned denominator may round just below tol: clamp it there
+    k1 = max(0.0, hxv * hxv / max(hvv + k2, tol) - hxx)
     return CurvatureBound(k1=k1, k2=k2, n=1)
 
 
@@ -718,7 +702,9 @@ def verify_matrix_harnack(
     (x_lo, x_hi, v_lo, v_hi) that stays away from the boundary when the
     field carries visible mass there.
 
-    Raises UntestableRegionError when no point clears the density floor.
+    Raises UntestableRegionError when no point clears the density floor,
+    and ValueError (from curvature_of) when curvature is None and the
+    potential is not a QuadraticPotential.
     """
     if curvature is None:
         curvature = curvature_of(potential)
@@ -746,6 +732,8 @@ def verify_scalar_harnack(
     This is the velocity trace of the matrix inequality; it is implied
     by the matrix form with margin n times the eigenvalue margin, and
     is checked independently because it only needs the regime scalars.
+    Without curvature, a potential that is not a QuadraticPotential
+    raises ValueError (from curvature_of).
     """
     if curvature is None:
         curvature = curvature_of(potential)

@@ -564,7 +564,7 @@ def comparison_check(K_small, K_large, t_grid, tol=1e-10, slack=1e-8):
     )
 
 
-def residual_defect(K, trajectory, tol=1e-10):
+def residual_defect(K, trajectory):
     """Re-integration defect of an integrate_S trajectory.
 
     Between each pair of consecutive snapshots, advance the earlier one

@@ -180,11 +180,12 @@ def _campaign_pde_harnack(cfg):
     )
     field, evo = kinetic_pde.evolve(field, pot, p["t1"], scheme=p["scheme"])
     region = tuple(p["region"]) if p.get("region") else None
+    K = kinetic_pde.curvature_of(pot)
     mrep = kinetic_pde.verify_matrix_harnack(
-        field, pot, tolerance=p["tolerance"], region=region
+        field, pot, curvature=K, tolerance=p["tolerance"], region=region
     )
     srep = kinetic_pde.verify_scalar_harnack(
-        field, pot, tolerance=p["tolerance"], region=region
+        field, pot, curvature=K, tolerance=p["tolerance"], region=region
     )
     files = [_write(cfg, "final_field.csv", kinetic_pde.snapshot_csv(field))]
     files.extend(
@@ -198,6 +199,9 @@ def _campaign_pde_harnack(cfg):
         "n_untestable": mrep.n_untestable,
         "mass_ledger_discrepancy": evo.ledger_discrepancy,
         "boundary_fraction": field.boundary_fraction,
+        "k1": K.k1,
+        "k2": K.k2,
+        "regime": closed_forms.classify(K.k1, K.k2).tag,
     }
     return metrics, files, mrep.passed and srep.passed
 

@@ -1,6 +1,7 @@
 """Grid PDE tests: potentials, evolution ledger, Hessian checks."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
+from harnack_forge.closed_forms import CASE2, classify
 from harnack_forge.gaussian_kernel import kernel_state, grid_density, propagate
 from harnack_forge.kinetic_pde import (
     FLOOR_FRAC_DEFAULT,
@@ -84,11 +86,57 @@ class TestPotentials:
         K = curvature_of(ZeroPotential())
         assert (K.k1, K.k2) == (0.0, 0.0)
         K = curvature_of(QuadraticPotential(q_vv=1.0))
-        assert K.k1 == pytest.approx(0.0, abs=1e-6)
-        assert K.k2 == pytest.approx(0.5, abs=1e-6)
+        assert (K.k1, K.k2) == (0.0, 0.5)
         K = curvature_of(QuadraticPotential(q_xv=1.0))
-        assert K.k1 == pytest.approx(0.5, abs=1e-6)
-        assert K.k2 == pytest.approx(1.0, abs=1e-6)
+        assert (K.k1, K.k2) == (0.5, 1.0)
+        assert classify(K.k1, K.k2).tag == CASE2
+
+    @given(q=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    def test_hess_h_matches_second_differences(self, q):
+        # h is quadratic, so second differences with any step are exact
+        # up to rounding
+        U = QuadraticPotential(*q)
+        x, v, e = 0.3, -0.7, 0.5
+
+        def h(a, b):
+            return float(compute_h(U, np.array(a), np.array(b)))
+
+        fd = (
+            (h(x + e, v) - 2 * h(x, v) + h(x - e, v)) / e**2,
+            (h(x + e, v + e) - h(x + e, v - e) - h(x - e, v + e) + h(x - e, v - e))
+            / (4 * e**2),
+            (h(x, v + e) - 2 * h(x, v) + h(x, v - e)) / e**2,
+        )
+        assert np.allclose(U.hess_h(), fd, rtol=1e-9, atol=1e-9)
+
+    @given(q=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    def test_curvature_pair_makes_hess_h_psd(self, q):
+        U = QuadraticPotential(*q)
+        K = curvature_of(U)
+        hxx, hxv, hvv = U.hess_h()
+        # min eigenvalue >= -1e-12 means Hess h + diag(k1, k2) + 1e-12 I is
+        # PSD; test that exactly on the float entries (k1 may be ~1e10, far
+        # beyond what an eigensolver resolves at 1e-12)
+        shift = Fraction(1e-12)
+        a = Fraction(hxx + K.k1) + shift
+        c = Fraction(hvv + K.k2) + shift
+        assert a >= 0 and c >= 0 and a * c >= Fraction(hxv) ** 2
+
+    def test_curvature_needs_a_quadratic_potential(self):
+        U = CustomPotential(lambda x, v: 0.5 * v**2)
+        with pytest.raises(ValueError, match="curvature="):
+            curvature_of(U)
+        f = kernel_field(0.3, extent=4.0, n=32, sigma2=1.0)
+        with pytest.raises(ValueError, match="curvature="):
+            verify_matrix_harnack(f, U)
+        with pytest.raises(ValueError, match="curvature="):
+            verify_scalar_harnack(f, U)
+        same = QuadraticPotential(q_vv=1.0)
+        K = curvature_of(same)
+        for check in (verify_matrix_harnack, verify_scalar_harnack):
+            got, want = check(f, U, curvature=K), check(f, same, curvature=K)
+            assert got.n_tested == want.n_tested > 0
+            assert got.min_margin == pytest.approx(want.min_margin, abs=1e-9)
 
 
 class TestGridField:
