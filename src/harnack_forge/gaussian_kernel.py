@@ -172,9 +172,22 @@ def sharpness_gap(state, tol=1e-10):
 
     Zero (to rounding) exactly when the state is a kernel state: the
     free fundamental solution saturates the zero-curvature bound.
+
+    `state` is one GaussianState, or a sequence of them that share n;
+    a sequence takes every N(t) from one bound_N call over its times (one
+    integration) and returns a list of gaps, one per state.
     """
-    N = bound_N(CurvatureBound(k1=0.0, k2=0.0, n=state.n), state.t, tol=tol)
-    return float(np.abs(log_hessian(state).entries - N.entries).max())
+    single = isinstance(state, GaussianState)
+    states = [state] if single else list(state)
+    if not states:
+        raise ValueError("sharpness_gap needs at least one state")
+    n = states[0].n
+    if any(st.n != n for st in states):
+        raise ValueError("states must share the dimension n")
+    Ns = bound_N(CurvatureBound(k1=0.0, k2=0.0, n=n), [st.t for st in states], tol=tol)
+    gaps = [float(np.abs(log_hessian(st).entries - N.entries).max())
+            for st, N in zip(states, Ns)]
+    return gaps[0] if single else gaps
 
 
 def scalar_sharpness_gap(state, tol=1e-10):

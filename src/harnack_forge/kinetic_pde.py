@@ -42,6 +42,7 @@ BOUNDARY_LEAK_WARN = 1e-4
 LEDGER_TOL = 1e-10
 FLOOR_FRAC_DEFAULT = 1e-12
 CURVATURE_FEAS_TOL = 1e-10
+MIN_GRID_CELLS = 8
 
 
 class CFLError(RuntimeError):
@@ -214,8 +215,8 @@ def curvature_of(potential):
 
 def make_grid(extent, n):
     """Cell-centered symmetric grid on [-extent, extent] with n cells."""
-    if n < 8:
-        raise ValueError("grid needs at least 8 cells")
+    if n < MIN_GRID_CELLS:
+        raise ValueError(f"grid needs at least {MIN_GRID_CELLS} cells")
     return np.linspace(-extent, extent, n, endpoint=False) + extent / n
 
 

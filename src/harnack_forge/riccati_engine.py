@@ -78,6 +78,18 @@ class BlockSym2n:
         self.n = A.shape[0] // 2
         self.entries = A
 
+    @classmethod
+    def _wrap(cls, A):
+        """Wrap a fresh, exactly symmetric float (2n, 2n) array as it is.
+
+        For arrays this module has just symmetrized itself: no copy and
+        no second asymmetry scan.
+        """
+        self = object.__new__(cls)
+        self.n = A.shape[0] // 2
+        self.entries = A
+        return self
+
     @property
     def A_xx(self):
         return self.entries[: self.n, : self.n]
@@ -203,8 +215,9 @@ def _as_curvature(K, n=1):
     return CurvatureBound(matrix=K)
 
 
-def _riccati_rhs(S, C, D, K):
-    return -C @ S - S @ C.T - D + S @ K @ S
+def _riccati_rhs(S, negC, CT, D, K):
+    """-C S - S C^T - D + S K S, given -C and C^T built once by the caller."""
+    return negC @ S - S @ CT - D + S @ K @ S
 
 
 # Dormand-Prince 5(4) tableau, zero-padded to 7 x 7; row 7 doubles as the
@@ -258,7 +271,7 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     if not (1e-14 < tol < 1e-2):
         raise ValueError(f"tol must lie in (1e-14, 1e-2), got {tol}")
     sp = build_structural(K.n)
-    C, D, Km = sp.C, sp.D, K.K
+    negC, CT, D, Km = -sp.C, sp.C.T, sp.D, K.K
 
     extra = [] if eval_times is None else list(np.asarray(eval_times, dtype=float).ravel())
     targets = sorted({float(t_end)} | {float(t) for t in extra})
@@ -266,13 +279,15 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
         raise ValueError("eval_times must lie in (0, t_end]")
 
     dim = 2 * K.n
-    S = np.zeros((dim, dim))
+    S = np.zeros((dim, dim))  # every S below is a fresh array, never written to
     t = 0.0
-    out = [(0.0, BlockSym2n(S.copy()))]
+    out = [(0.0, BlockSym2n._wrap(S))]
     h = min(1e-3, t_end / 10.0)
     ks = np.empty((7, dim, dim))  # stage derivatives; ks[0] is the FSAL slot
     flat = ks.reshape(7, dim * dim)  # view: tableau rows contract it in one matmul
-    ks[0] = _riccati_rhs(S, C, D, Km)
+    # stage i contracts tableau row i with the i stages before it
+    stages = [(i, _DP_A[i, :i], flat[:i]) for i in range(1, 7)]
+    ks[0] = _riccati_rhs(S, negC, CT, D, Km)
     ti = 0  # next target index
 
     while ti < len(targets):
@@ -285,9 +300,9 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
             h = t_next - t
         if h < 1e-14 * max(t_end, 1.0):
             raise StepUnderflowError(t)
-        for i in range(1, 7):
-            stage = S + h * (_DP_A[i, :i] @ flat[:i]).reshape(dim, dim)
-            ks[i] = _riccati_rhs(stage, C, D, Km)
+        for i, row, done in stages:
+            stage = S + h * (row @ done).reshape(dim, dim)
+            ks[i] = _riccati_rhs(stage, negC, CT, D, Km)
         S5 = stage  # the last stage is taken at the 5th-order solution (FSAL)
         scale = tol * (1.0 + np.abs(S5).max())
         err = float(h * np.abs(_DP_E @ flat).max() / scale)
@@ -300,45 +315,52 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
                     f"symmetry drift {drift:.3e} at t={t:.6g} exceeds {SYMMETRY_ABORT}"
                 )
             S = 0.5 * (S5 + S5.T)
-            ks[0] = _riccati_rhs(S, C, D, Km)  # refresh FSAL after projection
-            out.append((t, BlockSym2n(S.copy())))
+            ks[0] = _riccati_rhs(S, negC, CT, D, Km)  # refresh FSAL after projection
+            out.append((t, BlockSym2n._wrap(S)))
         h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
 
     return out
 
 
-def _scaled_inverse(S, t, n):
-    """Invert S with the diag(t^{3/2}, t^{1/2}) symmetric scaling.
+def _scaled_inverse(S, times, n):
+    """Invert a stack of S(t) with the diag(t^{3/2}, t^{1/2}) symmetric scaling.
 
     The raw S has condition number O(t^-2) near zero; the scaled matrix
-    is O(1), so the inverse keeps full precision for small t.
+    is O(1), so the inverse keeps full precision for small t.  One
+    condition estimate and one inversion cover the whole stack; the first
+    time, in stack order, whose scaled matrix is singular raises.
     """
-    tsc = np.concatenate([np.full(n, t**1.5), np.full(n, t**0.5)])
-    Shat = S / np.outer(tsc, tsc)
-    cond = float(np.linalg.cond(Shat))
-    if not np.isfinite(cond) or cond > 1e12:
+    # scalar powers: numpy's vectorized power need not round as pow does
+    tsc = np.array([[t**1.5] * n + [t**0.5] * n for t in times])
+    outer = tsc[:, :, None] * tsc[:, None, :]
+    Shat = S / outer
+    cond = np.linalg.cond(Shat)
+    bad = np.flatnonzero(~(cond <= 1e12))  # NaN and Inf count as singular
+    if bad.size:
+        t, c = times[bad[0]], float(cond[bad[0]])
         raise SingularityError(
             f"S(t) numerically singular at t={t:.3g} "
-            f"(scaled condition {cond:.3e}); conditioning threshold "
+            f"(scaled condition {c:.3e}); conditioning threshold "
             f"t_min={T_MIN_DEFAULT} applies below that time",
-            cond=cond,
+            cond=c,
         )
-    Ninv = np.linalg.inv(Shat) / np.outer(tsc, tsc)
-    return Ninv
+    return np.linalg.inv(Shat) / outer
 
 
-def bound_curve(K, times, tol=1e-10, t_min=T_MIN_DEFAULT, trajectory=None):
-    """Sharp bound matrices N(t) = S(t)^{-1} at every requested time.
+def bound_N(K, t, tol=1e-10, t_min=T_MIN_DEFAULT, trajectory=None):
+    """Sharp bound matrix N(t) = S(t)^{-1}, at one time or on a time grid.
 
     One integration of S to the largest requested time supplies every
     N(t); times below t_min use the analytic small-time expansion
-    instead (inversion there would lose ~3 digits per decade).
+    instead (inversion there would lose ~3 digits per decade).  The
+    scaled inversions of the whole grid run as one stack.
 
     Parameters
     ----------
     K : CurvatureBound or array_like or scalar
-    times : sequence of float
-        Positive times, in any order; duplicates are allowed.
+    t : float or 1-D array_like of float
+        One positive time, or a grid of them in any order; duplicates
+        are allowed.
     tol : float
         Local error tolerance of the integration.
     t_min : float
@@ -349,48 +371,45 @@ def bound_curve(K, times, tol=1e-10, t_min=T_MIN_DEFAULT, trajectory=None):
 
     Returns
     -------
-    list of BlockSym2n
-        Symmetric negative-definite N(t), in the order of `times`.
+    BlockSym2n for a scalar t; a list of them, in the order of the grid,
+    for a grid.  Each is the symmetric negative-definite N(t).
 
     Raises
     ------
     ValueError
-        If a time is not positive, or `trajectory` lacks a requested time.
+        If the grid is empty or not 1-D, a time is not positive, or
+        `trajectory` lacks a requested time.
+    SingularityError
+        For the first time, in grid order, whose scaled S(t) is singular.
     """
     K = _as_curvature(K)
-    times = np.asarray(times, dtype=float).ravel()
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-D grid, got shape {ts.shape}")
+    times = ts.ravel()
     if times.size == 0:
         raise ValueError("times must not be empty")
     if not (times > 0).all():
         raise ValueError(f"times must be positive, got {times[~(times > 0)][0]}")
-    late = times[times >= t_min]
+    S = np.empty((times.size, 2 * K.n, 2 * K.n))
+    early = times < t_min
+    for k in np.flatnonzero(early):
+        S[k] = small_time_S(K, times[k]).entries
+    late = times[~early]
     if late.size:
         if trajectory is None:
             trajectory = integrate_S(K, late.max(), tol=tol, eval_times=late)
-        grid = np.array([t for t, _ in trajectory])
-    out = []
-    for t in times:
-        if t < t_min:
-            S = small_time_S(K, t).entries
-        else:
-            # integrate_S skips a target within 1e-15 of a grid time
-            row = int(np.abs(grid - t).argmin())
-            if abs(grid[row] - t) > 1e-15:
-                raise ValueError(f"trajectory has no grid time at t={t!r}")
-            S = trajectory[row][1].entries
-        out.append(BlockSym2n(_scaled_inverse(S, t, K.n), symmetrize=True))
-    return out
-
-
-def bound_N(K, t, tol=1e-10, t_min=T_MIN_DEFAULT):
-    """Sharp bound matrix N(t) = S(t)^{-1}; bound_curve at a single time.
-
-    Returns
-    -------
-    BlockSym2n
-        Symmetric negative-definite N(t).
-    """
-    return bound_curve(K, [t], tol=tol, t_min=t_min)[0]
+        grid = np.array([tg for tg, _ in trajectory])
+        rows = np.abs(grid - late[:, None]).argmin(axis=1)
+        # integrate_S skips a target within 1e-15 of a grid time
+        missing = np.abs(grid[rows] - late) > 1e-15
+        if missing.any():
+            raise ValueError(f"trajectory has no grid time at t={late[missing][0]!r}")
+        S[~early] = [trajectory[row][1].entries for row in rows]
+    N = _scaled_inverse(S, times, K.n)
+    N = 0.5 * (N + N.transpose(0, 2, 1))
+    out = [BlockSym2n._wrap(Nk) for Nk in N]
+    return out[0] if ts.ndim == 0 else out
 
 
 def stationary_N(K):
@@ -578,34 +597,43 @@ def residual_defect(K, trajectory):
     if len(trajectory) < 2:
         return 0.0
     sp = build_structural(K.n)
-    C, D, Km = sp.C, sp.D, K.K
+    negC, CT, D, Km = -sp.C, sp.C.T, sp.D, K.K
     ts = np.array([t for t, _ in trajectory])
     snaps = np.array([S.entries for _, S in trajectory])
     S, S1 = snaps[:-1], snaps[1:]
     h = ((ts[1:] - ts[:-1]) / 8.0)[:, None, None]
     for _ in range(8):
-        k1 = _riccati_rhs(S, C, D, Km)
-        k2 = _riccati_rhs(S + 0.5 * h * k1, C, D, Km)
-        k3 = _riccati_rhs(S + 0.5 * h * k2, C, D, Km)
-        k4 = _riccati_rhs(S + h * k3, C, D, Km)
+        k1 = _riccati_rhs(S, negC, CT, D, Km)
+        k2 = _riccati_rhs(S + 0.5 * h * k1, negC, CT, D, Km)
+        k3 = _riccati_rhs(S + 0.5 * h * k2, negC, CT, D, Km)
+        k4 = _riccati_rhs(S + h * k3, negC, CT, D, Km)
         S = S + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     scale = 1.0 + np.abs(S1).max(axis=(1, 2))
     return _worst(np.abs(S - S1).max(axis=(1, 2)) / scale)
 
 
-def exponential_route_residual(K, t_grid):
+def exponential_route_residual(K, M):
     """Residual of the N-equation along the exponential pipeline.
 
     N_dot computed from the analytic derivative of the block ratio,
     N_dot = (M1_dot - N M3_dot) M3^{-1} with M_dot = H M, compared to
-    the Riccati right-hand side N C + C^T N + N D N - K, on one
-    fundamental_M stack over the whole grid.
+    the Riccati right-hand side N C + C^T N + N D N - K, over a whole
+    fundamental_M stack at once.
+
+    Parameters
+    ----------
+    K : CurvatureBound or array_like or scalar
+    M : (m, 4n, 4n) array_like
+        fundamental_M(K, t_grid) of a grid of positive times, so that the
+        same stack can also feed S_from_M.
     """
     K = _as_curvature(K)
+    dim = 2 * K.n
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 3 or M.shape[1:] != (2 * dim, 2 * dim):
+        raise ValueError(f"expected an (m, {2 * dim}, {2 * dim}) stack, got {M.shape}")
     sp = build_structural(K.n)
     H = hamiltonian_matrix(K)
-    dim = 2 * K.n
-    M = fundamental_M(K, np.ravel(t_grid))
     Mdot = H @ M
     M3inv = np.linalg.inv(M[:, dim:, :dim])
     N = M[:, :dim, :dim] @ M3inv

@@ -109,13 +109,15 @@ def _campaign_riccati(cfg):
     times = np.linspace(p["t_end"] / p["n_eval"], p["t_end"], int(p["n_eval"]))
     traj = ric.integrate_S(K, p["t_end"], tol=p["tol"], eval_times=times)
     csv_path = _write(cfg, "riccati_trajectory.csv", ric.trajectory_to_csv(traj))
-    max_eig = max(S.max_eigenvalue() for t, S in traj if t > 0)
+    states = np.array([S.entries for t, S in traj if t > 0])
+    max_eig = float(np.linalg.eigvalsh(states)[:, -1].max())
     defect = ric.residual_defect(K, traj[:: max(1, len(traj) // 20)])
-    expo = ric.exponential_route_residual(K, times)
+    M = ric.fundamental_M(K, times)  # one stack feeds both exponential audits
+    expo = ric.exponential_route_residual(K, M)
     dual_gap = 0.0
     # the CSV trajectory already holds every eval time: no second integration
-    N_ints = ric.bound_curve(K, times, trajectory=traj)
-    N_exps = [N.entries for N in ric.S_from_M(ric.fundamental_M(K, times))]
+    N_ints = ric.bound_N(K, times, trajectory=traj)
+    N_exps = [N.entries for N in ric.S_from_M(M)]
     for N_int, N_exp in zip(N_ints, N_exps):
         gap = np.abs(N_int.entries - N_exp).max() / (1 + np.abs(N_exp).max())
         dual_gap = max(dual_gap, float(gap))
@@ -160,10 +162,9 @@ def _campaign_kernel_sharpness(cfg):
     times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
     n = int(p["n"])
     x0 = np.zeros(n)
-    gaps = [
-        gaussian_kernel.sharpness_gap(gaussian_kernel.kernel_state(x0, x0, float(t)))
-        for t in times
-    ]
+    gaps = gaussian_kernel.sharpness_gap(
+        [gaussian_kernel.kernel_state(x0, x0, float(t)) for t in times]
+    )
     text = _csv.csv_text(
         ["t", "n", "gap"], [_csv.floats(times), repeat(str(n)), _csv.floats(gaps)]
     )
@@ -305,6 +306,8 @@ def _finite(x):
 
 def _list_problem(key, value):
     """Why the entries of a list value do not fit key (None if they do)."""
+    if key in ("pairs", "t_grid") and not value:  # an empty region is the whole grid
+        return "expected a non-empty list"
     if key == "region" and value and not (
         len(value) == 4 and all(map(_finite, value))
         and value[0] < value[1] and value[2] < value[3]
@@ -344,6 +347,9 @@ def _campaign_problem(name, p):
         return f"scheme={p['scheme']!r}: expected lie or strang"
     if name == "pde-harnack" and not p["t1"] > p["t0"]:
         return f"needs t1 > t0, got t0={p['t0']!r}, t1={p['t1']!r}"
+    cells = kinetic_pde.MIN_GRID_CELLS
+    if name == "pde-harnack" and p["n_grid"] < cells:
+        return f"needs n_grid >= {cells}, got n_grid={p['n_grid']!r}"
     if name == "control-cost" and p["m"] < 2:
         return f"needs m >= 2, got m={p['m']!r}"
     if name == "control-cost" and not p["s"] < p["t"]:

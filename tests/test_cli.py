@@ -70,6 +70,9 @@ class TestParse:
             ["closed-form", "--set", "pairs=[[1.0]]"],
             ["closed-form", "--set", "pairs=[[-1.0,1.0]]"],
             ["errata", "--set", "t_grid=[-1]"],
+            ["pde-harnack", "--set", "n_grid=4"],
+            ["closed-form", "--set", "pairs=[]"],
+            ["errata", "--set", "t_grid=[]"],
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -91,6 +94,7 @@ class TestParse:
             ["closed-form", "--set", "pairs=[[0.0, 1.0], [2.0, 2.0]]"],
             ["pde-harnack", "--set", "region=[-2.0, 2.0, -2.0, 2.0]",
              "--set", "potential=\"zero\"", "--set", "scheme=strang"],
+            ["pde-harnack", "--set", "region=[]", "--set", "n_grid=8"],
         ],
     )
     def test_valid_values_are_accepted(self, argv):

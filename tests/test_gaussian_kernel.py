@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from harnack_forge import riccati_engine
 from harnack_forge.gaussian_kernel import (
     GaussianState,
     chapman_gap,
@@ -142,6 +143,33 @@ class TestSharpness:
     def test_scalar_gap(self):
         for t in (0.2, 1.0, 2.0):
             assert abs(scalar_sharpness_gap(kernel_state(0.0, 0.0, t))) < 1e-10
+
+    def test_sequence_integrates_once_and_matches_per_state_gaps(self, monkeypatch):
+        x0 = np.zeros(2)
+        states = [kernel_state(x0, x0, t) for t in np.linspace(0.1, 2.0, 20)]
+        per_state = [sharpness_gap(st) for st in states]
+        calls = []
+        integrate_S = riccati_engine.integrate_S
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_S(*args, **kwargs)
+
+        monkeypatch.setattr(riccati_engine, "integrate_S", counted)
+        gaps = sharpness_gap(states)
+        assert len(calls) == 1
+        assert len(gaps) == len(states)
+        # one integration to t = 2 takes other steps than twenty to each t:
+        # the gaps move at rounding level of Hessian entries up to 6000
+        for st, gap, want in zip(states, gaps, per_state):
+            assert abs(gap - want) <= 1e-12 * np.abs(log_hessian(st).entries).max()
+
+    def test_sequence_needs_states_of_one_dimension(self):
+        one, two = np.zeros(1), np.zeros(2)
+        with pytest.raises(ValueError, match="share"):
+            sharpness_gap([kernel_state(one, one, 1.0), kernel_state(two, two, 1.0)])
+        with pytest.raises(ValueError, match="at least one"):
+            sharpness_gap([])
 
     def test_propagated_state_is_strictly_inside_bound(self):
         # a state fatter than the kernel has strictly larger Hessian gap

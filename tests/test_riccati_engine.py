@@ -9,7 +9,6 @@ from harnack_forge.riccati_engine import (
     SingularityError,
     S_from_M,
     bound_N,
-    bound_curve,
     build_structural,
     comparison_check,
     exponential_route_residual,
@@ -199,13 +198,13 @@ class TestBoundCurve:
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
         times = [1.2, 5e-4, 0.4, 1.2]
         traj = integrate_S(K, 1.2, eval_times=[0.4, 1.2])
-        reused = bound_curve(K, times, trajectory=traj)
-        for got, want in zip(reused, bound_curve(K, times)):
+        reused = bound_N(K, times, trajectory=traj)
+        for got, want in zip(reused, bound_N(K, times)):
             assert np.array_equal(got.entries, want.entries)
         with pytest.raises(ValueError, match="grid time"):
-            bound_curve(K, [0.5], trajectory=traj)
+            bound_N(K, [0.5], trajectory=traj)
         with pytest.raises(ValueError, match="empty"):
-            bound_curve(K, [])
+            bound_N(K, [])
 
     @pytest.mark.parametrize("k1, k2", [(1.0, 2.0), (2.0, 1.0), (1.0, 0.5)])
     def test_large_time_meets_stationary_limit(self, k1, k2):
@@ -286,7 +285,7 @@ class TestHamiltonianRoute:
 
     def test_exponential_route_residual(self):
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
-        assert exponential_route_residual(K, [0.3, 0.9, 1.8]) < 1e-10
+        assert exponential_route_residual(K, fundamental_M(K, [0.3, 0.9, 1.8])) < 1e-10
 
 
 class TestComparison:

@@ -6,15 +6,16 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from harnack_forge.riccati_engine import (
+    _DP_A,
+    _DP_E,
     EXP_ARG_CAP,
+    SYMMETRY_ABORT,
     T_MIN_DEFAULT,
     BlockSym2n,
     CurvatureBound,
     S_from_M,
     SingularityError,
-    _riccati_rhs,
     bound_N,
-    bound_curve,
     build_structural,
     comparison_check,
     exponential_route_residual,
@@ -22,6 +23,7 @@ from harnack_forge.riccati_engine import (
     hamiltonian_matrix,
     integrate_S,
     residual_defect,
+    small_time_S,
 )
 
 # The two routes take different step sequences, so they agree only to the
@@ -51,7 +53,7 @@ def time_sets(draw):
 
 @given(K=curvatures(), times=time_sets())
 def test_bound_curve_matches_bound_N_per_time(K, times):
-    curve = bound_curve(K, times, tol=TOL)
+    curve = bound_N(K, times, tol=TOL)
     assert len(curve) == len(times)
     for t, N in zip(times, curve):
         want = bound_N(K, t, tol=TOL).entries
@@ -76,7 +78,7 @@ def test_S_negative_semidefinite_at_every_requested_time(K, times):
 )
 def test_non_positive_time_raises(K, times, bad):
     with pytest.raises(ValueError, match="positive"):
-        bound_curve(K, times + [bad])
+        bound_N(K, times + [bad])
 
 
 @given(K=curvatures(), times=time_sets())
@@ -91,7 +93,7 @@ def test_S_non_increasing_in_loewner_order(K, times):
     for earlier, later in zip(trajectory[:-1], trajectory[1:]):
         step = np.linalg.eigvalsh(later - earlier)[-1]
         assert step <= 1e-10 * (1.0 + np.abs(later).max())
-    curve = [N.entries for N in bound_curve(K, late, tol=TOL)]
+    curve = [N.entries for N in bound_N(K, late, tol=TOL)]
     exact = [S_from_M(fundamental_M(K, t)).entries for t in late]
     for Ns in (curve, exact):
         for earlier, later in zip(Ns[:-1], Ns[1:]):
@@ -129,10 +131,12 @@ def test_comparison_principle_on_ordered_pairs(pair, times):
         assert gap >= -1e-8 * np.abs(n_small).max()
 
 
-# Per-time forms of the exponential route and the re-integration audit:
-# np.block assembly, one expm per time, a Python loop over times and
-# over trajectory intervals.  The batched code in riccati_engine must
-# reproduce them bit for bit.
+# Per-time forms of the exponential route, the re-integration audit and
+# the bound inversions: np.block assembly, one expm per time, a Python
+# loop over times and over trajectory intervals, one scaled inversion per
+# time; and the DOPRI step loop that builds -C, C^T and the tableau row
+# views in every stage.  The code in riccati_engine must reproduce them
+# bit for bit.
 
 
 def _reference_structural(n):
@@ -180,6 +184,67 @@ def _reference_exponential_route_residual(K, t_grid):
     return worst
 
 
+def _reference_rhs(S, C, D, K):
+    return -C @ S - S @ C.T - D + S @ K @ S
+
+
+def _reference_integrate_S(K, t_end, tol, eval_times):
+    C, D = _reference_structural(K.n)
+    targets = sorted({float(t_end)} | {float(t) for t in eval_times})
+    dim = 2 * K.n
+    S = np.zeros((dim, dim))
+    t = 0.0
+    out = [(0.0, BlockSym2n(S.copy()))]
+    h = min(1e-3, t_end / 10.0)
+    ks = np.empty((7, dim, dim))
+    flat = ks.reshape(7, dim * dim)
+    ks[0] = _reference_rhs(S, C, D, K.K)
+    ti = 0
+    while ti < len(targets):
+        t_next = targets[ti]
+        if t >= t_next - 1e-15:
+            ti += 1
+            continue
+        hits_target = h >= t_next - t
+        if hits_target:
+            h = t_next - t
+        for i in range(1, 7):
+            stage = S + h * (_DP_A[i, :i] @ flat[:i]).reshape(dim, dim)
+            ks[i] = _reference_rhs(stage, C, D, K.K)
+        S5 = stage
+        scale = tol * (1.0 + np.abs(S5).max())
+        err = float(h * np.abs(_DP_E @ flat).max() / scale)
+        if err <= 1.0:
+            t = t_next if hits_target else t + h
+            assert float(np.abs(S5 - S5.T).max()) <= SYMMETRY_ABORT
+            S = 0.5 * (S5 + S5.T)
+            ks[0] = _reference_rhs(S, C, D, K.K)
+            out.append((t, BlockSym2n(S.copy())))
+        h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
+    return out
+
+
+def _reference_scaled_inverse(S, t, n):
+    tsc = np.concatenate([np.full(n, t**1.5), np.full(n, t**0.5)])
+    Shat = S / np.outer(tsc, tsc)
+    cond = float(np.linalg.cond(Shat))
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularityError("singular", cond=cond)
+    return np.linalg.inv(Shat) / np.outer(tsc, tsc)
+
+
+def _reference_bound_N(K, times, trajectory):
+    grid = np.array([t for t, _ in trajectory])
+    out = []
+    for t in np.asarray(times, dtype=float):
+        if t < T_MIN_DEFAULT:
+            S = small_time_S(K, t).entries
+        else:
+            S = trajectory[int(np.abs(grid - t).argmin())][1].entries
+        out.append(BlockSym2n(_reference_scaled_inverse(S, t, K.n), symmetrize=True))
+    return out
+
+
 def _reference_residual_defect(K, trajectory):
     C, D = _reference_structural(K.n)
     worst = 0.0
@@ -187,10 +252,10 @@ def _reference_residual_defect(K, trajectory):
         S = S0.entries.copy()
         h = (t1 - t0) / 8.0
         for _ in range(8):
-            k1 = _riccati_rhs(S, C, D, K.K)
-            k2 = _riccati_rhs(S + 0.5 * h * k1, C, D, K.K)
-            k3 = _riccati_rhs(S + 0.5 * h * k2, C, D, K.K)
-            k4 = _riccati_rhs(S + h * k3, C, D, K.K)
+            k1 = _reference_rhs(S, C, D, K.K)
+            k2 = _reference_rhs(S + 0.5 * h * k1, C, D, K.K)
+            k3 = _reference_rhs(S + 0.5 * h * k2, C, D, K.K)
+            k4 = _reference_rhs(S + h * k3, C, D, K.K)
             S = S + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         scale = 1.0 + np.abs(S1.entries).max()
         worst = max(worst, float(np.abs(S - S1.entries).max()) / scale)
@@ -217,6 +282,7 @@ def any_curvatures(draw):
 
 
 positive_grids = st.lists(st.floats(0.05, 2.5), min_size=1, max_size=6)
+zero_curvatures = st.sampled_from((1, 2)).map(lambda n: CurvatureBound(k1=0, k2=0, n=n))
 
 
 class TestBatchedRoutesMatchPerTimeLoops:
@@ -255,13 +321,44 @@ class TestBatchedRoutesMatchPerTimeLoops:
 
     @given(K=any_curvatures(), times=positive_grids)
     def test_exponential_route_residual(self, K, times):
-        got = exponential_route_residual(K, times)
+        got = exponential_route_residual(K, fundamental_M(K, times))
         assert got == _reference_exponential_route_residual(K, times)
 
     @given(K=any_curvatures(), times=positive_grids, stride=st.integers(1, 4))
     def test_residual_defect(self, K, times, stride):
         trajectory = integrate_S(K, max(times), eval_times=times)[::stride]
         assert residual_defect(K, trajectory) == _reference_residual_defect(K, trajectory)
+
+    @given(K=st.one_of(zero_curvatures, any_curvatures()), times=positive_grids)
+    def test_integrate_S_step_loop(self, K, times):
+        got = integrate_S(K, max(times), eval_times=times)
+        want = _reference_integrate_S(K, max(times), 1e-10, times)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, S), (_, S_ref) in zip(got, want):
+            _assert_bitwise_equal(S.entries, S_ref.entries)
+
+    @given(K=st.one_of(zero_curvatures, any_curvatures()), times=time_sets())
+    def test_bound_N_grid(self, K, times):
+        late = [t for t in times if t >= T_MIN_DEFAULT]
+        trajectory = integrate_S(K, max(late), eval_times=late) if late else []
+        got = bound_N(K, times)
+        assert len(got) == len(times)
+        for N, want in zip(got, _reference_bound_N(K, times, trajectory)):
+            _assert_bitwise_equal(N.entries, want.entries)
+        one = bound_N(K, times[0])  # a scalar time is the one-time grid
+        _assert_bitwise_equal(one.entries, bound_N(K, times[:1])[0].entries)
+
+    @pytest.mark.parametrize("grid, first_bad", [([0.5, 1.0, 1.5], "0.5 "),
+                                                 ([1.5, 1.0, 0.5], "1 ")])
+    def test_first_singular_time_in_grid_order_raises(self, grid, first_bad):
+        # S(t) is zeroed at t = 0.5 and t = 1.0 of a real trajectory
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        trajectory = [
+            (t, BlockSym2n(np.zeros((2, 2))) if t in (0.5, 1.0) else S)
+            for t, S in integrate_S(K, 1.5, eval_times=grid)
+        ]
+        with pytest.raises(SingularityError, match=f"at t={first_bad}"):
+            bound_N(K, grid, trajectory=trajectory)
 
     @pytest.mark.parametrize("bad_at", [0, 2, 4])
     def test_one_time_over_the_cap_raises_overflow(self, bad_at):
