@@ -3,8 +3,9 @@
 The cost of moving the double integrator between phase-space endpoints
 has a Gramian closed form.  A direct transcription over piecewise-
 constant controls recovers it from above (exactly solved, as discrete
-minimum-energy control) and extends it, through an optimizer, to
-running potentials.
+minimum-energy control) and extends it to quadratic running
+potentials, where the transcribed cost is an exact quadratic in the
+controls and one linear solve gives its minimum.
 The closed-form cost then powers the integrated Harnack inequality,
 checked here on exact kernel densities.
 """
@@ -34,15 +35,11 @@ def main():
         res = transcribe_cost(prob, m=m)
         print(f"  m={m:3d}  cost {res.cost:.8f}  excess {res.cost - 3.0:.2e}")
 
-    def h_func(X, V):
-        return -0.25 * (X[:, 0] ** 2 + V[:, 0] ** 2)
-
-    def h_grad(X, V):
-        return -0.5 * X, -0.5 * V
-
-    res = transcribe_cost(prob, m=32, h_func=h_func, h_grad=h_grad)
-    print(f"\nwith running cost h = -(x^2+v^2)/4: cost {res.cost:.6f} "
-          f"({res.n_converged}/{res.n_starts} starts converged)")
+    # h(x, v) = c + g.(x, v) + (x, v).H (x, v) / 2 = -(x^2 + v^2) / 4
+    res = transcribe_cost(prob, m=32, h=(0.0, 0.0, np.diag([-0.5, -0.5])))
+    print(f"\nwith running cost h = -(x^2+v^2)/4: cost {res.cost:.6f} ({res.status})")
+    bad = transcribe_cost(prob, m=32, h=(0.0, 0.0, np.diag([400.0, 0.0])))
+    print(f"with h = 200 x^2 the cost has no minimum: {bad.cost} ({bad.status})")
 
     print("\nintegrated Harnack on exact kernels, 1000 seeded pairs:")
     for s, t in ((1.0, 2.0), (0.5, 0.6)):

@@ -12,28 +12,26 @@ with h the curvature function of the potential (identically zero for
 the free equation).  For h = 0 the cost has the closed form
 d^T W(tau)^{-1} d / 4 in the transported endpoint difference d; the
 transcription route discretizes u on m equal segments and minimizes
-over the controls that hit the endpoint: exactly, by the minimum-norm
-solution of the discrete endpoint map, when h = 0, and by L-BFGS-B
-otherwise.  Both routes are kept separate so each can audit the other.
+over the controls that hit the endpoint, exactly either way: by the
+minimum-norm solution of the discrete endpoint map when h = 0, and by
+one linear solve when h is a quadratic, since the transcribed cost is
+then an exact quadratic in the controls.  A quadratic h that leaves
+that cost without a minimum is reported as unbounded below.  The
+closed form and the two transcription routes are kept separate so each
+can audit the others.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from . import _csv
 
 ENDPOINT_TOL = 1e-9
-
-
-class ConvergenceError(RuntimeError):
-    """No optimizer start converged; carries the best value seen."""
-
-    def __init__(self, message, best_cost=None):
-        super().__init__(message)
-        self.best_cost = best_cost
 
 
 @dataclass(frozen=True)
@@ -49,13 +47,17 @@ class ControlProblem:
 
     @staticmethod
     def make(s, t, x0, v0, x1, v1):
+        ends = [np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, v0, x1, v1)]
+        n = ends[0].size
+        if any(a.shape != (n,) for a in ends):
+            raise ValueError("endpoint components must share one shape (n,)")
+        if not np.isfinite(np.concatenate([[s, t], *ends])).all():
+            fields = zip(("s", "t", "x0", "v0", "x1", "v1"), (s, t, *ends))
+            name, value = next((k, a) for k, a in fields if not np.isfinite(a).all())
+            raise ValueError(f"{name} must be finite, got {name}={value}")
         if not t > s:
             raise ValueError(f"need t > s, got s={s}, t={t}")
-        arrs = [np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, v0, x1, v1)]
-        n = arrs[0].size
-        if any(a.shape != (n,) for a in arrs):
-            raise ValueError("endpoint components must share one shape (n,)")
-        return ControlProblem(float(s), float(t), *arrs)
+        return ControlProblem(float(s), float(t), *ends)
 
     @property
     def n(self):
@@ -197,16 +199,27 @@ def _correct_last_two(problem, m, controls):
     return controls
 
 
+def _segment_count(m, what):
+    """m as an int, or ValueError if it is not an integer >= 2."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be an integer, got m={m!r}") from None
+    if m < 2:
+        raise ValueError(f"{what} needs at least 2 segments")
+    return m
+
+
 def steer_exact(problem, m=8):
     """Piecewise-constant steering path hitting the endpoint exactly.
 
     Controls sample the energy-optimal continuous control at segment
     midpoints; the last two segments are then re-solved through the
     exact endpoint map (a per-dimension 2x2 linear system), which
-    absorbs the sampling error.  Needs m >= 2.
+    absorbs the sampling error.  Needs an integer m >= 2 (ValueError
+    otherwise).
     """
-    if m < 2:
-        raise ValueError("steering needs at least 2 segments")
+    m = _segment_count(m, "steering")
     h = problem.tau / m
     midpoints = problem.s + (np.arange(m)[:, None] + 0.5) * h
     controls = _correct_last_two(problem, m, hermite_control(problem, midpoints))
@@ -224,167 +237,145 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
 
 @dataclass
 class TranscribeResult:
-    """Outcome of the transcription optimizer."""
+    """Outcome of the transcription.
+
+    status is "ok", or "unbounded-below" when the running potential
+    leaves the transcribed cost without a minimum (its reduced Hessian
+    is not positive definite); then cost is -inf and path is None.
+    Each route is one exact solve: n_starts is 1, and n_converged is 1,
+    or 0 when unbounded below.
+    """
 
     cost: float
-    path: ControlPath
+    path: ControlPath | None
     status: str  # "ok" or "unbounded-below"
     n_converged: int
     n_starts: int
 
 
-def _fd_h_grad(h_func, x, v, step=1e-6):
-    gx = np.empty_like(x)
-    gv = np.empty_like(v)
-    for j in range(x.shape[1]):
-        e = np.zeros(x.shape[1])
-        e[j] = step
-        gx[:, j] = (h_func(x + e, v) - h_func(x - e, v)) / (2 * step)
-        gv[:, j] = (h_func(x, v + e) - h_func(x, v - e)) / (2 * step)
-    return gx, gv
+def _quadratic(h, n):
+    """Check h = (c, g, H) and return it as (float, (2n,), (2n, 2n)) arrays."""
+    k = 2 * n
+    try:
+        c, g, H = h
+        c, g, H = (
+            np.broadcast_to(np.asarray(a, dtype=float), shape)
+            for a, shape in ((c, ()), (g, (k,)), (H, (k, k)))
+        )
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"h must be (c, g, H) with c a number, g of shape ({k},) and "
+            f"H of shape ({k}, {k})"
+        ) from None
+    if not all(np.isfinite(a).all() for a in (c, g, H)):
+        raise ValueError("h has a non-finite entry")
+    if not np.array_equal(H, H.T):
+        raise ValueError("h: H must be symmetric")
+    return float(c), g, H
 
 
-def transcribe_cost(
-    problem,
-    m=24,
-    h_func=None,
-    h_grad=None,
-    n_starts=5,
-    seed=0,
-    unbounded_floor=-1e8,
-):
+def transcribe_cost(problem, m=24, h=None):
     """Minimize the transcribed cost over piecewise-constant controls.
 
-    Without a running potential (h_func None) the problem is convex: the
+    Without a running potential (h None) the problem is convex: the
     exact segment flow gives the endpoint map A U = B, with
-    A[0, k] = h^2 (m - k - 1/2), A[1, k] = h, B = (x1 - x0 - tau v0,
+    A[0, k] = dt^2 (m - k - 1/2), A[1, k] = dt, B = (x1 - x0 - tau v0,
     v1 - v0), and the minimum-norm controls U = A^T (A A^T)^{-1} B are
-    the optimum (one converged start).  A A^T, the discrete Gramian,
-    comes from the segment flow, not from the closed form it audits.
+    the optimum.  A A^T, the discrete Gramian, comes from the segment
+    flow, not from the closed form it audits.
 
-    With h_func, the last two of the m controls are eliminated through
-    the exact endpoint map, so every iterate is feasible.  The running
-    -h term is integrated per segment with 5-point Gauss-Legendre on the
-    exact in-segment quadratic trajectory; its gradient uses the linear
-    sensitivity of the trajectory to each control.  L-BFGS-B runs from
-    the energy-optimal seed plus seeded perturbations; the best
-    converged start wins.  Either way the last two controls are
-    re-solved through the exact endpoint map.
+    With h = (c, g, H) the running curvature function is the quadratic
+    h(z) = c + g.z + z.H z / 2 in z = (x, v) in R^2n.  g and H broadcast
+    to shapes (2n,) and (2n, 2n), so 0 stands for zero; H must be
+    symmetric.  The last two of the m controls are eliminated through
+    the exact endpoint map, leaving (m - 2) n free controls.  The
+    running -h term is integrated per segment with 5-point
+    Gauss-Legendre on the exact in-segment trajectory.  That trajectory
+    is quadratic in time and affine in the controls, so h along it has
+    degree 4 in time and the rule (exact to degree 9) makes the
+    transcribed cost an exact quadratic in the free controls.  Its
+    Hessian Q and its gradient at zero are built from the linear
+    sensitivities of the trajectory to each control, and one Cholesky
+    solve of Q w = -grad gives the optimum.  If Q is not positive
+    definite the cost has no minimum: the result has status
+    "unbounded-below", cost -inf and no path.
 
-    Returns a TranscribeResult; status "unbounded-below" flags costs
-    diving through unbounded_floor (h growing super-quadratically).
+    Either way the last two controls are re-solved through the exact
+    endpoint map, and the reported cost is that of the returned path.
 
     Raises
     ------
-    ConvergenceError
-        If no start converges (best value seen is attached).
+    ValueError
+        If m is not an integer >= 2, or h is not a finite (c, g, H) of
+        the right shapes with H symmetric.
     """
-    if m < 2:
-        raise ValueError("transcription needs at least 2 segments")
+    m = _segment_count(m, "transcription")
     n = problem.n
-    h = problem.tau / m
-    if h_func is None:
-        p = problem
-        A = np.stack([h * h * (m - np.arange(m) - 0.5), np.full(m, h)])  # (2, m)
+    dt = problem.tau / m
+    p = problem
+    if h is None:
+        A = np.stack([dt * dt * (m - np.arange(m) - 0.5), np.full(m, dt)])  # (2, m)
         B = np.stack([p.x1 - p.x0 - p.tau * p.v0, p.v1 - p.v0])  # (2, n)
         controls = _correct_last_two(p, m, A.T @ np.linalg.solve(A @ A.T, B))
-        path = ControlPath(p.s, p.x0, p.v0, np.full(m, h), controls)
-        return TranscribeResult(0.25 * h * float(np.sum(controls**2)), path, "ok", 1, 1)
-
-    from scipy.optimize import minimize
-
-    nfree = (m - 2) * n
+        path = ControlPath(p.s, p.x0, p.v0, np.full(m, dt), controls)
+        return TranscribeResult(0.25 * dt * float(np.sum(controls**2)), path, "ok", 1, 1)
+    c, g, H = _quadratic(h, n)
 
     # sensitivities of the eliminated controls to each free control
     j_idx = np.arange(m - 2)
-    Pj = 0.5 * h * h + h * h * (m - 3 - j_idx)  # d x_base / d u_j
-    Vj = np.full(m - 2, h)  # d v_base / d u_j
-    drx = -(Pj + 2 * h * Vj)
+    Pj = 0.5 * dt * dt + dt * dt * (m - 3 - j_idx)  # d x_base / d u_j
+    Vj = np.full(m - 2, dt)  # d v_base / d u_j
+    drx = -(Pj + 2 * dt * Vj)
     drv = -Vj
-    da = drx / h**2 - drv / (2 * h)  # d a / d u_j, scalar per j
-    db = -drx / h**2 + 3 * drv / (2 * h)
+    da = drx / dt**2 - drv / (2 * dt)  # d a / d u_j, scalar per j
+    db = -drx / dt**2 + 3 * drv / (2 * dt)
+    # all m controls are U0 + T @ w in the free controls w
+    T = np.vstack([np.eye(m - 2), da, db])
+    U0 = _correct_last_two(p, m, np.zeros((m, n)))
 
     # quadrature node times and trajectory sensitivities, node q in segment k:
     # dx(theta_q)/du_i = Px[q, i], dv/du_i = Pv[q, i] (identical per dim)
     seg_of = np.repeat(np.arange(m), 5)
-    xi = np.tile(0.5 * h * (_GL_X + 1.0), m)  # local time within segment
-    theta = problem.s + seg_of * h + xi
-    wq = np.tile(0.5 * h * _GL_W, m)
+    xi = np.tile(0.5 * dt * (_GL_X + 1.0), m)  # local time within segment
+    theta = p.s + seg_of * dt + xi
+    wq = np.tile(0.5 * dt * _GL_W, m)
     i_idx = np.arange(m)
     after = seg_of[:, None] > i_idx[None, :]
     own = seg_of[:, None] == i_idx[None, :]
-    gap = theta[:, None] - (problem.s + (i_idx[None, :] + 1) * h)
-    Px = np.where(after, 0.5 * h * h + h * gap, 0.0) + np.where(
+    gap = theta[:, None] - (p.s + (i_idx[None, :] + 1) * dt)
+    Px = np.where(after, 0.5 * dt * dt + dt * gap, 0.0) + np.where(
         own, 0.5 * xi[:, None] ** 2, 0.0
     )
-    Pv = np.where(after, h, 0.0) + np.where(own, xi[:, None], 0.0)
+    Pv = np.where(after, dt, 0.0) + np.where(own, xi[:, None], 0.0)
+    rel = theta - p.s
 
-    grad_h = h_grad if h_grad is not None else (lambda X, V: _fd_h_grad(h_func, X, V))
+    def node_states(controls):
+        """Rows z = (x, v) at the quadrature nodes."""
+        return np.hstack([p.x0 + rel[:, None] * p.v0 + Px @ controls, p.v0 + Pv @ controls])
 
-    def assemble(w):
-        controls = np.empty((m, n))
-        controls[: m - 2] = w.reshape(m - 2, n)
-        return _correct_last_two(problem, m, controls)
-
-    def cost_and_grad(w):
-        controls = assemble(w)
-        val = 0.25 * h * float(np.sum(controls**2))
-        g_all = 0.5 * h * controls  # gradient treating all m controls free
-        # node states: x(theta_q) = x0 + (theta-s) v0 + sum_i Px[q,i] u_i
-        rel = theta - problem.s
-        Xq = problem.x0 + rel[:, None] * problem.v0 + Px @ controls
-        Vq = problem.v0 + Pv @ controls
-        hq = np.asarray(h_func(Xq, Vq), dtype=float)
-        val -= float(np.sum(wq * hq))
-        gx, gv = grad_h(Xq, Vq)
-        g_all -= Px.T @ (wq[:, None] * gx) + Pv.T @ (wq[:, None] * gv)
-        grad = g_all[: m - 2] + da[:, None] * g_all[m - 2] + db[:, None] * g_all[m - 1]
-        return val, grad.ravel()
-
-    def path_of(w):
-        durations = np.full(m, h)
-        return ControlPath(problem.s, problem.x0, problem.v0, durations, assemble(w))
-
-    if nfree == 0:  # m = 2: the endpoint fixes both controls
-        w = np.zeros(0)
-        return TranscribeResult(cost_and_grad(w)[0], path_of(w), "ok", 1, 1)
-
-    midpoints = problem.s + (np.arange(m - 2)[:, None] + 0.5) * h
-    seed_w = hermite_control(problem, midpoints).ravel()
-
-    rng = np.random.default_rng(seed)
-    starts = [seed_w]
-    scale = 1.0 + float(np.abs(seed_w).max())
-    for _ in range(n_starts - 1):
-        starts.append(seed_w + 0.1 * scale * rng.standard_normal(nfree))
-
-    best = None
-    best_val = np.inf
-    n_conv = 0
-    for w0 in starts:
-        # an unbounded-below h makes iterates dive toward -inf before the
-        # floor check; the overflows on that path are expected
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = minimize(
-                cost_and_grad,
-                w0,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
-            )
-        if res.success or res.fun < best_val:
-            if res.success:
-                n_conv += 1
-            if res.fun < best_val:
-                best_val = float(res.fun)
-                best = res.x
-    if n_conv == 0:
-        raise ConvergenceError(
-            f"no optimizer start converged; best cost {best_val:.6g}",
-            best_cost=best_val,
-        )
-    status = "unbounded-below" if best_val < unbounded_floor else "ok"
-    return TranscribeResult(best_val, path_of(best), status, n_conv, len(starts))
+    # Hessian of the energy minus that of the quadrature sum of h; S[a, q, j]
+    # is the sensitivity of (x, v)[a] at node q to free control j, and
+    # curv[a, b] = sum_q wq S[a, q]^T S[b, q]
+    S = np.stack([Px @ T, Pv @ T])
+    k = (m - 2) * n
+    curv = (S * wq[:, None]).transpose(0, 2, 1)[:, None] @ S
+    Q = 0.5 * dt * np.kron(T.T @ T, np.eye(n)) - np.einsum(
+        "abij,adbe->idje", curv, H.reshape(2, n, 2, n)
+    ).reshape(k, k)
+    dh = wq[:, None] * (g + node_states(U0) @ H)  # weighted grad h at w = 0
+    grad = T.T @ (0.5 * dt * U0 - Px.T @ dh[:, :n] - Pv.T @ dh[:, n:])
+    try:
+        factor = cho_factor(Q)
+    except np.linalg.LinAlgError:
+        return TranscribeResult(-np.inf, None, "unbounded-below", 0, 1)
+    controls = np.zeros((m, n))
+    controls[: m - 2] = cho_solve(factor, -grad.ravel()).reshape(m - 2, n)
+    controls = _correct_last_two(p, m, controls)
+    Z = node_states(controls)
+    hz = c + Z @ g + 0.5 * np.sum((Z @ H) * Z, axis=1)
+    cost = 0.25 * dt * float(np.sum(controls**2)) - float(wq @ hz)
+    path = ControlPath(p.s, p.x0, p.v0, np.full(m, dt), controls)
+    return TranscribeResult(cost, path, "ok", 1, 1)
 
 
 def harnack_rhs(s, t, cost, n=1, k1=0.0, k2=0.0, U_start=0.0, U_end=0.0):
@@ -434,6 +425,9 @@ def verify_harnack_kernel(s, t, n_pairs=1000, seed=0, box=3.0):
     over the pair columns, one log_density call per state and one
     log_harnack_rhs call on the cost vector.  Also reports the
     mean-to-mean gap, where the bound is tight (ratio 1 to rounding).
+
+    Raises ValueError unless 0 < s < t, n_pairs >= 1 and box is finite
+    and positive.
     """
     from .gaussian_kernel import kernel_state, log_density
 
@@ -441,6 +435,8 @@ def verify_harnack_kernel(s, t, n_pairs=1000, seed=0, box=3.0):
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
     if n_pairs < 1:
         raise ValueError(f"need n_pairs >= 1, got {n_pairs}")
+    if not 0 < 2.0 * float(box) < np.inf:  # the draw width 2 box must be finite too
+        raise ValueError(f"need a finite box > 0, got box={box}")
     state_s = kernel_state([0.0], [0.0], s)
     state_t = kernel_state([0.0], [0.0], t)
     rng = np.random.default_rng(seed)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from harnack_forge.control_cost import (
+    ENDPOINT_TOL,
     ControlPath,
     ControlProblem,
-    ConvergenceError,
     cost_csv,
     cost_identity_gap,
     energy_cost,
@@ -66,6 +66,15 @@ class TestEnergyCost:
             ControlProblem.make(1.0, 1.0, [0], [0], [1], [1])
         with pytest.raises(ValueError, match="shape"):
             ControlProblem.make(0.0, 1.0, [0, 0], [0], [1], [1])
+
+    @pytest.mark.parametrize("field", ["s", "t", "x0", "v0", "x1", "v1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_problem_rejects_non_finite_fields(self, field, bad):
+        args = {"s": 0.0, "t": 1.0, "x0": [0.0, 0.0], "v0": [0.0, 0.0],
+                "x1": [1.0, 0.0], "v1": [0.0, 0.0]}
+        args[field] = bad if field in ("s", "t") else [0.5, bad]
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ControlProblem.make(**args)
 
 
 class TestControlPath:
@@ -142,6 +151,12 @@ class TestSteering:
         with pytest.raises(ValueError, match="2 segments"):
             steer_exact(problem(0, 1, [0], [0], [1], [1]), m=1)
 
+    @pytest.mark.parametrize("route", [steer_exact, transcribe_cost])
+    @pytest.mark.parametrize("m", [2.5, 8.0, "8", None])
+    def test_rejects_non_integer_m(self, route, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            route(problem(0, 1, [0], [0], [1], [1]), m=m)
+
 
 class TestTranscription:
     def test_zero_h_approaches_energy_cost_from_above(self):
@@ -156,40 +171,18 @@ class TestTranscription:
             assert -1e-12 <= res.cost - opt <= 0.02 * (1.0 + opt)
 
     def test_constant_h_shifts_cost_exactly(self):
-        # int h = c tau for every path, so the optimizer sees the same
-        # landscape shifted by -c tau; exercises quadrature + gradient
+        # int h = c tau for every path, so the quadratic solve sees the same
+        # landscape shifted by -c tau; exercises the quadrature weights
         prob = problem(0.0, 1.5, [0.1], [0.0], [0.8], [0.2])
         base = transcribe_cost(prob, m=12).cost
-        shifted = transcribe_cost(
-            prob,
-            m=12,
-            h_func=lambda X, V: np.full(np.shape(X)[0], 0.7),
-            h_grad=lambda X, V: (np.zeros_like(X), np.zeros_like(V)),
-        ).cost
+        shifted = transcribe_cost(prob, m=12, h=(0.7, 0, 0)).cost
         assert shifted == pytest.approx(base - 0.7 * 1.5, abs=1e-8)
 
-    def test_fd_gradient_fallback_matches_analytic(self):
-        def h_func(X, V):
-            return -0.25 * (X[:, 0] ** 2 + V[:, 0] ** 2)
-
-        def h_grad(X, V):
-            return -0.5 * X, -0.5 * V
-
-        prob = problem(0.0, 1.0, [0.0], [0.0], [1.0], [0.0])
-        a = transcribe_cost(prob, m=12, h_func=h_func, h_grad=h_grad).cost
-        b = transcribe_cost(prob, m=12, h_func=h_func).cost
-        assert a == pytest.approx(b, abs=1e-7)
-
     def test_second_order_refinement(self):
-        def h_func(X, V):
-            return -0.25 * (X[:, 0] ** 2 + V[:, 0] ** 2)
-
-        def h_grad(X, V):
-            return -0.5 * X, -0.5 * V
-
+        # h = -(x^2 + v^2) / 4
         prob = problem(0.0, 1.0, [0.0], [0.5], [1.0], [-0.5])
         costs = {
-            m: transcribe_cost(prob, m=m, h_func=h_func, h_grad=h_grad).cost
+            m: transcribe_cost(prob, m=m, h=(0, 0, np.diag([-0.5, -0.5]))).cost
             for m in (12, 24, 48)
         }
         # feasible sets nest under doubling, so costs decrease
@@ -201,21 +194,32 @@ class TestTranscription:
     def test_unbounded_below_detected(self):
         # the clamped-beam Rayleigh quotient bounds the energy term by
         # (4.73)^4/4 ~ 125 per unit of int x^2 on tau = 1, so h = 200 x^2
-        # makes the infimum -inf; the floor must flag the dive
-        def h_func(X, V):
-            return 200.0 * X[:, 0] ** 2
-
-        def h_grad(X, V):
-            return 400.0 * X, np.zeros_like(V)
-
+        # makes the infimum -inf; the zero control is a stationary point
+        # there, so only the sign of the Hessian can tell
         prob = problem(0.0, 1.0, [0.0], [0.0], [0.0], [0.0])
-        try:
-            res = transcribe_cost(
-                prob, m=16, h_func=h_func, h_grad=h_grad, unbounded_floor=-100.0
-            )
-            assert res.status == "unbounded-below"
-        except ConvergenceError as err:
-            assert err.best_cost < -100.0
+        res = transcribe_cost(prob, m=16, h=(0, 0, np.diag([400.0, 0.0])))
+        assert res.status == "unbounded-below"
+        assert res.cost == -np.inf
+        assert res.path is None
+        assert (res.n_converged, res.n_starts) == (0, 1)
+
+    def test_demo_problem_cost(self):
+        # h = -(x^2 + v^2) / 4 at m = 32, as priced by the former L-BFGS-B
+        # route (one start and five gave this value to the bit)
+        prob = problem(0.0, 1.0, [0.0], [0.0], [1.0], [0.0])
+        res = transcribe_cost(prob, m=32, h=(0, 0, np.diag([-0.5, -0.5])))
+        assert res.status == "ok" and (res.n_converged, res.n_starts) == (1, 1)
+        assert res.cost == pytest.approx(3.3953828333009506, rel=1e-12)
+        ex, ev = res.path.endpoint()
+        assert abs(ex[0] - 1.0) <= ENDPOINT_TOL and abs(ev[0]) <= ENDPOINT_TOL
+
+    @pytest.mark.parametrize("h", [
+        (0, 0), 5, ([1.0], 0, 0), (0, [1.0, 2.0, 3.0], 0), (0, 0, np.eye(3)),
+        (np.nan, 0, 0), (0, [0.0, np.inf], 0), (0, 0, [[0.0, 1.0], [0.0, 0.0]]),
+    ])
+    def test_rejects_malformed_h(self, h):
+        with pytest.raises(ValueError, match="^h"):
+            transcribe_cost(problem(0, 1, [0], [0], [1], [0]), m=8, h=h)
 
     def test_rejects_tiny_m(self):
         with pytest.raises(ValueError, match="2 segments"):
@@ -242,6 +246,11 @@ class TestHarnackSweep:
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError, match="0 < s < t"):
             verify_harnack_kernel(2.0, 1.0)
+
+    @pytest.mark.parametrize("box", [np.nan, np.inf, 0.0, -1.0, 1e308])
+    def test_invalid_box_rejected(self, box):
+        with pytest.raises(ValueError, match="box"):
+            verify_harnack_kernel(1.0, 2.0, n_pairs=4, box=box)
 
 
 def test_cost_csv_header_and_vector_fields():
