@@ -134,9 +134,13 @@ def _gramian_costs(tau, x0, v0, x1, v1):
 
     d = (x1 - x0 - tau v0, v1 - v0) is the endpoint deficit after free
     streaming, one column per entry of the (equal-shape, 1-d) inputs.
+    Batch invariant: each column is its own 2x2 solve with one
+    right-hand side, so a column's cost has the same bits however many
+    columns share the call.
     """
-    d = np.stack([x1 - x0 - tau * v0, v1 - v0])  # (2, k)
-    return 0.25 * np.sum(d * np.linalg.solve(_gram_matrix(tau), d), axis=0)
+    d = np.stack([x1 - x0 - tau * v0, v1 - v0], axis=-1)[..., None]  # (k, 2, 1)
+    W = np.broadcast_to(_gram_matrix(tau), (d.shape[0], 2, 2))
+    return 0.25 * np.sum(d * np.linalg.solve(W, d), axis=(1, 2))
 
 
 def energy_cost(problem):
@@ -145,7 +149,8 @@ def energy_cost(problem):
     d = (x1 - x0 - tau v0, v1 - v0) is the endpoint deficit after free
     streaming; W is the controllability Gramian of the double
     integrator.  Each dimension decouples, so the 2x2 Gramian is solved
-    per component.
+    per component, and batch invariantly (see _gramian_costs): a pair
+    priced in a batch equals the pair priced alone.
     """
     p = problem
     return float(np.sum(_gramian_costs(p.tau, p.x0, p.v0, p.x1, p.v1)))
@@ -282,7 +287,13 @@ def transcribe_cost(problem, m=24, h=None):
     A[0, k] = dt^2 (m - k - 1/2), A[1, k] = dt, B = (x1 - x0 - tau v0,
     v1 - v0), and the minimum-norm controls U = A^T (A A^T)^{-1} B are
     the optimum.  A A^T, the discrete Gramian, comes from the segment
-    flow, not from the closed form it audits.
+    flow, not from the closed form it audits.  The route is batch
+    invariant: each dimension gets its own solve and matrix-vector
+    product, and the segment flow is elementwise, so a dimension's
+    controls have the same bits as the one-dimensional problem's, and
+    0.25 dt times the sum of squares of its contiguous row of controls
+    is that problem's cost.  A pair priced in a batch equals the pair
+    priced alone.
 
     With h = (c, g, H) the running curvature function is the quadratic
     h(z) = c + g.z + z.H z / 2 in z = (x, v) in R^2n.  g and H broadcast
@@ -315,8 +326,9 @@ def transcribe_cost(problem, m=24, h=None):
     p = problem
     if h is None:
         A = np.stack([dt * dt * (m - np.arange(m) - 0.5), np.full(m, dt)])  # (2, m)
-        B = np.stack([p.x1 - p.x0 - p.tau * p.v0, p.v1 - p.v0])  # (2, n)
-        controls = _correct_last_two(p, m, A.T @ np.linalg.solve(A @ A.T, B))
+        B = np.stack([p.x1 - p.x0 - p.tau * p.v0, p.v1 - p.v0], axis=-1)[..., None]
+        X = np.linalg.solve(np.broadcast_to(A @ A.T, (n, 2, 2)), B)  # (n, 2, 1)
+        controls = _correct_last_two(p, m, (A.T @ X)[..., 0].T)  # (n, m, 1) -> (m, n)
         path = ControlPath(p.s, p.x0, p.v0, np.full(m, dt), controls)
         return TranscribeResult(0.25 * dt * float(np.sum(controls**2)), path, "ok", 1, 1)
     c, g, H = _quadratic(h, n)
@@ -426,11 +438,14 @@ def verify_harnack_kernel(s, t, n_pairs=1000, seed=0, box=3.0):
     log_harnack_rhs call on the cost vector.  Also reports the
     mean-to-mean gap, where the bound is tight (ratio 1 to rounding).
 
-    Raises ValueError unless 0 < s < t, n_pairs >= 1 and box is finite
-    and positive.
+    Raises ValueError unless s and t are finite with 0 < s < t,
+    n_pairs >= 1 and box is finite and positive.
     """
     from .gaussian_kernel import kernel_state, log_density
 
+    for name, value in (("s", s), ("t", t)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
     if not 0 < s < t:
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
     if n_pairs < 1:

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import harnack_forge.verifier_cli as cli
+from harnack_forge.control_cost import ControlProblem, cost_csv, energy_cost, transcribe_cost
 
 
 class TestParse:
@@ -73,6 +75,8 @@ class TestParse:
             ["pde-harnack", "--set", "n_grid=4"],
             ["closed-form", "--set", "pairs=[]"],
             ["errata", "--set", "t_grid=[]"],
+            ["control-cost", "--set", "box=1e308"],
+            ["harnack-integrated", "--set", "box=1e308"],
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -151,6 +155,26 @@ class TestMain:
                     assert text.isidentifier(), (row, text)
                 else:
                     assert repr(number) == text, (row, text)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_control_cost_csv_matches_pairs_priced_alone(self, tmp_path, seed):
+        # the campaign prices all pairs in one call; each row must still have
+        # the bits of that pair priced alone
+        p = cli.DEFAULTS["control-cost"]
+        argv = ["control-cost", "--out", str(tmp_path), "--seed", str(seed),
+                "--set", "n_pairs=9"]
+        assert cli.main(argv) == 0
+        rng = np.random.default_rng(seed)
+        rows = []
+        for x0, v0, x1, v1 in rng.uniform(-p["box"], p["box"], size=(9, 4)).tolist():
+            prob = ControlProblem.make(p["s"], p["t"], [x0], [v0], [x1], [v1])
+            exact = energy_cost(prob)
+            trans = transcribe_cost(prob, m=p["m"]).cost
+            gap = abs(trans - exact) / max(1.0, abs(exact))
+            ends = (p["s"], p["t"], x0, v0, x1, v1)
+            rows.append((*ends, exact, "closed_form", 0, 0.0))
+            rows.append((*ends, trans, "transcribe", p["m"], gap))
+        assert (tmp_path / "control_costs.csv").read_bytes() == cost_csv(rows).encode()
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # an impossible tolerance turns agreement into a reported failure

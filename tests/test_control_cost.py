@@ -247,6 +247,14 @@ class TestHarnackSweep:
         with pytest.raises(ValueError, match="0 < s < t"):
             verify_harnack_kernel(2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "s, t, name", [(1.0, np.inf, "t"), (1.0, np.nan, "t"), (np.nan, 2.0, "s"),
+                       (-np.inf, 2.0, "s")]
+    )
+    def test_non_finite_window_rejected_by_name(self, s, t, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            verify_harnack_kernel(s, t, n_pairs=4)
+
     @pytest.mark.parametrize("box", [np.nan, np.inf, 0.0, -1.0, 1e308])
     def test_invalid_box_rejected(self, box):
         with pytest.raises(ValueError, match="box"):

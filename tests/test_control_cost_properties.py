@@ -9,6 +9,7 @@ from harnack_forge.control_cost import (
     ENDPOINT_TOL,
     ControlProblem,
     _correct_last_two,
+    _gramian_costs,
     energy_cost,
     hermite_control,
     log_harnack_rhs,
@@ -134,16 +135,18 @@ def test_exact_route_hits_endpoint_above_continuous_cost(prob, m):
 
 @given(problems(n=2), st.integers(2, 40))
 def test_exact_route_dimensions_decouple(prob, m):
-    parts = [
-        transcribe_cost(
-            ControlProblem.make(
-                prob.s, prob.t, prob.x0[j], prob.v0[j], prob.x1[j], prob.v1[j]
-            ),
-            m=m,
-        ).cost
-        for j in range(2)
-    ]
-    assert transcribe_cost(prob, m=m).cost == pytest.approx(sum(parts), rel=1e-12, abs=1e-15)
+    # both routes are batch invariant: each dimension has the bits of its lone solve
+    controls = transcribe_cost(prob, m=m).path.controls
+    closed = _gramian_costs(prob.tau, prob.x0, prob.v0, prob.x1, prob.v1)
+    for j in range(2):
+        alone = ControlProblem.make(
+            prob.s, prob.t, prob.x0[j], prob.v0[j], prob.x1[j], prob.v1[j]
+        )
+        res = transcribe_cost(alone, m=m)
+        row = np.ascontiguousarray(controls[:, j])
+        assert row.tobytes() == res.path.controls[:, 0].tobytes()
+        assert 0.25 * (prob.tau / m) * float(np.sum(row**2)) == res.cost
+        assert closed[j] == energy_cost(alone)
 
 
 @given(
