@@ -27,7 +27,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import _csv
 
@@ -331,6 +330,8 @@ def transcribe_cost(problem, m=24, h=None):
         controls = _correct_last_two(p, m, (A.T @ X)[..., 0].T)  # (n, m, 1) -> (m, n)
         path = ControlPath(p.s, p.x0, p.v0, np.full(m, dt), controls)
         return TranscribeResult(0.25 * dt * float(np.sum(controls**2)), path, "ok", 1, 1)
+    from scipy.linalg import cho_factor, cho_solve
+
     c, g, H = _quadratic(h, n)
 
     # sensitivities of the eliminated controls to each free control

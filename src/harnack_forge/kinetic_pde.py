@@ -32,7 +32,6 @@ from functools import reduce
 from itertools import chain, repeat
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import _csv
 from .closed_forms import assemble_bound, eval_sfuncs
@@ -362,6 +361,8 @@ def _diffuse_v(nv, dv, dt, nsub=1):
     makes nsub solves of step dt / nsub, and the loss is the exact
     telescoped edge flux of the solves.
     """
+    from scipy.linalg import lapack
+
     r = (dt / nsub) / dv**2
     off = np.full(nv - 1, -r)
     factors = lapack.dgttrf(off, np.full(nv, 1.0 + 2.0 * r), off)[:5]

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_are
 
 from . import _csv
 
@@ -28,6 +27,8 @@ SYMMETRY_ABORT = 1e-9
 PSD_TOL = 1e-12
 T_MIN_DEFAULT = 1e-3
 EXP_ARG_CAP = 700.0
+# integrate_S takes no step shorter than STEP_FLOOR * max(t_end, 1)
+STEP_FLOOR = 1e-14
 
 
 class StepUnderflowError(RuntimeError):
@@ -238,6 +239,26 @@ _DP_E = _DP_A[6] - np.array(
 )
 
 
+def _resolution_problem(t_end, eval_times=()):
+    """Why integrate_S cannot resolve t_end or an eval time (None if it can).
+
+    No step is shorter than the floor STEP_FLOOR * max(t_end, 1).  The
+    first step, min(1e-3, t_end / 10), must clear it, and so must the
+    smallest eval time, since the first step is cut short to land on it.
+    """
+    t_end = float(t_end)
+    floor = STEP_FLOOR * max(t_end, 1.0)
+    first = min(1e-3, t_end / 10.0)
+    if first < floor:
+        return (f"t_end={t_end!r} cannot be resolved: the first step {first:.3g} "
+                f"falls under the step floor {floor:.3g}")
+    small = [float(t) for t in eval_times if t < floor]
+    if small:
+        return (f"eval time t={min(small)!r} cannot be resolved at t_end={t_end!r}: "
+                f"it lies under the step floor {floor:.3g}")
+    return None
+
+
 def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     """Integrate S' = -CS - SC^T - D + SKS from S(0) = 0.
 
@@ -260,6 +281,10 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
 
     Raises
     ------
+    ValueError
+        If t_end or an eval time cannot be resolved from the step floor
+        STEP_FLOOR * max(t_end, 1): the first step min(1e-3, t_end / 10)
+        or the smallest eval time lies under it.
     StepUnderflowError
         If the step size collapses (stiff blow-up).
     SymmetryDriftError
@@ -277,6 +302,10 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     targets = sorted({float(t_end)} | {float(t) for t in extra})
     if targets[0] <= 0 or targets[-1] > t_end:
         raise ValueError("eval_times must lie in (0, t_end]")
+    problem = _resolution_problem(t_end, targets)
+    if problem:
+        raise ValueError(problem)
+    floor = STEP_FLOOR * max(t_end, 1.0)
 
     dim = 2 * K.n
     S = np.zeros((dim, dim))  # every S below is a fresh array, never written to
@@ -298,7 +327,7 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
         hits_target = h >= t_next - t
         if hits_target:
             h = t_next - t
-        if h < 1e-14 * max(t_end, 1.0):
+        if h < floor:
             raise StepUnderflowError(t)
         for i, row, done in stages:
             stage = S + h * (row @ done).reshape(dim, dim)
@@ -434,6 +463,8 @@ def stationary_N(K):
             "stationary bound needs a nonsingular K_xx block; with k1 = 0 "
             "N(t) converges only algebraically"
         )
+    from scipy.linalg import solve_continuous_are
+
     sp = build_structural(n)
     B = np.vstack([np.zeros((n, n)), np.eye(n)])
     X = solve_continuous_are(sp.C, B, K.K, 0.5 * np.eye(n))
@@ -490,6 +521,11 @@ def fundamental_M(K, t):
         raise OverflowError(
             f"|t|*||H|| = {over[0]:.3g} exceeds the exponential cap {EXP_ARG_CAP:g}"
         )
+    # scipy.linalg is imported here, not at module top: its import costs
+    # more than the numpy-only campaigns (control-cost, harnack-integrated,
+    # kernel-sharpness) spend on everything else, and they never call it.
+    from scipy.linalg import expm
+
     return expm(ts[..., None, None] * H)
 
 

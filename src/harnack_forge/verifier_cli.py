@@ -103,10 +103,14 @@ def _write(cfg, name, text):
     return path
 
 
+def _riccati_times(p):
+    return np.linspace(p["t_end"] / p["n_eval"], p["t_end"], int(p["n_eval"]))
+
+
 def _campaign_riccati(cfg):
     p = cfg.params
     K = ric.CurvatureBound(k1=p["k1"], k2=p["k2"], n=int(p["n"]))
-    times = np.linspace(p["t_end"] / p["n_eval"], p["t_end"], int(p["n_eval"]))
+    times = _riccati_times(p)
     traj = ric.integrate_S(K, p["t_end"], tol=p["tol"], eval_times=times)
     csv_path = _write(cfg, "riccati_trajectory.csv", ric.trajectory_to_csv(traj))
     states = np.array([S.entries for t, S in traj if t > 0])
@@ -346,6 +350,12 @@ def _value_problem(key, value, default):
 
 def _campaign_problem(name, p):
     """Why the values of one campaign do not fit together (None if they do)."""
+    if name == "riccati":
+        problem = ric._resolution_problem(p["t_end"], _riccati_times(p))
+        if problem:
+            return problem
+    if "t_lo" in p and not p["t_lo"] <= p["t_hi"]:
+        return f"needs t_lo <= t_hi, got t_lo={p['t_lo']!r}, t_hi={p['t_hi']!r}"
     if name == "pde-harnack" and p["potential"] not in POTENTIALS:
         return f"potential={p['potential']!r}: expected one of {', '.join(POTENTIALS)}"
     if name == "pde-harnack" and p["scheme"] not in ("lie", "strang"):
@@ -384,6 +394,8 @@ def parse_cli(argv):
     parser.add_argument("--out", default="harnack_out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed={args.seed}: expected a non-negative integer")
 
     params = dict(DEFAULTS[args.campaign])
     if args.config:

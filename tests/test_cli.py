@@ -77,12 +77,23 @@ class TestParse:
             ["errata", "--set", "t_grid=[]"],
             ["control-cost", "--set", "box=1e308"],
             ["harnack-integrated", "--set", "box=1e308"],
+            ["closed-form", "--set", "t_lo=3", "--set", "t_hi=1"],
+            ["kernel-sharpness", "--set", "t_lo=3", "--set", "t_hi=1"],
+            ["riccati", "--set", "t_end=1e-300"],
+            ["riccati", "--set", "t_end=1e-13"],  # smallest eval time t_end / 21
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         key = argv[-1].split("=")[0]
         assert f"{key}=" in capsys.readouterr().err  # the message names the key
+
+    @pytest.mark.parametrize(
+        "argv", [["control-cost", "--seed", "-1"], ["harnack-integrated", "--seed", "-5"]]
+    )
+    def test_negative_seed_is_usage_error(self, argv, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_config_value_is_usage_error(self, tmp_path):
         path = tmp_path / "conf.json"
@@ -218,22 +229,56 @@ class TestMain:
         assert csv_a == csv_b
 
 
-def test_console_entry_point(tmp_path):
-    # the child imports the package from where this process found it
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports the package from where this process found it."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "harnack_forge.verifier_cli",
-            "errata",
-            "--out",
-            str(tmp_path / "out"),
-        ],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point(tmp_path):
+    proc = _fresh_python(
+        "-m", "harnack_forge.verifier_cli", "errata", "--out", str(tmp_path / "out")
+    )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report_errata.json").exists()
+
+
+# Prints, as its last line, whether scipy is loaded after `import
+# harnack_forge`, after importing the CLI, and after each campaign run
+# (one "campaign --set k=v ..." argument per run) with its exit code.
+_SCIPY_PROBE = """
+import json, sys
+import harnack_forge
+states = ["scipy" in sys.modules]
+import harnack_forge.verifier_cli as cli
+states.append("scipy" in sys.modules)
+out, *runs = sys.argv[1:]
+for k, run in enumerate(runs):
+    code = cli.main(run.split() + ["--out", f"{out}/{k}"])
+    states.append([code, "scipy" in sys.modules])
+print(json.dumps(states))
+"""
+
+
+def _scipy_states(tmp_path, *runs):
+    proc = _fresh_python("-c", _SCIPY_PROBE, str(tmp_path), *runs)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_numpy_only_campaigns_never_load_scipy(tmp_path):
+    runs = ["kernel-sharpness", "control-cost", "harnack-integrated"]
+    assert _scipy_states(tmp_path, *runs) == [False, False] + [[0, False]] * len(runs)
+
+
+@pytest.mark.parametrize(
+    "run", ["riccati", "closed-form", "errata", "pde-harnack --set n_grid=16"]
+)
+def test_scipy_routes_load_scipy_on_first_call(tmp_path, run):
+    assert _scipy_states(tmp_path, run) == [False, False, [0, True]]

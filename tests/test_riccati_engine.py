@@ -147,6 +147,26 @@ class TestIntegrateS:
         with pytest.raises(ValueError, match="eval_times"):
             integrate_S(K, 1.0, eval_times=[2.0])
 
+    @pytest.mark.parametrize(
+        "t_end, eval_times, named",
+        [
+            (1e-16, None, "t_end=1e-16"),
+            (2e-15, None, "t_end=2e-15"),
+            (1.0, [1e-16, 0.5], "t=1e-16"),
+            (1.0, [5e-15, 0.5], "t=5e-15"),
+        ],
+    )
+    def test_unresolvable_times_rejected_by_name(self, t_end, eval_times, named):
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        with pytest.raises(ValueError, match=named):
+            integrate_S(K, t_end, eval_times=eval_times)
+
+    def test_smallest_resolvable_horizon(self):
+        # the first step t_end / 10 meets the step floor exactly
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        grid = [t for t, _ in integrate_S(K, 1e-13, eval_times=[1e-14])]
+        assert 1e-14 in grid and grid[-1] == 1e-13
+
     def test_reintegration_defect_small(self):
         K = CurvatureBound(k1=1.0, k2=0.5, n=1)
         traj = integrate_S(K, 1.0, tol=1e-10)
