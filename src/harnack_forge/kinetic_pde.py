@@ -18,6 +18,11 @@ shift plus fractional upwind), unconditionally stable and roughly
 second order in practice; it exists because the plain scheme's
 numerical diffusion converges too slowly for tight error targets.
 
+Both schemes solve the implicit diffusion with the Thomas algorithm,
+swept in numpy (_diffuse_v).  It performs the operations of LAPACK's
+dgttrf/dgttrs in their order and so equals them bit for bit on the
+non-negative fields the solver carries; the solver needs numpy alone.
+
 Verification compares the estimated Hessian of log rho - U/2 on the
 grid against the Riccati bound N evaluated at the absolute snapshot
 time; a solution born at t0 from spread-out data dominates the bound
@@ -353,27 +358,73 @@ def _upwind_v(rho, cv):
     return np.subtract(rho, step, out=step)
 
 
-def _diffuse_v(nv, dv, dt, nsub=1):
+def _tridiag_lu(nv, r):
+    """LU factors of the nv x nv matrix tridiag(-r, 1 + 2 r, -r).
+
+    Returns (d, l): the pivots d_i and the multipliers l_i of Gaussian
+    elimination without pivoting, computed as LAPACK's dgttrf computes
+    them, l_i = dl_i / d_i and d_{i+1} = d_{i+1} - l_i du_i.  The matrix
+    is diagonally dominant, so dgttrf never interchanges rows either.
+    """
+    d = np.full(nv, 1.0 + 2.0 * r)
+    l = np.empty(nv - 1)
+    off = -r
+    for i in range(nv - 1):
+        l[i] = off / d[i]
+        d[i + 1] = d[i + 1] - l[i] * off
+    return d, l
+
+
+def _diffuse_v(shape, dv, dt, nsub=1):
     """Implicit backward-Euler velocity diffusion, zero Dirichlet.
 
-    Factors the (diagonally dominant, so never pivoted) tridiagonal
-    matrix once; the returned step(rho) -> (new_rho, boundary_loss)
-    makes nsub solves of step dt / nsub, and the loss is the exact
-    telescoped edge flux of the solves.
-    """
-    from scipy.linalg import lapack
+    Factors the tridiagonal matrix once (_tridiag_lu); the returned
+    step(rho) -> (new_rho, boundary_loss) takes a field of the given
+    (nx, nv) shape, makes nsub solves of step dt / nsub, and returns a
+    new C-ordered array; the loss is the exact telescoped edge flux of
+    the solves.  Each solve is the Thomas algorithm (Golub & Van Loan,
+    Matrix Computations, section 4.3) swept over a velocity-major copy
+    of the field, one row operation for every x column at once:
 
+        forward  b_{i+1} = b_{i+1} - l_i b_i
+        back     b_i = (b_i - du_i b_{i+1}) / d_i,   du_i = -r
+
+    These are the operations of LAPACK's dgttrs in its order, so the
+    result equals dgttrf/dgttrs bit for bit.  dgttrs also subtracts
+    du2_i b_{i+2}, where du2 is exactly +0 without pivoting; on the
+    non-negative densities this solver sees (upwind and semi-Lagrangian
+    transport keep them non-negative, GridField clamps them) that term
+    is +0 and x - 0 == x exactly, so dropping it changes no bit.  For a
+    negative input the two could differ in the sign of a zero.
+    """
+    nx, nv = shape
     r = (dt / nsub) / dv**2
-    off = np.full(nv - 1, -r)
-    factors = lapack.dgttrf(off, np.full(nv, 1.0 + 2.0 * r), off)[:5]
+    d, l = _tridiag_lu(nv, r)
+    # Row views and 0-d coefficient arrays are built once: with them and
+    # a positional out, each ufunc call of the sweep is cheapest.
+    buf = np.empty((nv, nx))  # velocity-major: row i is the line v = vs[i]
+    rows = list(buf)
+    tmp = np.empty(nx)
+    du = np.array(-r)
+    forward = list(zip(map(np.array, l), rows[:-1], rows[1:]))
+    back = list(zip(map(np.array, d[-2::-1]), rows[-2::-1], rows[:0:-1]))
+    last, d_last = rows[-1], np.array(d[-1])
+    mul, sub, div = np.multiply, np.subtract, np.divide
 
     def step(rho):
-        out = rho.T  # velocity-major, so each solve works in place
+        np.copyto(buf, rho.T)
         loss = 0.0
-        for k in range(nsub):
-            out = lapack.dgttrs(*factors, out, overwrite_b=k > 0)[0]
-            loss += r * float(out[0].sum() + out[-1].sum())
-        return out.T, loss
+        for _ in range(nsub):
+            for li, bi, bj in forward:
+                mul(li, bi, tmp)
+                sub(bj, tmp, bj)
+            div(last, d_last, last)
+            for di, bi, bj in back:
+                mul(du, bj, tmp)
+                sub(bi, tmp, bi)
+                div(bi, di, bi)
+            loss += r * float(buf[0].sum() + buf[-1].sum())
+        return buf.T.copy(), loss
 
     return step
 
@@ -479,7 +530,7 @@ def evolve(
                     f"(rates: x {rate_x:.3g}, v {rate_v:.3g})"
                 )
         courant_v = speed * dt / field.dv
-        diffuse = _diffuse_v(field.vs.size, field.dv, dt)
+        diffuse = _diffuse_v(field.rho.shape, field.dv, dt)
         rho = field.rho
         for _ in range(n_steps):
             rho, lx = _upwind_x(rho, field.vs, field.dx, dt)
@@ -502,7 +553,9 @@ def evolve(
                 f"drift CFL {rate_v * delta:.3g} > 1 at chunk size {delta:.3e}; "
                 "increase chunks for potentials with drift"
             )
-        diffuse = _diffuse_v(field.vs.size, field.dv, delta, nsub=diffusion_substeps)
+        diffuse = _diffuse_v(
+            field.rho.shape, field.dv, delta, nsub=diffusion_substeps
+        )
 
         def transport(rho, tau):
             nonlocal x_loss, drift_src

@@ -29,6 +29,9 @@ T_MIN_DEFAULT = 1e-3
 EXP_ARG_CAP = 700.0
 # integrate_S takes no step shorter than STEP_FLOOR * max(t_end, 1)
 STEP_FLOOR = 1e-14
+# integrate_S merges a target within MERGE_TOL of the time it has reached,
+# and bound_N matches requested times to the grid with the same tolerance
+MERGE_TOL = 1e-15
 
 
 class StepUnderflowError(RuntimeError):
@@ -245,6 +248,9 @@ def _resolution_problem(t_end, eval_times=()):
     No step is shorter than the floor STEP_FLOOR * max(t_end, 1).  The
     first step, min(1e-3, t_end / 10), must clear it, and so must the
     smallest eval time, since the first step is cut short to land on it.
+    An eval time within MERGE_TOL of the one before it merges with it;
+    two eval times further apart than that but closer than the floor
+    would need a step under it.
     """
     t_end = float(t_end)
     floor = STEP_FLOOR * max(t_end, 1.0)
@@ -252,10 +258,21 @@ def _resolution_problem(t_end, eval_times=()):
     if first < floor:
         return (f"t_end={t_end!r} cannot be resolved: the first step {first:.3g} "
                 f"falls under the step floor {floor:.3g}")
-    small = [float(t) for t in eval_times if t < floor]
+    times = sorted(float(t) for t in eval_times)
+    small = [t for t in times if t < floor]
     if small:
-        return (f"eval time t={min(small)!r} cannot be resolved at t_end={t_end!r}: "
+        return (f"eval time t={small[0]!r} cannot be resolved at t_end={t_end!r}: "
                 f"it lies under the step floor {floor:.3g}")
+    landed = 0.0  # the time integrate_S last landed on, as its loop tracks it
+    for t in times:
+        if landed >= t - MERGE_TOL:
+            continue
+        if t - landed < floor:
+            return (f"eval times t={landed!r} and t={t!r} cannot both be resolved "
+                    f"at t_end={t_end!r}: they are {t - landed:.3g} apart, under the "
+                    f"step floor {floor:.3g}, and more than {MERGE_TOL:g} apart, "
+                    "so they do not merge")
+        landed = t
     return None
 
 
@@ -272,7 +289,10 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     tol : float
         Local error tolerance, in (1e-14, 1e-2).
     eval_times : sequence of float, optional
-        Times that must appear exactly in the output grid.
+        Times that must appear exactly in the output grid.  A time
+        within MERGE_TOL (1e-15) of the previous grid time merges with
+        it and does not appear again; bound_N matches requested times
+        to the grid with the same tolerance.
 
     Returns
     -------
@@ -284,7 +304,9 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     ValueError
         If t_end or an eval time cannot be resolved from the step floor
         STEP_FLOOR * max(t_end, 1): the first step min(1e-3, t_end / 10)
-        or the smallest eval time lies under it.
+        or the smallest eval time lies under it, or two eval times are
+        closer than the floor but more than MERGE_TOL apart (the message
+        names both).
     StepUnderflowError
         If the step size collapses (stiff blow-up).
     SymmetryDriftError
@@ -321,7 +343,7 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
 
     while ti < len(targets):
         t_next = targets[ti]
-        if t >= t_next - 1e-15:
+        if t >= t_next - MERGE_TOL:
             ti += 1
             continue
         hits_target = h >= t_next - t
@@ -430,8 +452,8 @@ def bound_N(K, t, tol=1e-10, t_min=T_MIN_DEFAULT, trajectory=None):
             trajectory = integrate_S(K, late.max(), tol=tol, eval_times=late)
         grid = np.array([tg for tg, _ in trajectory])
         rows = np.abs(grid - late[:, None]).argmin(axis=1)
-        # integrate_S skips a target within 1e-15 of a grid time
-        missing = np.abs(grid[rows] - late) > 1e-15
+        # integrate_S skips a target within MERGE_TOL of a grid time
+        missing = np.abs(grid[rows] - late) > MERGE_TOL
         if missing.any():
             raise ValueError(f"trajectory has no grid time at t={late[missing][0]!r}")
         S[~early] = [trajectory[row][1].entries for row in rows]
@@ -529,6 +551,14 @@ def fundamental_M(K, t):
     return expm(ts[..., None, None] * H)
 
 
+def _singular_m3(M):
+    """Condition numbers, in stack order, of the lower-left M3 blocks of
+    M that S_from_M refuses to invert: those above 1e14, and NaN."""
+    dim = M.shape[-1] // 2
+    cond = np.linalg.cond(M[..., dim:, :dim])
+    return cond[~(cond <= 1e14)]
+
+
 def S_from_M(M):
     """Riccati solution with N^{-1} -> 0 recovered from M: N = M1 M3^{-1}.
 
@@ -555,8 +585,7 @@ def S_from_M(M):
     dim = M.shape[-1] // 2
     M1 = M[..., :dim, :dim]
     M3 = M[..., dim:, :dim]
-    cond = np.linalg.cond(M3)
-    bad = cond[~(cond <= 1e14)]  # NaN counts as singular
+    bad = _singular_m3(M)
     if bad.size:
         raise SingularityError(
             f"M3 block numerically singular (condition {bad[0]:.3e})", cond=float(bad[0])

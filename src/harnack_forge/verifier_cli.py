@@ -89,6 +89,12 @@ POSITIVE_KEYS = {"n", "n_eval", "n_t", "n_grid", "n_pairs", "m", "t_end", "t_lo"
                  "t_hi", "t0", "t1", "t", "tol", "rel_tol", "tolerance", "extent",
                  "sigma2", "box"}
 
+# Every cost and log-density a control-cost or harnack-integrated draw
+# produces is a quadratic form in the draw; a box keeps each form under
+# FORM_CAP, which leaves a factor 2^64 under the largest float for the
+# sums of forms and the transcription's sums of squared controls.
+FORM_CAP = sys.float_info.max * 2.0**-64
+
 POTENTIALS = {
     "zero": kinetic_pde.ZeroPotential,
     "quadratic_v": lambda: kinetic_pde.QuadraticPotential(q_vv=1.0),
@@ -348,10 +354,64 @@ def _value_problem(key, value, default):
     return None
 
 
+def _form_scale(tau, ax, av):
+    """Bound on |d^T W(tau)^{-1} d| over |d_x| <= ax, |d_v| <= av.
+
+    W(tau)^{-1} = [[12/tau^3, -6/tau^2], [-6/tau^2, 4/tau]], summed by
+    entry magnitude; r = ax / tau keeps a large tau from giving inf / inf.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tau = np.float64(tau)
+        r = ax / tau
+        return float((12.0 * r * r + 12.0 * r * av + 4.0 * av * av) / tau)
+
+
+def _box_limit(name, p):
+    """Largest box whose costs and log-densities stay under FORM_CAP.
+
+    Over draws from [-box, box]^4 the cost deficit d = (x1 - x0 - tau v0,
+    v1 - v0) has |d_x| <= (2 + tau) box and |d_v| <= 2 box, and the cost is
+    d^T W(tau)^{-1} d / 4.  harnack-integrated also takes log-densities of
+    the kernels at s and t, whose forms are d^T Sigma(u)^{-1} d / 2 with
+    Sigma(u) = 2 W(u) and |d_x|, |d_v| <= box.
+    """
+    tau = p["t"] - p["s"]
+    scale = _form_scale(tau, 2.0 + tau, 2.0)
+    if name == "harnack-integrated":
+        scale = max(scale, *(_form_scale(u, 1.0, 1.0) for u in (p["s"], p["t"])))
+    return math.sqrt(FORM_CAP / scale) if scale > 0 else 0.0
+
+
+def _riccati_problem(p):
+    """Why the riccati campaign cannot run on p (None if it can).
+
+    k1 and k2 must be non-negative.  Beyond integrate_S's step floor,
+    the exponential route must invert the M3 block at the smallest eval
+    time, whose condition grows like t^-4; S_from_M's own test decides
+    that.  Only that time is checked: the check runs on every parse.
+    """
+    if not min(p["k1"], p["k2"]) >= 0:
+        return f"needs k1, k2 >= 0, got k1={p['k1']!r}, k2={p['k2']!r}"
+    times = _riccati_times(p)
+    problem = ric._resolution_problem(p["t_end"], times)
+    if problem:
+        return problem
+    K = ric.CurvatureBound(k1=p["k1"], k2=p["k2"], n=int(p["n"]))
+    try:
+        bad = ric._singular_m3(ric.fundamental_M(K, times[:1]))
+    except OverflowError as exc:  # beyond the smallest time, so beyond t_end too
+        return f"t_end={p['t_end']!r}: the exponential route cannot reach it: {exc}"
+    if bad.size:
+        return (f"t_end={p['t_end']!r} cannot be resolved: at the smallest eval "
+                f"time t_end / n_eval = {times[0]:.3g} the exponential route's "
+                f"M3 block is numerically singular (condition {bad[0]:.3e})")
+    return None
+
+
 def _campaign_problem(name, p):
     """Why the values of one campaign do not fit together (None if they do)."""
     if name == "riccati":
-        problem = ric._resolution_problem(p["t_end"], _riccati_times(p))
+        problem = _riccati_problem(p)
         if problem:
             return problem
     if "t_lo" in p and not p["t_lo"] <= p["t_hi"]:
@@ -371,8 +431,9 @@ def _campaign_problem(name, p):
         return f"needs s < t, got s={p['s']!r}, t={p['t']!r}"
     if name == "harnack-integrated" and not 0 < p["s"] < p["t"]:
         return f"needs 0 < s < t, got s={p['s']!r}, t={p['t']!r}"
-    if "box" in p and not math.isfinite(2.0 * p["box"]):
-        return f"box={p['box']!r}: the draw width 2 box must be finite"
+    if "box" in p and not p["box"] <= (limit := _box_limit(name, p)):
+        return (f"box={p['box']!r}: exceeds {limit:.3g}, the largest box whose "
+                "drawn costs and log-densities stay finite with a 2^64 safety factor")
     return None
 
 

@@ -1,5 +1,6 @@
 """CLI parsing, exit codes, artifacts, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -81,6 +82,11 @@ class TestParse:
             ["kernel-sharpness", "--set", "t_lo=3", "--set", "t_hi=1"],
             ["riccati", "--set", "t_end=1e-300"],
             ["riccati", "--set", "t_end=1e-13"],  # smallest eval time t_end / 21
+            ["riccati", "--set", "t_end=1e-6"],  # M3 singular at t_end / 21
+            ["riccati", "--set", "t_end=1e4"],  # the exponential route overflows
+            ["riccati", "--set", "k1=-1"],
+            ["control-cost", "--set", "box=1e200"],
+            ["harnack-integrated", "--set", "box=1e200"],
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -187,6 +193,25 @@ class TestMain:
             rows.append((*ends, trans, "transcribe", p["m"], gap))
         assert (tmp_path / "control_costs.csv").read_bytes() == cost_csv(rows).encode()
 
+    @pytest.mark.parametrize("campaign", ["control-cost", "harnack-integrated"])
+    def test_largest_accepted_box_stays_finite(self, tmp_path, campaign):
+        params = dict(cli.DEFAULTS[campaign])
+        box = cli._box_limit(campaign, params)
+        assert params["box"] < box < 1e300
+        argv = [campaign, "--out", str(tmp_path), "--set", f"box={box!r}"]
+        assert cli.main(argv) in (0, 1)
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in the report")
+
+        report = (tmp_path / f"report_{campaign}.json").read_text()
+        metrics = json.loads(report, parse_constant=reject)["metrics"]
+        assert all(np.isfinite(v).all() for v in metrics.values())
+        for path in tmp_path.glob("*.csv"):
+            rows = list(csv.DictReader(path.open()))
+            assert all(np.isfinite(float(row["cost"])) for row in rows)
+        assert cli.main(argv[:-1] + [f"box={box * (1 + 1e-15)!r}"]) == 2
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # an impossible tolerance turns agreement into a reported failure
         code = cli.main(
@@ -277,8 +302,19 @@ def test_numpy_only_campaigns_never_load_scipy(tmp_path):
     assert _scipy_states(tmp_path, *runs) == [False, False] + [[0, False]] * len(runs)
 
 
+# Each campaign run alone: scipy is loaded after it exactly when its route
+# needs scipy (pde-harnack's diffusion sweep is numpy-only).
 @pytest.mark.parametrize(
-    "run", ["riccati", "closed-form", "errata", "pde-harnack --set n_grid=16"]
+    "run, loads",
+    [
+        pytest.param(run, loads, id=run)
+        for run, loads in [
+            ("riccati", True),
+            ("closed-form", True),
+            ("errata", True),
+            ("pde-harnack --set n_grid=16", False),
+        ]
+    ],
 )
-def test_scipy_routes_load_scipy_on_first_call(tmp_path, run):
-    assert _scipy_states(tmp_path, run) == [False, False, [0, True]]
+def test_scipy_routes_load_scipy_on_first_call(tmp_path, run, loads):
+    assert _scipy_states(tmp_path, run) == [False, False, [0, loads]]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from harnack_forge.closed_forms import CASE2, classify
 from harnack_forge.gaussian_kernel import kernel_state, grid_density, propagate
@@ -37,6 +37,7 @@ from harnack_forge.kinetic_pde import (
     _region_mask,
     _sl_advect_x,
     _stencil_arrays,
+    _tridiag_lu,
     _upwind_v,
     _upwind_x,
     _window_min,
@@ -385,11 +386,34 @@ class TestKernelsMatchReferenceFormulas:
         xs, rho = field
         dv = float(xs[1] - xs[0])
         before = rho.copy()
-        new, loss = _diffuse_v(rho.shape[1], dv, dt, nsub)(rho)
+        new, loss = _diffuse_v(rho.shape, dv, dt, nsub)(rho)
         want, want_loss = _reference_diffuse_v(rho, dv, dt, nsub)
         _assert_bitwise_equal(new, want)
         assert loss == want_loss
         _assert_bitwise_equal(rho, before)  # the solves never overwrite the input
+
+    def test_diffuse_v_at_campaign_size(self):
+        # n = 256 at the lie step of a quadratic_v run, and at the strang
+        # chunk (t1 - t0) / 2 with 16 substeps, on the fields those runs see
+        field = kernel_field(0.2, extent=4.0, n=256, sigma2=1.0)
+        out, rep = evolve(field, QuadraticPotential(q_vv=1.0), 0.6, scheme="lie")
+        for rho, dt, nsub in ((field.rho, rep.dt, 1), (out.rho, (0.6 - 0.2) / 2, 16)):
+            new, loss = _diffuse_v(rho.shape, field.dv, dt, nsub)(rho)
+            want, want_loss = _reference_diffuse_v(rho, field.dv, dt, nsub)
+            _assert_bitwise_equal(new, want)
+            assert loss == want_loss
+
+    @given(nv=st.integers(8, 520), log_r=st.floats(-12.0, 8.0))
+    def test_tridiag_lu_matches_dgttrf(self, nv, log_r):
+        r = float(np.exp(log_r))
+        d, l = _tridiag_lu(nv, r)
+        off = np.full(nv - 1, -r)
+        dl, dd, _, du2, ipiv, info = lapack.dgttrf(off, np.full(nv, 1.0 + 2.0 * r), off)
+        assert info == 0
+        assert np.array_equal(ipiv, np.arange(1, nv + 1))  # no row interchange
+        assert not du2.any()
+        _assert_bitwise_equal(d, dd)
+        _assert_bitwise_equal(l, dl)
 
     @given(field=grid_fields(), tau=st.floats(0.0, 30.0))
     def test_sl_advect_x(self, field, tau):

@@ -154,12 +154,23 @@ class TestIntegrateS:
             (2e-15, None, "t_end=2e-15"),
             (1.0, [1e-16, 0.5], "t=1e-16"),
             (1.0, [5e-15, 0.5], "t=5e-15"),
+            # closer than the step floor but more than 1e-15 apart
+            (1.0, [0.5, 0.5 + 5e-15], "t=0.5 and t=0.500000000000005"),
+            (1.0, [0.5, 0.5 + 9e-16, 0.5 + 1.8e-15], "t=0.5 and t=0.5000000000000018"),
+            (1.0, [1.0 - 5e-15], "t=0.999999999999995 and t=1.0"),  # and t_end
         ],
     )
     def test_unresolvable_times_rejected_by_name(self, t_end, eval_times, named):
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
         with pytest.raises(ValueError, match=named):
             integrate_S(K, t_end, eval_times=eval_times)
+
+    def test_eval_times_within_merge_tolerance_merge(self):
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        grid = [t for t, _ in integrate_S(K, 1.0, eval_times=[0.5, 0.5 + 5e-16])]
+        assert 0.5 in grid and 0.5 + 5e-16 not in grid
+        N_a, N_b = bound_N(K, [0.5, 0.5 + 5e-16])  # both read the one grid time
+        assert np.allclose(N_a.entries, N_b.entries, rtol=1e-14, atol=0)
 
     def test_smallest_resolvable_horizon(self):
         # the first step t_end / 10 meets the step floor exactly
