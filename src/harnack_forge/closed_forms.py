@@ -111,16 +111,21 @@ def classify(k1, k2, eq_tol=EQ_TOL_DEFAULT):
     )
 
 
-def _check_arg_cap(regime, t):
+def _arg_cap_problem(regime, t):
+    """Why the closed forms of regime are refused at time t (None if not)."""
     # the s0' formulas double the fastest rate (cosh(2*rate*t) terms),
     # so the doubled argument is what must stay under the exp cap
-    rates = [v for v in regime.params.values()]
-    arg = 2.0 * max(rates, default=0.0) * t
+    arg = 2.0 * max(regime.params.values(), default=0.0) * t
     if arg > HYP_ARG_CAP:
-        raise OverflowError(
-            f"hyperbolic argument {arg:.3g} exceeds cap {HYP_ARG_CAP:g} "
-            f"for regime {regime.tag} at t={t:.6g}"
-        )
+        return (f"hyperbolic argument {arg:.3g} exceeds cap {HYP_ARG_CAP:g} "
+                f"for regime {regime.tag} at t={t:.6g}")
+    return None
+
+
+def _check_arg_cap(regime, t):
+    problem = _arg_cap_problem(regime, t)
+    if problem:
+        raise OverflowError(problem)
 
 
 def _raw_sfuncs(regime, t):

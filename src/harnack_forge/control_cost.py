@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -475,6 +476,23 @@ def verify_harnack_kernel(s, t, n_pairs=1000, seed=0, box=3.0):
     )
 
 
+def _endpoint_fields(col):
+    """One field per endpoint of a column: its components joined with ';'.
+
+    Scalar and equal-size endpoints are formatted in one pass over the
+    column; endpoints of mixed sizes one at a time.
+    """
+    try:
+        block = np.array(col, dtype=float)
+    except ValueError:  # mixed sizes do not stack
+        return (";".join(_csv.floats(a)) for a in col)
+    width = block.size // len(col) if col else 0
+    if not width:  # no rows, or endpoints without components
+        return repeat("", len(col))
+    texts = _csv.floats(block)
+    return map(";".join, zip(*[texts] * width))  # width consecutive literals per row
+
+
 def cost_csv(rows):
     """Serialize cost rows: s,t,x0,v0,x1,v1,cost,method,m,gap.
 
@@ -482,7 +500,7 @@ def cost_csv(rows):
     """
     header = ["s", "t", "x0", "v0", "x1", "v1", "cost", "method", "m", "gap"]
     s, t, x0, v0, x1, v1, cost, method, m, gap = zip(*rows) if rows else [()] * 10
-    ends = ((";".join(_csv.floats(a)) for a in col) for col in (x0, v0, x1, v1))
+    ends = map(_endpoint_fields, (x0, v0, x1, v1))
     return _csv.csv_text(header, [
         _csv.floats(s), _csv.floats(t), *ends, _csv.floats(cost), method, map(str, m),
         _csv.floats(gap),

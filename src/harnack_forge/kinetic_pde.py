@@ -47,6 +47,8 @@ LEDGER_TOL = 1e-10
 FLOOR_FRAC_DEFAULT = 1e-12
 CURVATURE_FEAS_TOL = 1e-10
 MIN_GRID_CELLS = 8
+# evolve's default number of strang chunks
+STRANG_CHUNKS = 2
 
 
 class CFLError(RuntimeError):
@@ -451,12 +453,27 @@ def _sl_advect_x(rho, vs, dx, tau):
     return np.where(a > 0.0, (1.0 - a) * shifted + a * blend, shifted)
 
 
+def _courant_rates(xs, vs, speed):
+    """Unit-time Courant rates (|v|/dx max, |U_v|/dv max) on the grid
+    xs x vs, for the velocity drift speed = U_v on its mesh."""
+    rate_x = float(np.abs(vs).max() / float(xs[1] - xs[0]))
+    rate_v = float(np.abs(speed).max() / float(vs[1] - vs[0]))
+    return rate_x, rate_v
+
+
 def cfl_rates(field, potential):
     """Unit-time Courant rates (|v|/dx max, |U_v|/dv max) on the grid."""
-    X, V = field.meshes()
-    rate_x = float(np.abs(field.vs).max() / field.dx)
-    rate_v = float(np.abs(potential.grad_v(X, V)).max() / field.dv)
-    return rate_x, rate_v
+    return _courant_rates(field.xs, field.vs, potential.grad_v(*field.meshes()))
+
+
+def _strang_drift_problem(rate_v, span, chunks):
+    """Why strang cannot step a drift of unit-time Courant rate rate_v over
+    span in `chunks` chunks (None if it can): its upwind drift substep
+    must satisfy CFL at the chunk size."""
+    delta = span / chunks
+    if rate_v * delta > 1.0 + 1e-12:
+        return f"drift CFL {rate_v * delta:.3g} > 1 at chunk size {delta:.3e}"
+    return None
 
 
 def evolve(
@@ -466,7 +483,7 @@ def evolve(
     scheme="lie",
     cfl_limit=0.9,
     dt=None,
-    chunks=2,
+    chunks=STRANG_CHUNKS,
     diffusion_substeps=16,
 ):
     """Advance a grid field to absolute time t1.
@@ -486,13 +503,9 @@ def evolve(
     if not t1 > field.t:
         raise ValueError(f"t1={t1} must exceed the field time {field.t}")
     T = t1 - field.t
-    X, V = field.meshes()
-    speed = potential.grad_v(X, V)
-    speed_max = float(np.abs(speed).max())
-    has_drift = speed_max > 0
-    # cfl_rates(field, potential), from the speed already at hand
-    rate_x = float(np.abs(field.vs).max() / field.dx)
-    rate_v = speed_max / field.dv
+    speed = potential.grad_v(*field.meshes())
+    rate_x, rate_v = _courant_rates(field.xs, field.vs, speed)
+    has_drift = rate_v > 0
     m0 = field.mass()
     cell = field.dx * field.dv
 
@@ -548,11 +561,9 @@ def evolve(
         if chunks < 1:
             raise ValueError("chunks must be >= 1")
         delta = T / chunks
-        if has_drift and rate_v * delta > 1.0 + 1e-12:
-            raise CFLError(
-                f"drift CFL {rate_v * delta:.3g} > 1 at chunk size {delta:.3e}; "
-                "increase chunks for potentials with drift"
-            )
+        problem = _strang_drift_problem(rate_v, T, chunks)
+        if problem:
+            raise CFLError(f"{problem}; increase chunks for potentials with drift")
         diffuse = _diffuse_v(
             field.rho.shape, field.dv, delta, nsub=diffusion_substeps
         )

@@ -506,6 +506,17 @@ def hamiltonian_matrix(K):
     return H
 
 
+def _exp_cap_problem(H, t):
+    """Why exp(t H) is refused at some time of t (None if it is not): the
+    first |t| ||H||_2 above EXP_ARG_CAP, where double exponentials would
+    overflow.  It needs no exponential, so a caller may ask it first."""
+    spread = np.abs(t) * float(np.linalg.norm(H, 2))
+    over = spread[spread > EXP_ARG_CAP]
+    if over.size:
+        return f"|t|*||H|| = {over[0]:.3g} exceeds the exponential cap {EXP_ARG_CAP:g}"
+    return None
+
+
 def fundamental_M(K, t):
     """Fundamental matrix M(t) = exp(t H) by scaling-and-squaring.
 
@@ -537,12 +548,9 @@ def fundamental_M(K, t):
     if bad.size:
         raise ValueError(f"t must be finite, got {bad[0]}")
     H = hamiltonian_matrix(K)
-    spread = np.abs(ts) * float(np.linalg.norm(H, 2))
-    over = spread[spread > EXP_ARG_CAP]
-    if over.size:
-        raise OverflowError(
-            f"|t|*||H|| = {over[0]:.3g} exceeds the exponential cap {EXP_ARG_CAP:g}"
-        )
+    problem = _exp_cap_problem(H, ts)
+    if problem:
+        raise OverflowError(problem)
     # scipy.linalg is imported here, not at module top: its import costs
     # more than the numpy-only campaigns (control-cost, harnack-integrated,
     # kernel-sharpness) spend on everything else, and they never call it.

@@ -95,6 +95,9 @@ POSITIVE_KEYS = {"n", "n_eval", "n_t", "n_grid", "n_pairs", "m", "t_end", "t_lo"
 # sums of forms and the transcription's sums of squared controls.
 FORM_CAP = sys.float_info.max * 2.0**-64
 
+# The curvature pairs whose printed bounds the errata campaign reconciles.
+ERRATA_PAIRS = ((0.0, 0.0), (0.0, 1.0))
+
 POTENTIALS = {
     "zero": kinetic_pde.ZeroPotential,
     "quadratic_v": lambda: kinetic_pde.QuadraticPotential(q_vv=1.0),
@@ -258,7 +261,7 @@ def _campaign_harnack_integrated(cfg):
 def _campaign_errata(cfg):
     p = cfg.params
     rows = []
-    for k1, k2 in ((0.0, 0.0), (0.0, 1.0)):
+    for k1, k2 in ERRATA_PAIRS:
         rows.extend(closed_forms.reconcile(k1, k2, p["t_grid"]))
     csv_path = _write(cfg, "errata.csv", closed_forms.errata_csv(rows))
     case5 = [r for r in rows if r.regime == closed_forms.CASE5]
@@ -408,6 +411,37 @@ def _riccati_problem(p):
     return None
 
 
+def _strang_problem(p):
+    """Why strang cannot run pde-harnack on p (None if it can): evolve's
+    test of the drift CFL at its default chunk count, which the CLI does
+    not expose, on the grid the campaign builds."""
+    xs = kinetic_pde.make_grid(p["extent"], int(p["n_grid"]))
+    speed = POTENTIALS[p["potential"]]().grad_v(*np.meshgrid(xs, xs, indexing="ij"))
+    _, rate_v = kinetic_pde._courant_rates(xs, xs, speed)
+    problem = kinetic_pde._strang_drift_problem(
+        rate_v, p["t1"] - float(p["t0"]), kinetic_pde.STRANG_CHUNKS
+    )
+    if problem:
+        return (f"scheme={p['scheme']!r} with potential={p['potential']!r}: {problem} "
+                f"in the campaign's {kinetic_pde.STRANG_CHUNKS} chunks; use scheme=lie "
+                "or potential=zero")
+    return None
+
+
+def _cap_problem(pairs, t):
+    """Why the exponential route or the closed forms cannot reach time t
+    for some curvature pair (None if both can).  Both caps grow with t,
+    so a campaign's largest time decides, and no exponential is taken."""
+    for k1, k2 in pairs:
+        K = ric.CurvatureBound(k1=k1, k2=k2, n=1)
+        problem = ric._exp_cap_problem(ric.hamiltonian_matrix(K), [t]) or (
+            closed_forms._arg_cap_problem(closed_forms.classify(k1, k2), t)
+        )
+        if problem:
+            return f"pair [{k1!r}, {k2!r}]: {problem}"
+    return None
+
+
 def _campaign_problem(name, p):
     """Why the values of one campaign do not fit together (None if they do)."""
     if name == "riccati":
@@ -425,6 +459,14 @@ def _campaign_problem(name, p):
     cells = kinetic_pde.MIN_GRID_CELLS
     if name == "pde-harnack" and p["n_grid"] < cells:
         return f"needs n_grid >= {cells}, got n_grid={p['n_grid']!r}"
+    if name == "pde-harnack" and p["scheme"] == "strang":
+        problem = _strang_problem(p)
+        if problem:
+            return problem
+    if name == "closed-form" and (problem := _cap_problem(p["pairs"], p["t_hi"])):
+        return f"t_hi={p['t_hi']!r} is out of reach for {problem}"
+    if name == "errata" and (problem := _cap_problem(ERRATA_PAIRS, max(p["t_grid"]))):
+        return f"t_grid={p['t_grid']!r} is out of reach for {problem}"
     if name == "control-cost" and p["m"] < 2:
         return f"needs m >= 2, got m={p['m']!r}"
     if name == "control-cost" and not p["s"] < p["t"]:
@@ -437,26 +479,30 @@ def _campaign_problem(name, p):
     return None
 
 
+# Built once per process: parse_args copies the --set default before it
+# appends, so one call's values never reach the next.
+PARSER = argparse.ArgumentParser(
+    prog="harnack-verify",
+    description="Verification campaigns for kinetic Harnack bounds.",
+)
+PARSER.add_argument("campaign", choices=CAMPAIGNS)
+PARSER.add_argument("--config", help="JSON file of flat (dotted) config keys")
+PARSER.add_argument(
+    "--set",
+    action="append",
+    default=[],
+    metavar="KEY=VALUE",
+    help="override one config key (repeatable; dotted keys scope a campaign)",
+)
+PARSER.add_argument("--out", default="harnack_out", help="output directory")
+PARSER.add_argument("--seed", type=int, default=0)
+
+
 def parse_cli(argv):
     """Parse arguments into a CampaignConfig."""
-    parser = argparse.ArgumentParser(
-        prog="harnack-verify",
-        description="Verification campaigns for kinetic Harnack bounds.",
-    )
-    parser.add_argument("campaign", choices=CAMPAIGNS)
-    parser.add_argument("--config", help="JSON file of flat (dotted) config keys")
-    parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable; dotted keys scope a campaign)",
-    )
-    parser.add_argument("--out", default="harnack_out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.seed < 0:
-        parser.error(f"--seed={args.seed}: expected a non-negative integer")
+        PARSER.error(f"--seed={args.seed}: expected a non-negative integer")
 
     params = dict(DEFAULTS[args.campaign])
     if args.config:
@@ -464,29 +510,29 @@ def parse_cli(argv):
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"--config: {exc}")
+            PARSER.error(f"--config: {exc}")
         if not isinstance(loaded, dict):
-            parser.error("--config must contain a JSON object")
+            PARSER.error("--config must contain a JSON object")
         for key, value in loaded.items():
             try:
                 _apply_key(params, args.campaign, key, value)
             except KeyError as exc:
-                parser.error(str(exc))
+                PARSER.error(str(exc))
     for item in args.set:
         if "=" not in item:
-            parser.error(f"--set needs KEY=VALUE, got {item!r}")
+            PARSER.error(f"--set needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         try:
             _apply_key(params, args.campaign, key, _parse_value(value))
         except KeyError as exc:
-            parser.error(str(exc))
+            PARSER.error(str(exc))
     for key, value in params.items():
         problem = _value_problem(key, value, DEFAULTS[args.campaign][key])
         if problem:
-            parser.error(f"{key}={value!r}: {problem}")
+            PARSER.error(f"{key}={value!r}: {problem}")
     problem = _campaign_problem(args.campaign, params)
     if problem:
-        parser.error(problem)
+        PARSER.error(problem)
     return CampaignConfig(
         name=args.campaign, params=params, out_dir=args.out, seed=args.seed
     )

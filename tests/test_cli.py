@@ -87,12 +87,27 @@ class TestParse:
             ["riccati", "--set", "k1=-1"],
             ["control-cost", "--set", "box=1e200"],
             ["harnack-integrated", "--set", "box=1e200"],
+            ["closed-form", "--set", "t_hi=1000.0"],  # beyond the exponential cap
+            ["closed-form", "--set", "t_hi=250"],  # beyond CASE1's hyperbolic cap
+            ["errata", "--set", "t_grid=[1000.0]"],
+            ["pde-harnack", "--set", "n_grid=16", "--set", 'scheme="strang"'],  # drift CFL
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         key = argv[-1].split("=")[0]
         assert f"{key}=" in capsys.readouterr().err  # the message names the key
+
+    def test_successive_parses_keep_their_values_apart(self):
+        first = cli.parse_cli(["riccati", "--set", "k1=3.5"])
+        second = cli.parse_cli(["riccati", "--set", "n_eval=11"])
+        assert (first.params["k1"], first.params["n_eval"]) == (3.5, 21)
+        assert (second.params["k1"], second.params["n_eval"]) == (1.0, 11)
+        assert cli.PARSER.get_default("set") == []
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_cli(["riccati", "--set", "k1=abc"])
+        assert exc.value.code == 2
+        assert cli.parse_cli(["riccati"]).params == cli.DEFAULTS["riccati"]
 
     @pytest.mark.parametrize(
         "argv", [["control-cost", "--seed", "-1"], ["harnack-integrated", "--seed", "-5"]]
@@ -116,6 +131,7 @@ class TestParse:
             ["pde-harnack", "--set", "region=[-2.0, 2.0, -2.0, 2.0]",
              "--set", "potential=\"zero\"", "--set", "scheme=strang"],
             ["pde-harnack", "--set", "region=[]", "--set", "n_grid=8"],
+            ["pde-harnack", "--set", "n_grid=8", "--set", "scheme=strang"],  # CFL 0.8
         ],
     )
     def test_valid_values_are_accepted(self, argv):

@@ -270,3 +270,30 @@ def test_cost_csv_header_and_vector_fields():
     lines = text.strip().split("\n")
     assert lines[0] == "s,t,x0,v0,x1,v1,cost,method,m,gap"
     assert "0.0;1.0" in lines[1]
+
+
+def per_cell_cost_csv(rows):
+    """cost_csv as it was written cell by cell: one array round trip per
+    endpoint, then one join of every row; the reference for the batched
+    writer."""
+    header = ["s", "t", "x0", "v0", "x1", "v1", "cost", "method", "m", "gap"]
+    lines = [",".join(header)]
+    for s, t, x0, v0, x1, v1, cost, method, m, gap in rows:
+        ends = [";".join(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
+                for a in (x0, v0, x1, v1)]
+        lines.append(",".join([repr(float(s)), repr(float(t)), *ends,
+                               repr(float(cost)), method, str(m), repr(float(gap))]))
+    return "\n".join(lines + [""])
+
+
+@pytest.mark.parametrize("sizes", [[], [1] * 7, [3] * 5, [1, 2, 3, 2], [0, 0]])
+def test_cost_csv_equals_per_cell_formatting(sizes):
+    # scalar endpoints, equal-size vectors, mixed sizes and no rows
+    rng = np.random.default_rng(len(sizes))
+    rows = []
+    for i, k in enumerate(sizes):
+        ends = [rng.uniform(-2, 2, k) for _ in range(4)]
+        if k == 1 and i % 2:
+            ends = [float(a[0]) for a in ends]  # plain floats, as the campaign passes
+        rows.append((0.0, 1.0, *ends, float(rng.uniform()), "transcribe", 32, 1e-300))
+    assert cost_csv(rows) == per_cell_cost_csv(rows)

@@ -1,5 +1,6 @@
 """Grid PDE tests: potentials, evolution ledger, Hessian checks."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -561,3 +562,15 @@ class TestSnapshots:
         assert np.array_equal(g.rho, f.rho)
         assert np.array_equal(g.xs, f.xs)
         assert g.t == f.t and g.t0 == f.t0
+
+    def test_csv_build_peaks_near_twice_its_text(self):
+        # the writer holds its text, the text's parts and one batch; formatting
+        # every value and row before one join peaked at 4.2 times the text
+        f = kernel_field(0.3, extent=4.0, n=256, sigma2=1.0)
+        tracemalloc.start()
+        try:
+            text = snapshot_csv(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), peak / len(text)
