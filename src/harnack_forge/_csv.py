@@ -5,7 +5,9 @@ literal that reads back exactly; numpy scalars never reach repr).
 Both functions work through batches of BATCH values or rows, so a writer
 holds at most its finished text, the text's parts and one batch: building
 a text of L characters peaks near 2 L, not the 4 L that formatting every
-value and every row before one join would take.
+value and every row before one join would take.  verifier_cli._write
+then writes the text in slices of WRITE_SLICE characters, so writing
+adds no copy of it.
 """
 
 from itertools import chain, islice

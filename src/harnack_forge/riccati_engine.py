@@ -49,11 +49,16 @@ class SymmetryDriftError(RuntimeError):
 
 
 class SingularityError(RuntimeError):
-    """A matrix that must be inverted is numerically singular."""
+    """A matrix that must be inverted is numerically singular.
 
-    def __init__(self, message, cond=None):
+    cond is its condition number; index is its position in the stack it
+    came from (None for a single matrix).
+    """
+
+    def __init__(self, message, cond=None, index=None):
         super().__init__(message)
         self.cond = cond
+        self.index = index
 
 
 class BlockSym2n:
@@ -276,6 +281,13 @@ def _resolution_problem(t_end, eval_times=()):
     return None
 
 
+def _tol_problem(tol):
+    """Why integrate_S cannot take the local error tolerance tol (None if it can)."""
+    if not (1e-14 < tol < 1e-2):
+        return f"tol={tol!r} must lie in (1e-14, 1e-2)"
+    return None
+
+
 def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     """Integrate S' = -CS - SC^T - D + SKS from S(0) = 0.
 
@@ -315,8 +327,9 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     K = _as_curvature(K)
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if not (1e-14 < tol < 1e-2):
-        raise ValueError(f"tol must lie in (1e-14, 1e-2), got {tol}")
+    problem = _tol_problem(tol)
+    if problem:
+        raise ValueError(problem)
     sp = build_structural(K.n)
     negC, CT, D, Km = -sp.C, sp.C.T, sp.D, K.K
 
@@ -559,12 +572,19 @@ def fundamental_M(K, t):
     return expm(ts[..., None, None] * H)
 
 
-def _singular_m3(M):
-    """Condition numbers, in stack order, of the lower-left M3 blocks of
-    M that S_from_M refuses to invert: those above 1e14, and NaN."""
+def _check_m3(M):
+    """Raise SingularityError for the first lower-left M3 block of M, in
+    stack order, that is not safe to invert: condition above 1e14, or NaN."""
     dim = M.shape[-1] // 2
     cond = np.linalg.cond(M[..., dim:, :dim])
-    return cond[~(cond <= 1e14)]
+    bad = np.flatnonzero(~(cond <= 1e14))
+    if bad.size:
+        k = int(bad[0])
+        c = float(cond.flat[k])
+        raise SingularityError(
+            f"M3 block numerically singular (condition {c:.3e})",
+            cond=c, index=k if M.ndim == 3 else None,
+        )
 
 
 def S_from_M(M):
@@ -585,7 +605,8 @@ def S_from_M(M):
     Raises
     ------
     SingularityError
-        For the first M3 block whose condition number exceeds 1e14.
+        For the first M3 block whose condition number exceeds 1e14; its
+        index is the block's position in the stack.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] % 4:
@@ -593,11 +614,7 @@ def S_from_M(M):
     dim = M.shape[-1] // 2
     M1 = M[..., :dim, :dim]
     M3 = M[..., dim:, :dim]
-    bad = _singular_m3(M)
-    if bad.size:
-        raise SingularityError(
-            f"M3 block numerically singular (condition {bad[0]:.3e})", cond=float(bad[0])
-        )
+    _check_m3(M)
     N = M1 @ np.linalg.inv(M3)
     if N.ndim == 2:
         return BlockSym2n(N, symmetrize=True)
@@ -699,12 +716,19 @@ def exponential_route_residual(K, M):
     M : (m, 4n, 4n) array_like
         fundamental_M(K, t_grid) of a grid of positive times, so that the
         same stack can also feed S_from_M.
+
+    Raises
+    ------
+    SingularityError
+        The error S_from_M raises on the same stack: for the first M3
+        block whose condition number exceeds 1e14.
     """
     K = _as_curvature(K)
     dim = 2 * K.n
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[1:] != (2 * dim, 2 * dim):
         raise ValueError(f"expected an (m, {2 * dim}, {2 * dim}) stack, got {M.shape}")
+    _check_m3(M)
     sp = build_structural(K.n)
     H = hamiltonian_matrix(K)
     Mdot = H @ M

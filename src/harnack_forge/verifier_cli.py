@@ -7,7 +7,8 @@ timestamp field.
 
 Exit codes: 0 all checks passed, 1 a numeric check failed, 2 usage
 error (including values of the wrong type, out of range, or inconsistent
-with each other), 3 internal error.
+with each other, and times whose exponential-route M3 block a campaign
+finds singular before it writes anything), 3 internal error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -105,11 +107,37 @@ POTENTIALS = {
 }
 
 
+# _write hands its text to the encoder this many characters at a time, so
+# writing holds one slice's encoding, not a second copy of the text.
+WRITE_SLICE = 1 << 16
+
+
+class UsageError(ValueError):
+    """A value that a campaign finds out of reach before it writes anything."""
+
+
 def _write(cfg, name, text):
     path = os.path.join(cfg.out_dir, name)
     with open(path, "w") as fh:
-        fh.write(text)
+        for start in range(0, len(text), WRITE_SLICE):
+            fh.write(text[start:start + WRITE_SLICE])
     return path
+
+
+@contextmanager
+def _reachable(values, times, k1, k2):
+    """Turn S_from_M's refusal of an M3 block at one of times into a
+    UsageError that names the values which chose the times, the curvature
+    pair, the time and the condition.  Every time is tested: the
+    condition of M3 is not monotone in t."""
+    try:
+        yield
+    except ric.SingularityError as exc:
+        raise UsageError(
+            f"{values} is out of reach for pair [{k1!r}, {k2!r}]: at "
+            f"t={float(times[exc.index]):.6g} the exponential route's M3 block is "
+            f"numerically singular (condition {exc.cond:.3e})"
+        ) from exc
 
 
 def _riccati_times(p):
@@ -120,17 +148,18 @@ def _campaign_riccati(cfg):
     p = cfg.params
     K = ric.CurvatureBound(k1=p["k1"], k2=p["k2"], n=int(p["n"]))
     times = _riccati_times(p)
+    M = ric.fundamental_M(K, times)  # one stack feeds both exponential audits
+    with _reachable(f"t_end={p['t_end']!r}", times, p["k1"], p["k2"]):
+        N_exps = [N.entries for N in ric.S_from_M(M)]
     traj = ric.integrate_S(K, p["t_end"], tol=p["tol"], eval_times=times)
     csv_path = _write(cfg, "riccati_trajectory.csv", ric.trajectory_to_csv(traj))
     states = np.array([S.entries for t, S in traj if t > 0])
     max_eig = float(np.linalg.eigvalsh(states)[:, -1].max())
     defect = ric.residual_defect(K, traj[:: max(1, len(traj) // 20)])
-    M = ric.fundamental_M(K, times)  # one stack feeds both exponential audits
     expo = ric.exponential_route_residual(K, M)
     dual_gap = 0.0
     # the CSV trajectory already holds every eval time: no second integration
     N_ints = ric.bound_N(K, times, trajectory=traj)
-    N_exps = [N.entries for N in ric.S_from_M(M)]
     for N_int, N_exp in zip(N_ints, N_exps):
         gap = np.abs(N_int.entries - N_exp).max() / (1 + np.abs(N_exp).max())
         dual_gap = max(dual_gap, float(gap))
@@ -147,10 +176,12 @@ def _campaign_riccati(cfg):
 def _campaign_closed_form(cfg):
     p = cfg.params
     times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
+    span = f"t_lo={p['t_lo']!r}, t_hi={p['t_hi']!r}"
     rows = []
     for k1, k2 in p["pairs"]:
         K = ric.CurvatureBound(k1=k1, k2=k2, n=1)
-        oracles = ric.S_from_M(ric.fundamental_M(K, times))
+        with _reachable(span, times, k1, k2):
+            oracles = ric.S_from_M(ric.fundamental_M(K, times))
         for t, oracle in zip(times, oracles):
             sf = closed_forms.eval_sfuncs(k1, k2, float(t))
             N_cf = closed_forms.assemble_bound(sf, n=1).entries
@@ -262,7 +293,8 @@ def _campaign_errata(cfg):
     p = cfg.params
     rows = []
     for k1, k2 in ERRATA_PAIRS:
-        rows.extend(closed_forms.reconcile(k1, k2, p["t_grid"]))
+        with _reachable(f"t_grid={p['t_grid']!r}", p["t_grid"], k1, k2):
+            rows.extend(closed_forms.reconcile(k1, k2, p["t_grid"]))
     csv_path = _write(cfg, "errata.csv", closed_forms.errata_csv(rows))
     case5 = [r for r in rows if r.regime == closed_forms.CASE5]
     ok = bool(case5) and all(
@@ -388,26 +420,23 @@ def _box_limit(name, p):
 def _riccati_problem(p):
     """Why the riccati campaign cannot run on p (None if it can).
 
-    k1 and k2 must be non-negative.  Beyond integrate_S's step floor,
-    the exponential route must invert the M3 block at the smallest eval
-    time, whose condition grows like t^-4; S_from_M's own test decides
-    that.  Only that time is checked: the check runs on every parse.
+    k1 and k2 must be non-negative, tol and t_end must suit integrate_S,
+    and t_end must stay under the exponential cap.  No exponential is
+    taken here: the campaign tests every M3 block of the fundamental_M
+    stack it computes anyway, before it writes anything.
     """
     if not min(p["k1"], p["k2"]) >= 0:
         return f"needs k1, k2 >= 0, got k1={p['k1']!r}, k2={p['k2']!r}"
-    times = _riccati_times(p)
-    problem = ric._resolution_problem(p["t_end"], times)
+    problem = ric._tol_problem(p["tol"])
+    if problem:
+        return problem
+    problem = ric._resolution_problem(p["t_end"], _riccati_times(p))
     if problem:
         return problem
     K = ric.CurvatureBound(k1=p["k1"], k2=p["k2"], n=int(p["n"]))
-    try:
-        bad = ric._singular_m3(ric.fundamental_M(K, times[:1]))
-    except OverflowError as exc:  # beyond the smallest time, so beyond t_end too
-        return f"t_end={p['t_end']!r}: the exponential route cannot reach it: {exc}"
-    if bad.size:
-        return (f"t_end={p['t_end']!r} cannot be resolved: at the smallest eval "
-                f"time t_end / n_eval = {times[0]:.3g} the exponential route's "
-                f"M3 block is numerically singular (condition {bad[0]:.3e})")
+    problem = ric._exp_cap_problem(ric.hamiltonian_matrix(K), [p["t_end"]])
+    if problem:
+        return f"t_end={p['t_end']!r}: the exponential route cannot reach it: {problem}"
     return None
 
 
@@ -545,7 +574,9 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 2
     try:
         report = run_campaign(cfg)
-    except OSError as exc:  # e.g. the output directory cannot be written
+    # OSError: e.g. the output directory cannot be written; UsageError: a
+    # requested time the exponential route cannot invert at
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - anything else is internal

@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import harnack_forge.riccati_engine as ric
 import harnack_forge.verifier_cli as cli
+from harnack_forge import closed_forms
 from harnack_forge.control_cost import ControlProblem, cost_csv, energy_cost, transcribe_cost
+from harnack_forge.kinetic_pde import kernel_field, snapshot_csv
 
 
 class TestParse:
@@ -91,6 +95,15 @@ class TestParse:
             ["closed-form", "--set", "t_hi=250"],  # beyond CASE1's hyperbolic cap
             ["errata", "--set", "t_grid=[1000.0]"],
             ["pde-harnack", "--set", "n_grid=16", "--set", 'scheme="strang"'],  # drift CFL
+            # M3 singular at some requested time (its condition is not monotone in t)
+            ["riccati", "--set", "t_end=30"],
+            ["riccati", "--set", "t_end=50"],
+            ["closed-form", "--set", "t_hi=30"],
+            ["closed-form", "--set", "t_hi=50"],
+            ["closed-form", "--set", "t_lo=1e-300"],
+            ["errata", "--set", "t_grid=[50.0]"],
+            ["errata", "--set", "t_grid=[1e-300]"],
+            ["riccati", "--set", "tol=1"],  # outside integrate_S's range
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -108,6 +121,38 @@ class TestParse:
             cli.parse_cli(["riccati", "--set", "k1=abc"])
         assert exc.value.code == 2
         assert cli.parse_cli(["riccati"]).params == cli.DEFAULTS["riccati"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["riccati", "--set", "t_end=30"],
+            ["closed-form", "--set", "t_hi=50"],
+            ["errata", "--set", "t_grid=[0.5,50.0]"],
+        ],
+    )
+    def test_unreachable_times_write_nothing(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "campaign, stacks", [("riccati", 1), ("closed-form", 5), ("errata", 2)]
+    )
+    def test_one_exponential_stack_per_pair(self, campaign, stacks, tmp_path, monkeypatch):
+        # the M3 test reads the stack each campaign computes anyway
+        calls = []
+        real = ric.fundamental_M
+
+        def counted(K, t):
+            calls.append(t)
+            return real(K, t)
+
+        monkeypatch.setattr(ric, "fundamental_M", counted)
+        monkeypatch.setattr(closed_forms, "fundamental_M", counted)
+        cfg = cli.parse_cli([campaign, "--out", str(tmp_path)])
+        assert calls == []
+        cli.run_campaign(cfg)
+        assert len(calls) == stacks
 
     @pytest.mark.parametrize(
         "argv", [["control-cost", "--seed", "-1"], ["harnack-integrated", "--seed", "-5"]]
@@ -227,6 +272,20 @@ class TestMain:
             rows = list(csv.DictReader(path.open()))
             assert all(np.isfinite(float(row["cost"])) for row in rows)
         assert cli.main(argv[:-1] + [f"box={box * (1 + 1e-15)!r}"]) == 2
+
+    def test_write_holds_a_slice_not_a_copy(self, tmp_path):
+        # one write of the whole text allocated its full encoding as well
+        text = snapshot_csv(kernel_field(0.3, extent=4.0, n=256, sigma2=1.0))
+        cfg = cli.CampaignConfig("pde-harnack", {}, str(tmp_path), 0)
+        tracemalloc.start()
+        try:
+            path = cli._write(cfg, "final_field.csv", text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * len(text), peak / len(text)
+        with open(path, "rb") as fh:
+            assert fh.read() == text.encode()
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # an impossible tolerance turns agreement into a reported failure

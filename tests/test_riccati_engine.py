@@ -318,6 +318,19 @@ class TestHamiltonianRoute:
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
         assert exponential_route_residual(K, fundamental_M(K, [0.3, 0.9, 1.8])) < 1e-10
 
+    def test_exponential_route_residual_refuses_what_s_from_m_refuses(self):
+        # at t = 50 the M3 block of (1, 2) is too ill-conditioned to invert;
+        # both routes raise the same error instead of numpy's LinAlgError
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        M = fundamental_M(K, [1.0, 50.0])
+        with pytest.raises(SingularityError) as residual:
+            exponential_route_residual(K, M)
+        with pytest.raises(SingularityError) as oracle:
+            S_from_M(M)
+        assert str(residual.value) == str(oracle.value)
+        assert residual.value.cond == oracle.value.cond > 1e14
+        assert residual.value.index == oracle.value.index == 1
+
 
 class TestComparison:
     def test_ordered_pair_holds(self):
