@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csv
-from .riccati_engine import BlockSym2n, CurvatureBound, S_from_M, fundamental_M
+from .riccati_engine import BlockSym2n, CapError, CurvatureBound, InputError
+from .riccati_engine import S_from_M, fundamental_M
 
 HYP_ARG_CAP = 700.0
 EQ_TOL_DEFAULT = 1e-12
@@ -43,7 +44,7 @@ PRINTED = "PRINTED"
 ORACLE_CALIBRATED = "ORACLE_CALIBRATED"
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """s0 <= 0: the time lies outside the validity window, or inside it
     where the closed form has cancelled to no precision at all."""
 
@@ -111,21 +112,14 @@ def classify(k1, k2, eq_tol=EQ_TOL_DEFAULT):
     )
 
 
-def _arg_cap_problem(regime, t):
-    """Why the closed forms of regime are refused at time t (None if not)."""
+def _check_arg_cap(regime, t):
+    """Raise CapError if the closed forms of regime overflow at time t."""
     # the s0' formulas double the fastest rate (cosh(2*rate*t) terms),
     # so the doubled argument is what must stay under the exp cap
     arg = 2.0 * max(regime.params.values(), default=0.0) * t
     if arg > HYP_ARG_CAP:
-        return (f"hyperbolic argument {arg:.3g} exceeds cap {HYP_ARG_CAP:g} "
-                f"for regime {regime.tag} at t={t:.6g}")
-    return None
-
-
-def _check_arg_cap(regime, t):
-    problem = _arg_cap_problem(regime, t)
-    if problem:
-        raise OverflowError(problem)
+        raise CapError(f"hyperbolic argument {arg:.3g} exceeds cap {HYP_ARG_CAP:g} "
+                       f"for regime {regime.tag} at t={t:.6g}")
 
 
 def _raw_sfuncs(regime, t):
@@ -177,9 +171,20 @@ def _raw_sfuncs(regime, t):
 def eval_sfuncs(k1, k2, t, eq_tol=EQ_TOL_DEFAULT):
     """Evaluate (s0, s1, s2, s0') at time t with the corrected formulas.
 
-    Raises DomainError if s0 evaluates nonpositive (outside the validity
-    window).  The formulas cancel catastrophically as t -> 0; below
-    t ~ 1e-3 use the Riccati expansion path instead.
+    The formulas cancel catastrophically as t -> 0; below t ~ 1e-3 use
+    the Riccati expansion path instead.
+
+    Raises
+    ------
+    ValueError
+        If t is not positive.
+    CapError
+        An InputError and an OverflowError: twice the regime's fastest
+        rate times t exceeds HYP_ARG_CAP, where the hyperbolic functions
+        would overflow.
+    DomainError
+        An InputError: s0 evaluates nonpositive, outside the validity
+        window or where the closed form has cancelled to no precision.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")

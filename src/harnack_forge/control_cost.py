@@ -23,6 +23,7 @@ can audit the others.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
@@ -30,6 +31,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _csv
+from .riccati_engine import InputError
 
 ENDPOINT_TOL = 1e-9
 
@@ -126,7 +128,19 @@ class ControlPath:
 
 
 def _gram_matrix(tau):
-    return np.array([[tau**3 / 3.0, tau**2 / 2.0], [tau**2 / 2.0, tau]])
+    """Controllability Gramian W(tau) of the double integrator.
+
+    Raises InputError when tau^3 overflows or underflows to 0: W(tau) is
+    then not finite, or singular.
+    """
+    try:
+        cube = tau**3
+    except OverflowError:  # Python floats raise where numpy gives inf
+        cube = math.inf
+    if not 0.0 < cube < math.inf:
+        raise InputError(f"tau={tau!r}: the Gramian entry tau^3 / 3 is not a "
+                         "positive finite float")
+    return np.array([[cube / 3.0, tau**2 / 2.0], [tau**2 / 2.0, tau]])
 
 
 def _gramian_costs(tau, x0, v0, x1, v1):

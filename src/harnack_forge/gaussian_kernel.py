@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+import sys
+
 import numpy as np
 
-from .riccati_engine import BlockSym2n, CurvatureBound, bound_N
+from .riccati_engine import BlockSym2n, CurvatureBound, InputError, bound_N
 
 SPD_TOL = 1e-12
 
@@ -57,12 +60,24 @@ class GaussianState:
 
 
 def free_covariance(t, n=1):
-    """Kernel covariance Sigma(t) of the zero-potential equation."""
+    """Kernel covariance Sigma(t) of the zero-potential equation.
+
+    Raises InputError when t^3 overflows, or is so small that the
+    largest entry 6 / t^3 of Sigma(t)^{-1} overflows: Sigma(t) is then
+    not a positive definite matrix of finite floats with a finite inverse.
+    """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    try:
+        cube = t**3
+    except OverflowError:  # Python floats raise where numpy gives inf
+        cube = math.inf
+    if not 6.0 / sys.float_info.max < cube < math.inf:
+        raise InputError(f"t={t!r}: the kernel covariance, with entries up to "
+                         "2 t^3 / 3 and inverse entries up to 6 / t^3, overflows")
     I = np.eye(n)
     return np.block(
-        [[2.0 * t**3 / 3.0 * I, t**2 * I], [t**2 * I, 2.0 * t * I]]
+        [[2.0 * cube / 3.0 * I, t**2 * I], [t**2 * I, 2.0 * t * I]]
     )
 
 

@@ -40,23 +40,24 @@ import numpy as np
 
 from . import _csv
 from .closed_forms import assemble_bound, eval_sfuncs
-from .riccati_engine import BlockSym2n, CurvatureBound, bound_N
+from .riccati_engine import BlockSym2n, CurvatureBound, InputError, bound_N
 
 BOUNDARY_LEAK_WARN = 1e-4
 LEDGER_TOL = 1e-10
 FLOOR_FRAC_DEFAULT = 1e-12
 CURVATURE_FEAS_TOL = 1e-10
 MIN_GRID_CELLS = 8
-# evolve's default number of strang chunks
-STRANG_CHUNKS = 2
 
 
-class CFLError(RuntimeError):
+class CFLError(RuntimeError, InputError):
     """Requested step violates the advective CFL restriction."""
 
 
-class UntestableRegionError(RuntimeError):
-    """No grid point passed the density-floor precondition."""
+class UntestableRegionError(RuntimeError, InputError):
+    """No grid point passed the density-floor precondition.
+
+    An input error: no check ran, so there is no verdict to report.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +399,18 @@ def _diffuse_v(shape, dv, dt, nsub=1):
     transport keep them non-negative, GridField clamps them) that term
     is +0 and x - 0 == x exactly, so dropping it changes no bit.  For a
     negative input the two could differ in the sign of a zero.
+
+    Raises InputError when the diffusion number r = (dt / nsub) / dv^2 is
+    not a positive finite float (dv^2 overflows or underflows).
     """
     nx, nv = shape
-    r = (dt / nsub) / dv**2
+    try:
+        r = (dt / nsub) / dv**2
+    except ArithmeticError:  # Python floats raise where numpy gives inf
+        r = 0.0
+    if not 0.0 < r < np.inf:
+        raise InputError(f"the diffusion number dt / dv^2 at dt={dt / nsub:.3g}, "
+                         f"dv={dv:.3g} is not a positive finite float")
     d, l = _tridiag_lu(nv, r)
     # Row views and 0-d coefficient arrays are built once: with them and
     # a positional out, each ufunc call of the sweep is cheapest.
@@ -466,16 +476,6 @@ def cfl_rates(field, potential):
     return _courant_rates(field.xs, field.vs, potential.grad_v(*field.meshes()))
 
 
-def _strang_drift_problem(rate_v, span, chunks):
-    """Why strang cannot step a drift of unit-time Courant rate rate_v over
-    span in `chunks` chunks (None if it can): its upwind drift substep
-    must satisfy CFL at the chunk size."""
-    delta = span / chunks
-    if rate_v * delta > 1.0 + 1e-12:
-        return f"drift CFL {rate_v * delta:.3g} > 1 at chunk size {delta:.3e}"
-    return None
-
-
 def evolve(
     field,
     potential,
@@ -483,7 +483,7 @@ def evolve(
     scheme="lie",
     cfl_limit=0.9,
     dt=None,
-    chunks=STRANG_CHUNKS,
+    chunks=2,
     diffusion_substeps=16,
 ):
     """Advance a grid field to absolute time t1.
@@ -499,6 +499,17 @@ def evolve(
     chunk size.
 
     Returns (GridField at t1, EvolveReport).
+
+    Raises
+    ------
+    CFLError
+        An InputError: an explicit lie dt exceeds the CFL limit, or the
+        strang drift's Courant number exceeds 1 at the chunk size.
+    InputError
+        If the diffusion number dt / dv^2 is not a positive finite float.
+    ValueError
+        If t1 does not exceed field.t, or the scheme, dt or chunks are
+        invalid.
     """
     if not t1 > field.t:
         raise ValueError(f"t1={t1} must exceed the field time {field.t}")
@@ -561,9 +572,9 @@ def evolve(
         if chunks < 1:
             raise ValueError("chunks must be >= 1")
         delta = T / chunks
-        problem = _strang_drift_problem(rate_v, T, chunks)
-        if problem:
-            raise CFLError(f"{problem}; increase chunks for potentials with drift")
+        if rate_v * delta > 1.0 + 1e-12:
+            raise CFLError(f"drift CFL {rate_v * delta:.3g} > 1 at chunk size "
+                           f"{delta:.3e}; increase chunks for potentials with drift")
         diffuse = _diffuse_v(
             field.rho.shape, field.dv, delta, nsub=diffusion_substeps
         )

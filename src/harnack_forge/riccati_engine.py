@@ -34,6 +34,18 @@ STEP_FLOOR = 1e-14
 MERGE_TOL = 1e-15
 
 
+class InputError(ValueError):
+    """An input outside the domain of the routine that refuses it.
+
+    Each routine raises it, or a subclass, before it takes the work the
+    input would break; any other error is a fault of the computation.
+    """
+
+
+class CapError(OverflowError, InputError):
+    """A time past the cap beyond which double exponentials overflow."""
+
+
 class StepUnderflowError(RuntimeError):
     """Adaptive step size collapsed; carries the last time reached."""
 
@@ -59,6 +71,11 @@ class SingularityError(RuntimeError):
         super().__init__(message)
         self.cond = cond
         self.index = index
+
+
+class M3SingularityError(SingularityError, InputError):
+    """The M3 block of a fundamental matrix is too ill-conditioned to invert:
+    the exponential route cannot reach that time."""
 
 
 class BlockSym2n:
@@ -247,8 +264,8 @@ _DP_E = _DP_A[6] - np.array(
 )
 
 
-def _resolution_problem(t_end, eval_times=()):
-    """Why integrate_S cannot resolve t_end or an eval time (None if it can).
+def _check_resolution(t_end, eval_times):
+    """Raise InputError unless integrate_S can resolve t_end and eval_times.
 
     No step is shorter than the floor STEP_FLOOR * max(t_end, 1).  The
     first step, min(1e-3, t_end / 10), must clear it, and so must the
@@ -261,31 +278,25 @@ def _resolution_problem(t_end, eval_times=()):
     floor = STEP_FLOOR * max(t_end, 1.0)
     first = min(1e-3, t_end / 10.0)
     if first < floor:
-        return (f"t_end={t_end!r} cannot be resolved: the first step {first:.3g} "
-                f"falls under the step floor {floor:.3g}")
+        raise InputError(f"t_end={t_end!r} cannot be resolved: the first step "
+                         f"{first:.3g} falls under the step floor {floor:.3g}")
     times = sorted(float(t) for t in eval_times)
     small = [t for t in times if t < floor]
     if small:
-        return (f"eval time t={small[0]!r} cannot be resolved at t_end={t_end!r}: "
-                f"it lies under the step floor {floor:.3g}")
+        raise InputError(f"eval time t={small[0]!r} cannot be resolved at "
+                         f"t_end={t_end!r}: it lies under the step floor {floor:.3g}")
     landed = 0.0  # the time integrate_S last landed on, as its loop tracks it
     for t in times:
         if landed >= t - MERGE_TOL:
             continue
         if t - landed < floor:
-            return (f"eval times t={landed!r} and t={t!r} cannot both be resolved "
-                    f"at t_end={t_end!r}: they are {t - landed:.3g} apart, under the "
-                    f"step floor {floor:.3g}, and more than {MERGE_TOL:g} apart, "
-                    "so they do not merge")
+            raise InputError(
+                f"eval times t={landed!r} and t={t!r} cannot both be resolved "
+                f"at t_end={t_end!r}: they are {t - landed:.3g} apart, under the "
+                f"step floor {floor:.3g}, and more than {MERGE_TOL:g} apart, "
+                "so they do not merge"
+            )
         landed = t
-    return None
-
-
-def _tol_problem(tol):
-    """Why integrate_S cannot take the local error tolerance tol (None if it can)."""
-    if not (1e-14 < tol < 1e-2):
-        return f"tol={tol!r} must lie in (1e-14, 1e-2)"
-    return None
 
 
 def integrate_S(K, t_end, tol=1e-10, eval_times=None):
@@ -313,12 +324,14 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
 
     Raises
     ------
+    InputError
+        If tol lies outside (1e-14, 1e-2), or t_end or an eval time cannot
+        be resolved from the step floor STEP_FLOOR * max(t_end, 1): the
+        first step min(1e-3, t_end / 10) or the smallest eval time lies
+        under it, or two eval times are closer than the floor but more
+        than MERGE_TOL apart (the message names both).
     ValueError
-        If t_end or an eval time cannot be resolved from the step floor
-        STEP_FLOOR * max(t_end, 1): the first step min(1e-3, t_end / 10)
-        or the smallest eval time lies under it, or two eval times are
-        closer than the floor but more than MERGE_TOL apart (the message
-        names both).
+        If t_end is not positive or an eval time lies outside (0, t_end].
     StepUnderflowError
         If the step size collapses (stiff blow-up).
     SymmetryDriftError
@@ -327,9 +340,8 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     K = _as_curvature(K)
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    problem = _tol_problem(tol)
-    if problem:
-        raise ValueError(problem)
+    if not (1e-14 < tol < 1e-2):
+        raise InputError(f"tol={tol!r} must lie in (1e-14, 1e-2)")
     sp = build_structural(K.n)
     negC, CT, D, Km = -sp.C, sp.C.T, sp.D, K.K
 
@@ -337,9 +349,7 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     targets = sorted({float(t_end)} | {float(t) for t in extra})
     if targets[0] <= 0 or targets[-1] > t_end:
         raise ValueError("eval_times must lie in (0, t_end]")
-    problem = _resolution_problem(t_end, targets)
-    if problem:
-        raise ValueError(problem)
+    _check_resolution(t_end, targets)
     floor = STEP_FLOOR * max(t_end, 1.0)
 
     dim = 2 * K.n
@@ -519,17 +529,6 @@ def hamiltonian_matrix(K):
     return H
 
 
-def _exp_cap_problem(H, t):
-    """Why exp(t H) is refused at some time of t (None if it is not): the
-    first |t| ||H||_2 above EXP_ARG_CAP, where double exponentials would
-    overflow.  It needs no exponential, so a caller may ask it first."""
-    spread = np.abs(t) * float(np.linalg.norm(H, 2))
-    over = spread[spread > EXP_ARG_CAP]
-    if over.size:
-        return f"|t|*||H|| = {over[0]:.3g} exceeds the exponential cap {EXP_ARG_CAP:g}"
-    return None
-
-
 def fundamental_M(K, t):
     """Fundamental matrix M(t) = exp(t H) by scaling-and-squaring.
 
@@ -549,9 +548,10 @@ def fundamental_M(K, t):
     ------
     ValueError
         If a time is not finite.
-    OverflowError
-        If |t| ||H||_2 exceeds EXP_ARG_CAP at some time: double
-        exponentials would overflow there, so no Inf is returned.
+    CapError
+        An InputError and an OverflowError: |t| ||H||_2 exceeds
+        EXP_ARG_CAP at some time, where double exponentials would
+        overflow, so no Inf is returned.  No exponential is taken first.
     """
     K = _as_curvature(K)
     ts = np.asarray(t, dtype=float)
@@ -561,9 +561,12 @@ def fundamental_M(K, t):
     if bad.size:
         raise ValueError(f"t must be finite, got {bad[0]}")
     H = hamiltonian_matrix(K)
-    problem = _exp_cap_problem(H, ts)
-    if problem:
-        raise OverflowError(problem)
+    spread = np.abs(ts) * float(np.linalg.norm(H, 2))
+    over = spread[spread > EXP_ARG_CAP]
+    if over.size:
+        raise CapError(
+            f"|t|*||H|| = {over[0]:.3g} exceeds the exponential cap {EXP_ARG_CAP:g}"
+        )
     # scipy.linalg is imported here, not at module top: its import costs
     # more than the numpy-only campaigns (control-cost, harnack-integrated,
     # kernel-sharpness) spend on everything else, and they never call it.
@@ -573,7 +576,7 @@ def fundamental_M(K, t):
 
 
 def _check_m3(M):
-    """Raise SingularityError for the first lower-left M3 block of M, in
+    """Raise M3SingularityError for the first lower-left M3 block of M, in
     stack order, that is not safe to invert: condition above 1e14, or NaN."""
     dim = M.shape[-1] // 2
     cond = np.linalg.cond(M[..., dim:, :dim])
@@ -581,7 +584,7 @@ def _check_m3(M):
     if bad.size:
         k = int(bad[0])
         c = float(cond.flat[k])
-        raise SingularityError(
+        raise M3SingularityError(
             f"M3 block numerically singular (condition {c:.3e})",
             cond=c, index=k if M.ndim == 3 else None,
         )
@@ -604,9 +607,11 @@ def S_from_M(M):
 
     Raises
     ------
-    SingularityError
-        For the first M3 block whose condition number exceeds 1e14; its
-        index is the block's position in the stack.
+    M3SingularityError
+        An InputError and a SingularityError, for the first M3 block
+        whose condition number exceeds 1e14 (or is NaN); its index is the
+        block's position in the stack.  The condition is not monotone in
+        t, so every block is tested.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] % 4:
@@ -719,7 +724,7 @@ def exponential_route_residual(K, M):
 
     Raises
     ------
-    SingularityError
+    M3SingularityError
         The error S_from_M raises on the same stack: for the first M3
         block whose condition number exceeds 1e14.
     """

@@ -6,9 +6,11 @@ Reports are deterministic for a fixed seed and configuration modulo the
 timestamp field.
 
 Exit codes: 0 all checks passed, 1 a numeric check failed, 2 usage
-error (including values of the wrong type, out of range, or inconsistent
-with each other, and times whose exponential-route M3 block a campaign
-finds singular before it writes anything), 3 internal error.
+error (values of the wrong type, out of range or inconsistent with each
+other, found while parsing, and values that a library routine refuses
+as outside its domain with riccati_engine.InputError, which every
+routine raises before any artifact is written, so an exit 2 leaves no
+output directory behind), 3 internal error (anything else).
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ DEFAULTS = {
 POSITIVE_KEYS = {"n", "n_eval", "n_t", "n_grid", "n_pairs", "m", "t_end", "t_lo",
                  "t_hi", "t0", "t1", "t", "tol", "rel_tol", "tolerance", "extent",
                  "sigma2", "box"}
+NON_NEGATIVE_KEYS = {"k1", "k2"}
 
 # Every cost and log-density a control-cost or harnack-integrated draw
 # produces is a quadratic form in the draw; a box keeps each form under
@@ -112,11 +115,8 @@ POTENTIALS = {
 WRITE_SLICE = 1 << 16
 
 
-class UsageError(ValueError):
-    """A value that a campaign finds out of reach before it writes anything."""
-
-
 def _write(cfg, name, text):
+    os.makedirs(cfg.out_dir, exist_ok=True)  # here, so a refused run makes none
     path = os.path.join(cfg.out_dir, name)
     with open(path, "w") as fh:
         for start in range(0, len(text), WRITE_SLICE):
@@ -125,33 +125,29 @@ def _write(cfg, name, text):
 
 
 @contextmanager
-def _reachable(values, times, k1, k2):
-    """Turn S_from_M's refusal of an M3 block at one of times into a
-    UsageError that names the values which chose the times, the curvature
-    pair, the time and the condition.  Every time is tested: the
-    condition of M3 is not monotone in t."""
+def _refused(p, keys, pair=None, times=None):
+    """Re-raise an InputError from the block with the values of keys, the
+    settings that chose the refused input, in front, then the curvature
+    pair and, for a refused M3 block of a stack over times, its time."""
     try:
         yield
-    except ric.SingularityError as exc:
-        raise UsageError(
-            f"{values} is out of reach for pair [{k1!r}, {k2!r}]: at "
-            f"t={float(times[exc.index]):.6g} the exponential route's M3 block is "
-            f"numerically singular (condition {exc.cond:.3e})"
-        ) from exc
-
-
-def _riccati_times(p):
-    return np.linspace(p["t_end"] / p["n_eval"], p["t_end"], int(p["n_eval"]))
+    except ric.InputError as exc:
+        where = ", ".join(f"{key}={p[key]!r}" for key in keys)
+        if pair is not None:
+            where += f" for pair [{pair[0]!r}, {pair[1]!r}]"
+        if isinstance(exc, ric.M3SingularityError) and times is not None:
+            where += f" at t={float(times[exc.index]):.6g}"
+        raise ric.InputError(f"{where}: {exc}") from exc
 
 
 def _campaign_riccati(cfg):
     p = cfg.params
     K = ric.CurvatureBound(k1=p["k1"], k2=p["k2"], n=int(p["n"]))
-    times = _riccati_times(p)
-    M = ric.fundamental_M(K, times)  # one stack feeds both exponential audits
-    with _reachable(f"t_end={p['t_end']!r}", times, p["k1"], p["k2"]):
+    times = np.linspace(p["t_end"] / p["n_eval"], p["t_end"], int(p["n_eval"]))
+    with _refused(p, ("k1", "k2", "t_end", "tol"), times=times):
+        M = ric.fundamental_M(K, times)  # one stack feeds both exponential audits
         N_exps = [N.entries for N in ric.S_from_M(M)]
-    traj = ric.integrate_S(K, p["t_end"], tol=p["tol"], eval_times=times)
+        traj = ric.integrate_S(K, p["t_end"], tol=p["tol"], eval_times=times)
     csv_path = _write(cfg, "riccati_trajectory.csv", ric.trajectory_to_csv(traj))
     states = np.array([S.entries for t, S in traj if t > 0])
     max_eig = float(np.linalg.eigvalsh(states)[:, -1].max())
@@ -176,14 +172,13 @@ def _campaign_riccati(cfg):
 def _campaign_closed_form(cfg):
     p = cfg.params
     times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
-    span = f"t_lo={p['t_lo']!r}, t_hi={p['t_hi']!r}"
     rows = []
     for k1, k2 in p["pairs"]:
         K = ric.CurvatureBound(k1=k1, k2=k2, n=1)
-        with _reachable(span, times, k1, k2):
+        with _refused(p, ("pairs", "t_lo", "t_hi"), (k1, k2), times):
             oracles = ric.S_from_M(ric.fundamental_M(K, times))
-        for t, oracle in zip(times, oracles):
-            sf = closed_forms.eval_sfuncs(k1, k2, float(t))
+            sfs = [closed_forms.eval_sfuncs(k1, k2, float(t)) for t in times]
+        for t, oracle, sf in zip(times, oracles, sfs):
             N_cf = closed_forms.assemble_bound(sf, n=1).entries
             N_or = oracle.entries
             scale = float(np.abs(N_or).max())
@@ -206,9 +201,10 @@ def _campaign_kernel_sharpness(cfg):
     times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
     n = int(p["n"])
     x0 = np.zeros(n)
-    gaps = gaussian_kernel.sharpness_gap(
-        [gaussian_kernel.kernel_state(x0, x0, float(t)) for t in times]
-    )
+    with _refused(p, ("t_lo", "t_hi")):
+        gaps = gaussian_kernel.sharpness_gap(
+            [gaussian_kernel.kernel_state(x0, x0, float(t)) for t in times]
+        )
     text = _csv.csv_text(
         ["t", "n", "gap"], [_csv.floats(times), repeat(str(n)), _csv.floats(gaps)]
     )
@@ -220,18 +216,20 @@ def _campaign_kernel_sharpness(cfg):
 def _campaign_pde_harnack(cfg):
     p = cfg.params
     pot = POTENTIALS[p["potential"]]()
-    field = kinetic_pde.kernel_field(
-        p["t0"], extent=p["extent"], n=int(p["n_grid"]), sigma2=p["sigma2"]
-    )
-    field, evo = kinetic_pde.evolve(field, pot, p["t1"], scheme=p["scheme"])
     region = tuple(p["region"]) if p.get("region") else None
     K = kinetic_pde.curvature_of(pot)
-    mrep = kinetic_pde.verify_matrix_harnack(
-        field, pot, curvature=K, tolerance=p["tolerance"], region=region
-    )
-    srep = kinetic_pde.verify_scalar_harnack(
-        field, pot, curvature=K, tolerance=p["tolerance"], region=region
-    )
+    keys = ("scheme", "potential", "t0", "t1", "n_grid", "extent", "sigma2", "region")
+    with _refused(p, keys):
+        field = kinetic_pde.kernel_field(
+            p["t0"], extent=p["extent"], n=int(p["n_grid"]), sigma2=p["sigma2"]
+        )
+        field, evo = kinetic_pde.evolve(field, pot, p["t1"], scheme=p["scheme"])
+        mrep = kinetic_pde.verify_matrix_harnack(
+            field, pot, curvature=K, tolerance=p["tolerance"], region=region
+        )
+        srep = kinetic_pde.verify_scalar_harnack(
+            field, pot, curvature=K, tolerance=p["tolerance"], region=region
+        )
     files = [_write(cfg, "final_field.csv", kinetic_pde.snapshot_csv(field))]
     files.extend(
         kinetic_pde.save_snapshot(field, os.path.join(cfg.out_dir, "final_field"))
@@ -261,7 +259,8 @@ def _campaign_control_cost(cfg):
     # one problem; both routes are batch invariant, so every pair gets the
     # bits it would get priced alone
     prob = control_cost.ControlProblem.make(s, t, *rows.T)
-    exact = control_cost._gramian_costs(prob.tau, prob.x0, prob.v0, prob.x1, prob.v1)
+    with _refused(p, ("s", "t")):
+        exact = control_cost._gramian_costs(prob.tau, prob.x0, prob.v0, prob.x1, prob.v1)
     controls = control_cost.transcribe_cost(prob, m=m).path.controls
     # summed over its contiguous row, as the lone pair's cost is summed
     trans = 0.25 * (prob.tau / m) * np.sum(np.ascontiguousarray(controls.T) ** 2, axis=1)
@@ -277,9 +276,10 @@ def _campaign_control_cost(cfg):
 
 def _campaign_harnack_integrated(cfg):
     p = cfg.params
-    rep = control_cost.verify_harnack_kernel(
-        p["s"], p["t"], n_pairs=int(p["n_pairs"]), seed=cfg.seed, box=p["box"]
-    )
+    with _refused(p, ("s", "t")):
+        rep = control_cost.verify_harnack_kernel(
+            p["s"], p["t"], n_pairs=int(p["n_pairs"]), seed=cfg.seed, box=p["box"]
+        )
     metrics = {
         "min_ratio": rep.min_ratio,
         "min_pair": list(rep.min_pair),
@@ -293,7 +293,7 @@ def _campaign_errata(cfg):
     p = cfg.params
     rows = []
     for k1, k2 in ERRATA_PAIRS:
-        with _reachable(f"t_grid={p['t_grid']!r}", p["t_grid"], k1, k2):
+        with _refused(p, ("t_grid",), (k1, k2), p["t_grid"]):
             rows.extend(closed_forms.reconcile(k1, k2, p["t_grid"]))
     csv_path = _write(cfg, "errata.csv", closed_forms.errata_csv(rows))
     case5 = [r for r in rows if r.regime == closed_forms.CASE5]
@@ -316,7 +316,6 @@ RUNNERS = {
 
 def run_campaign(cfg):
     """Run one campaign; returns the report dict (also written to disk)."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     metrics, files, passed = RUNNERS[cfg.name](cfg)
     report = {
         "campaign": cfg.name,
@@ -386,6 +385,8 @@ def _value_problem(key, value, default):
         return "expected a finite number"
     if key in POSITIVE_KEYS and value <= 0:
         return "expected a positive value"
+    if key in NON_NEGATIVE_KEYS and value < 0:
+        return "expected a non-negative value"
     return None
 
 
@@ -417,66 +418,8 @@ def _box_limit(name, p):
     return math.sqrt(FORM_CAP / scale) if scale > 0 else 0.0
 
 
-def _riccati_problem(p):
-    """Why the riccati campaign cannot run on p (None if it can).
-
-    k1 and k2 must be non-negative, tol and t_end must suit integrate_S,
-    and t_end must stay under the exponential cap.  No exponential is
-    taken here: the campaign tests every M3 block of the fundamental_M
-    stack it computes anyway, before it writes anything.
-    """
-    if not min(p["k1"], p["k2"]) >= 0:
-        return f"needs k1, k2 >= 0, got k1={p['k1']!r}, k2={p['k2']!r}"
-    problem = ric._tol_problem(p["tol"])
-    if problem:
-        return problem
-    problem = ric._resolution_problem(p["t_end"], _riccati_times(p))
-    if problem:
-        return problem
-    K = ric.CurvatureBound(k1=p["k1"], k2=p["k2"], n=int(p["n"]))
-    problem = ric._exp_cap_problem(ric.hamiltonian_matrix(K), [p["t_end"]])
-    if problem:
-        return f"t_end={p['t_end']!r}: the exponential route cannot reach it: {problem}"
-    return None
-
-
-def _strang_problem(p):
-    """Why strang cannot run pde-harnack on p (None if it can): evolve's
-    test of the drift CFL at its default chunk count, which the CLI does
-    not expose, on the grid the campaign builds."""
-    xs = kinetic_pde.make_grid(p["extent"], int(p["n_grid"]))
-    speed = POTENTIALS[p["potential"]]().grad_v(*np.meshgrid(xs, xs, indexing="ij"))
-    _, rate_v = kinetic_pde._courant_rates(xs, xs, speed)
-    problem = kinetic_pde._strang_drift_problem(
-        rate_v, p["t1"] - float(p["t0"]), kinetic_pde.STRANG_CHUNKS
-    )
-    if problem:
-        return (f"scheme={p['scheme']!r} with potential={p['potential']!r}: {problem} "
-                f"in the campaign's {kinetic_pde.STRANG_CHUNKS} chunks; use scheme=lie "
-                "or potential=zero")
-    return None
-
-
-def _cap_problem(pairs, t):
-    """Why the exponential route or the closed forms cannot reach time t
-    for some curvature pair (None if both can).  Both caps grow with t,
-    so a campaign's largest time decides, and no exponential is taken."""
-    for k1, k2 in pairs:
-        K = ric.CurvatureBound(k1=k1, k2=k2, n=1)
-        problem = ric._exp_cap_problem(ric.hamiltonian_matrix(K), [t]) or (
-            closed_forms._arg_cap_problem(closed_forms.classify(k1, k2), t)
-        )
-        if problem:
-            return f"pair [{k1!r}, {k2!r}]: {problem}"
-    return None
-
-
 def _campaign_problem(name, p):
     """Why the values of one campaign do not fit together (None if they do)."""
-    if name == "riccati":
-        problem = _riccati_problem(p)
-        if problem:
-            return problem
     if "t_lo" in p and not p["t_lo"] <= p["t_hi"]:
         return f"needs t_lo <= t_hi, got t_lo={p['t_lo']!r}, t_hi={p['t_hi']!r}"
     if name == "pde-harnack" and p["potential"] not in POTENTIALS:
@@ -488,14 +431,6 @@ def _campaign_problem(name, p):
     cells = kinetic_pde.MIN_GRID_CELLS
     if name == "pde-harnack" and p["n_grid"] < cells:
         return f"needs n_grid >= {cells}, got n_grid={p['n_grid']!r}"
-    if name == "pde-harnack" and p["scheme"] == "strang":
-        problem = _strang_problem(p)
-        if problem:
-            return problem
-    if name == "closed-form" and (problem := _cap_problem(p["pairs"], p["t_hi"])):
-        return f"t_hi={p['t_hi']!r} is out of reach for {problem}"
-    if name == "errata" and (problem := _cap_problem(ERRATA_PAIRS, max(p["t_grid"]))):
-        return f"t_grid={p['t_grid']!r} is out of reach for {problem}"
     if name == "control-cost" and p["m"] < 2:
         return f"needs m >= 2, got m={p['m']!r}"
     if name == "control-cost" and not p["s"] < p["t"]:
@@ -574,9 +509,9 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 2
     try:
         report = run_campaign(cfg)
-    # OSError: e.g. the output directory cannot be written; UsageError: a
-    # requested time the exponential route cannot invert at
-    except (OSError, UsageError) as exc:
+    # OSError: e.g. the output directory cannot be written; InputError: a
+    # value outside the domain of the routine it reaches
+    except (OSError, ric.InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - anything else is internal

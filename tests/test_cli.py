@@ -104,12 +104,29 @@ class TestParse:
             ["errata", "--set", "t_grid=[50.0]"],
             ["errata", "--set", "t_grid=[1e-300]"],
             ["riccati", "--set", "tol=1"],  # outside integrate_S's range
+            # a float that overflows or underflows where it enters the library
+            ["kernel-sharpness", "--set", "t_lo=1e-300"],  # kernel covariance
+            ["kernel-sharpness", "--set", "t_hi=1e300"],
+            ["control-cost", "--set", "t=1e300"],  # controllability Gramian
+            ["harnack-integrated", "--set", "t=1e300"],
+            ["pde-harnack", "--set", "extent=1e-300"],  # diffusion number dt / dv^2
+            ["pde-harnack", "--set", "extent=1e300"],
+            ["closed-form", "--set", "pairs=[[1e-300,1.0]]"],  # s0 <= 0 at t_lo
+            # no grid point is testable, so no check runs
+            ["pde-harnack", "--set", "extent=1e-9"],
+            ["pde-harnack", "--set", "extent=1e4"],
+            ["pde-harnack", "--set", "sigma2=1e-9"],
+            ["pde-harnack", "--set", "sigma2=1e-300"],
+            ["pde-harnack", "--set", "region=[3.9,4.0,3.9,4.0]"],
+            ["pde-harnack", "--set", "region=[1e-9,2e-9,0.0,1.0]"],
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
-        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
         key = argv[-1].split("=")[0]
         assert f"{key}=" in capsys.readouterr().err  # the message names the key
+        assert not out.exists()
 
     def test_successive_parses_keep_their_values_apart(self):
         first = cli.parse_cli(["riccati", "--set", "k1=3.5"])
@@ -133,7 +150,7 @@ class TestParse:
     def test_unreachable_times_write_nothing(self, argv, tmp_path):
         out = tmp_path / "out"
         assert cli.main(argv + ["--out", str(out)]) == 2
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "campaign, stacks", [("riccati", 1), ("closed-form", 5), ("errata", 2)]
@@ -315,6 +332,15 @@ class TestMain:
 
         monkeypatch.setitem(cli.RUNNERS, "errata", boom)
         assert cli.main(["errata", "--out", str(tmp_path / "out")]) == 3
+
+    def test_singular_riccati_state_is_internal(self, tmp_path, monkeypatch, capsys):
+        # bound_N's singular S(t) is a fault of the computation, not of the input
+        def singular(cfg):
+            raise ric.SingularityError("S(t) numerically singular", cond=1e13)
+
+        monkeypatch.setitem(cli.RUNNERS, "riccati", singular)
+        assert cli.main(["riccati", "--out", str(tmp_path / "out")]) == 3
+        assert "internal error" in capsys.readouterr().err
 
     def test_deterministic_reports(self, tmp_path):
         for d in ("a", "b"):

@@ -17,6 +17,7 @@ from harnack_forge.control_cost import (
     transcribe_cost,
     verify_harnack_kernel,
 )
+from harnack_forge.riccati_engine import InputError
 
 
 def problem(s, t, x0, v0, x1, v1):
@@ -55,6 +56,12 @@ class TestEnergyCost:
             problem(0, 1, [0.3, -0.5], [0.0, 0.4], [1.0, 0.1], [0.2, 0.0])
         )
         assert both == pytest.approx(cx + cy, rel=1e-13)
+
+    @pytest.mark.parametrize("t", [1e300, 1e-300])
+    def test_unrepresentable_gramian_is_input_error(self, t):
+        # tau^3 overflows, or underflows to 0 and leaves W(tau) singular
+        with pytest.raises(InputError, match="tau="):
+            energy_cost(problem(0.0, t, [0], [0], [1], [0]))
 
     def test_gramian_vs_kernel_identity(self):
         for tau in (0.5, 1.0, 2.0):

@@ -1,5 +1,7 @@
 """Exact Gaussian kernel tests: moments, flow, sharpness, residuals."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,13 @@ from harnack_forge.gaussian_kernel import (
 
 
 class TestMoments:
+    @pytest.mark.parametrize("t", [1e-300, 1e-103, 1e300])
+    def test_unrepresentable_covariance_is_input_error(self, t):
+        # t^3 overflows, or 6 / t^3, the largest entry of the inverse, does
+        with pytest.raises(riccati_engine.InputError, match=re.escape(f"t={t!r}")):
+            kernel_state([0.0], [0.0], t)
+        assert np.isfinite(np.linalg.inv(free_covariance(1e-102))).all()
+
     def test_free_covariance_blocks(self):
         t = 0.7
         S = free_covariance(t, n=2)

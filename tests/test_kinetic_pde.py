@@ -43,7 +43,7 @@ from harnack_forge.kinetic_pde import (
     _upwind_x,
     _window_min,
 )
-from harnack_forge.riccati_engine import bound_N
+from harnack_forge.riccati_engine import InputError, bound_N
 
 
 class TestPotentials:
@@ -243,6 +243,14 @@ class TestEvolve:
         with pytest.raises(CFLError, match="chunk"):
             evolve(f, QuadraticPotential(q_vv=40.0), 1.4,
                    scheme="strang", chunks=1)
+
+    @pytest.mark.parametrize("extent", [1e-300, 1e300])
+    @pytest.mark.parametrize("scheme", ["lie", "strang"])
+    def test_unrepresentable_diffusion_number_is_input_error(self, extent, scheme):
+        # dv^2 underflows to 0 or overflows, so dt / dv^2 is no float
+        f = kernel_field(0.2, extent=extent, n=16, sigma2=1.0)
+        with pytest.raises(InputError, match="diffusion number"):
+            evolve(f, ZeroPotential(), 0.4, scheme=scheme)
 
     def test_unknown_scheme(self):
         f = kernel_field(0.2, extent=4.0, n=64)
