@@ -333,6 +333,9 @@ def transcribe_cost(problem, m=24, h=None):
     ValueError
         If m is not an integer >= 2, or h is not a finite (c, g, H) of
         the right shapes with H symmetric.
+    InputError
+        Without h, if the discrete Gramian A A^T overflows (tau too
+        large for m segments).
     """
     m = _segment_count(m, "transcription")
     n = problem.n
@@ -341,12 +344,15 @@ def transcribe_cost(problem, m=24, h=None):
     if h is None:
         A = np.stack([dt * dt * (m - np.arange(m) - 0.5), np.full(m, dt)])  # (2, m)
         B = np.stack([p.x1 - p.x0 - p.tau * p.v0, p.v1 - p.v0], axis=-1)[..., None]
-        X = np.linalg.solve(np.broadcast_to(A @ A.T, (n, 2, 2)), B)  # (n, 2, 1)
+        with np.errstate(over="ignore"):
+            gram = A @ A.T
+        if not np.isfinite(gram).all():
+            raise InputError(f"tau={p.tau!r}: the discrete Gramian A A^T at m={m} "
+                             "is not finite")
+        X = np.linalg.solve(np.broadcast_to(gram, (n, 2, 2)), B)  # (n, 2, 1)
         controls = _correct_last_two(p, m, (A.T @ X)[..., 0].T)  # (n, m, 1) -> (m, n)
         path = ControlPath(p.s, p.x0, p.v0, np.full(m, dt), controls)
         return TranscribeResult(0.25 * dt * float(np.sum(controls**2)), path, "ok", 1, 1)
-    from scipy.linalg import cho_factor, cho_solve
-
     c, g, H = _quadratic(h, n)
 
     # sensitivities of the eliminated controls to each free control
@@ -393,11 +399,12 @@ def transcribe_cost(problem, m=24, h=None):
     dh = wq[:, None] * (g + node_states(U0) @ H)  # weighted grad h at w = 0
     grad = T.T @ (0.5 * dt * U0 - Px.T @ dh[:, :n] - Pv.T @ dh[:, n:])
     try:
-        factor = cho_factor(Q)
+        L = np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
         return TranscribeResult(-np.inf, None, "unbounded-below", 0, 1)
     controls = np.zeros((m, n))
-    controls[: m - 2] = cho_solve(factor, -grad.ravel()).reshape(m - 2, n)
+    w = np.linalg.solve(L.T, np.linalg.solve(L, -grad.ravel()))
+    controls[: m - 2] = w.reshape(m - 2, n)
     controls = _correct_last_two(p, m, controls)
     Z = node_states(controls)
     hz = c + Z @ g + 0.5 * np.sum((Z @ H) * Z, axis=1)

@@ -261,7 +261,7 @@ def _campaign_control_cost(cfg):
     prob = control_cost.ControlProblem.make(s, t, *rows.T)
     with _refused(p, ("s", "t")):
         exact = control_cost._gramian_costs(prob.tau, prob.x0, prob.v0, prob.x1, prob.v1)
-    controls = control_cost.transcribe_cost(prob, m=m).path.controls
+        controls = control_cost.transcribe_cost(prob, m=m).path.controls
     # summed over its contiguous row, as the lone pair's cost is summed
     trans = 0.25 * (prob.tau / m) * np.sum(np.ascontiguousarray(controls.T) ** 2, axis=1)
     gaps = np.abs(trans - exact) / np.maximum(1.0, np.abs(exact))

@@ -2,7 +2,7 @@
 
 Each test prints one summary line with its measured worst value and
 wall time; the suite is deterministic (fixed seeds, no environment
-dependence beyond numpy/scipy).
+dependence beyond numpy; scipy is the test oracle).
 """
 
 import time

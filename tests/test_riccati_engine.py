@@ -6,6 +6,7 @@ import pytest
 from harnack_forge.riccati_engine import (
     BlockSym2n,
     CurvatureBound,
+    InputError,
     SingularityError,
     S_from_M,
     bound_N,
@@ -248,6 +249,11 @@ class TestBoundCurve:
         # k1 = 0: N(t) converges only algebraically, no stabilising solution
         with pytest.raises(ValueError, match="K_xx"):
             stationary_N(CurvatureBound(k1=0.0, k2=1.0, n=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stationary_limit_refuses_an_overflowing_solution(self):
+        with pytest.raises(InputError, match="overflows"):
+            stationary_N(CurvatureBound(k1=1.0, k2=1e300, n=1))
 
 
 class TestHamiltonianRoute:

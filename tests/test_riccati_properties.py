@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy.linalg import expm
+from hypothesis import example, given, strategies as st
+from scipy.linalg import expm, solve_continuous_are
 
 from harnack_forge.riccati_engine import (
     _DP_A,
     _DP_E,
+    _expm,
     EXP_ARG_CAP,
     SYMMETRY_ABORT,
     T_MIN_DEFAULT,
@@ -24,6 +25,7 @@ from harnack_forge.riccati_engine import (
     integrate_S,
     residual_defect,
     small_time_S,
+    stationary_N,
 )
 
 # The two routes take different step sequences, so they agree only to the
@@ -132,7 +134,8 @@ def test_comparison_principle_on_ordered_pairs(pair, times):
 
 
 # Per-time forms of the exponential route, the re-integration audit and
-# the bound inversions: np.block assembly, one expm per time, a Python
+# the bound inversions: np.block assembly, one package _expm per time (its
+# accuracy is checked against scipy's expm separately), a Python
 # loop over times and over trajectory intervals, one scaled inversion per
 # time; and the DOPRI step loop that builds -C, C^T and the tableau row
 # views in every stage.  The code in riccati_engine must reproduce them
@@ -155,7 +158,7 @@ def _reference_fundamental_M(K, t):
         return np.eye(H.shape[0])
     if abs(t) * float(np.linalg.norm(H, 2)) > EXP_ARG_CAP:
         raise OverflowError("cap")
-    return expm(t * H)
+    return _expm(t * H)
 
 
 def _reference_S_from_M(M):
@@ -375,3 +378,47 @@ class TestBatchedRoutesMatchPerTimeLoops:
         times.insert(zero_at, 0.0)
         with pytest.raises(SingularityError):
             S_from_M(fundamental_M(CurvatureBound(k1=1.0, k2=2.0, n=2), times))
+
+
+class TestNumpyRoutesMatchScipy:
+    """The package's numpy exponential and stationary routes against scipy."""
+
+    @given(K=any_curvatures(), times=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=6))
+    def test_fundamental_M_matches_scipy_expm(self, K, times):
+        H = hamiltonian_matrix(K)
+        for t, M in zip(times, fundamental_M(K, times)):
+            want = expm(t * H)
+            assert np.abs(M - want).max() <= 1e-11 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fundamental_M_at_zero_is_the_identity(self, n):
+        K = CurvatureBound(k1=1.0, k2=2.0, n=n)
+        _assert_bitwise_equal(fundamental_M(K, 0.0), np.eye(4 * n))
+        _assert_bitwise_equal(fundamental_M(K, [0.5, 0.0])[1], np.eye(4 * n))
+
+    # CASE2 pairs (k1 = k2^2 / 2, where the Hamiltonian's stable eigenvalue
+    # is defective) and the ends of the range
+    @example(k1=2.0, k2=2.0, n=1)
+    @example(k1=2.0, k2=2.0, n=2)
+    @example(k1=5.077713160305397, k2=3.1867579639205097, n=2)
+    @example(k1=1e-3, k2=1.0, n=1)
+    @example(k1=1e-3, k2=1.0, n=2)
+    @example(k1=60.0, k2=2.0, n=1)
+    @example(k1=60.0, k2=2.0, n=2)
+    @given(
+        k1=st.floats(1e-3, 60.0),
+        k2=st.one_of(st.floats(0.0, 60.0), st.just(None)),
+        n=st.sampled_from((1, 2)),
+    )
+    def test_stationary_N_matches_scipy_are(self, k1, k2, n):
+        if k2 is None:  # on the CASE2 curve
+            k2 = (2.0 * k1) ** 0.5
+        K = CurvatureBound(k1=k1, k2=k2, n=n)
+        sp = build_structural(n)
+        B = np.vstack([np.zeros((n, n)), np.eye(n)])
+        want = solve_continuous_are(sp.C, B, K.K, 0.5 * np.eye(n))
+        X = -stationary_N(K).entries
+        assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()
+        residual = sp.C.T @ X + X @ sp.C - X @ sp.D @ X + K.K
+        scale = np.abs(K.K).max() + 2.0 * np.abs(X).max() ** 2
+        assert np.abs(residual).max() <= 1e-14 * scale
