@@ -404,6 +404,24 @@ def test_numpy_only_campaigns_never_load_scipy(tmp_path):
     assert _scipy_states(tmp_path, *runs) == [False, False] + [[0, False]] * len(runs)
 
 
+# Each campaign run alone on the routes that once called scipy: scipy is
+# still unloaded after the first call, so no route imports it lazily.
+@pytest.mark.parametrize(
+    "run, loads",
+    [
+        pytest.param(run, loads, id=run)
+        for run, loads in [
+            ("riccati", False),
+            ("closed-form", False),
+            ("errata", False),
+            ("pde-harnack --set n_grid=16", False),
+        ]
+    ],
+)
+def test_scipy_routes_load_scipy_on_first_call(tmp_path, run, loads):
+    assert _scipy_states(tmp_path, run) == [False, False, [0, loads]]
+
+
 # Runs every campaign at its defaults with scipy unimportable and prints
 # the exit codes as its last line.
 _BLOCKED_SCIPY = """
