@@ -18,7 +18,6 @@ from harnack_forge import (
     eval_sfuncs,
     fundamental_M,
     reconcile,
-    validity_window,
 )
 
 PAIRS = [(1.0, 2.0), (2.0, 2.0), (1.0, 0.5), (0.0, 1.0), (0.0, 0.0)]
@@ -33,12 +32,10 @@ def main():
         closed = assemble_bound(sf).entries
         oracle = S_from_M(fundamental_M(CurvatureBound(k1=k1, k2=k2, n=1), t)).entries
         rel = np.abs(closed - oracle).max() / np.abs(oracle).max()
-        lo, hi = validity_window(k1, k2)
-        window = f"({lo:g}, {'inf' if np.isinf(hi) else f'{hi:g}'})"
         print(
             f"  ({k1:3.1f}, {k2:3.1f})  {regime.tag}  "
             f"s0={sf.s0:9.4f}  N_vv={closed[1, 1]:+8.4f}  "
-            f"oracle rel {rel:.1e}  window {window}"
+            f"oracle rel {rel:.1e}"
         )
 
     print("\nprinted-vs-oracle reconciliation (free case):")

@@ -33,6 +33,9 @@ from .riccati_engine import S_from_M, fundamental_M
 
 HYP_ARG_CAP = 700.0
 EQ_TOL_DEFAULT = 1e-12
+# reconcile reports a block whose printed and oracle entries differ by more
+# than this, relative to max(1, |oracle|)
+ERRATA_REL_TOL = 1e-9
 
 CASE1 = "CASE1"
 CASE2 = "CASE2"
@@ -45,8 +48,7 @@ ORACLE_CALIBRATED = "ORACLE_CALIBRATED"
 
 
 class DomainError(InputError):
-    """s0 <= 0: the time lies outside the validity window, or inside it
-    where the closed form has cancelled to no precision at all."""
+    """s0 <= 0: the closed form has cancelled to no precision at all."""
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,12 @@ class SFuncs:
     regime: Regime
 
 
-def classify(k1, k2, eq_tol=EQ_TOL_DEFAULT):
+def classify(k1, k2):
     """Classify (k1, k2) into one of the five regimes.
 
     The CASE2 boundary k2^2 = 2 k1 is matched with relative tolerance
-    eq_tol * max(1, k2^2).  The bound is continuous across the boundary,
-    so nearby pairs may land on either side; the s-functions are not:
+    EQ_TOL_DEFAULT * max(1, k2^2).  The bound is continuous across the
+    boundary, so nearby pairs may land on either side; the s-functions are not:
     the CASE1 and CASE3 ones carry a common factor (4 b^2, mu2^2) that
     vanishes on the boundary and cancels in assemble_bound.
     """
@@ -93,7 +95,7 @@ def classify(k1, k2, eq_tol=EQ_TOL_DEFAULT):
     # before the discriminant test: k2 * k2 may underflow to 0 for tiny k2
     if k1 == 0.0:
         return Regime(CASE4, k1, k2, {"beta": math.sqrt(k2 / 2.0)})
-    if abs(disc) <= eq_tol * max(1.0, k2 * k2) and k1 > 0:
+    if abs(disc) <= EQ_TOL_DEFAULT * max(1.0, k2 * k2) and k1 > 0:
         return Regime(CASE2, k1, k2, {"lam": math.sqrt(k2)})
     if disc > 0:
         r = math.sqrt(disc)
@@ -168,11 +170,23 @@ def _raw_sfuncs(regime, t):
     return t**4, 6 * t, 3 * t**2, 4 * t**3
 
 
-def eval_sfuncs(k1, k2, t, eq_tol=EQ_TOL_DEFAULT):
+def eval_sfuncs(k1, k2, t):
     """Evaluate (s0, s1, s2, s0') at time t with the corrected formulas.
 
-    The formulas cancel catastrophically as t -> 0; below t ~ 1e-3 use
-    the Riccati expansion path instead.
+    In exact arithmetic s0 > 0 for every t > 0 in every regime, so the
+    bound is defined on the whole time axis:
+
+        CASE1  s0 = 4 b^2 (sh - q)(sh + q), sh - q = a t (sinhc(a t) -
+               sinhc(b t)) > 0, as a > b > 0 and sinhc x = sinh x / x
+               increases
+        CASE2  s0 = sinh^2(lam t) - (lam t)^2 > 0
+        CASE3  s0 = (2 / t^2)(y^2 sinh^2 x - x^2 sin^2 y), x = mu1 t / sqrt 2,
+               y = mu2 t / sqrt 2, > 0 as sinh x / x > 1 >= |sin y| / y
+        CASE4  s0 = 2 sinh(beta t)(beta t cosh(beta t) - sinh(beta t)) > 0
+        CASE5  s0 = t^4
+
+    The formulas cancel catastrophically as t -> 0, or as the rates
+    vanish; below t ~ 1e-3 use the Riccati expansion path instead.
 
     Raises
     ------
@@ -183,31 +197,25 @@ def eval_sfuncs(k1, k2, t, eq_tol=EQ_TOL_DEFAULT):
         rate times t exceeds HYP_ARG_CAP, where the hyperbolic functions
         would overflow.
     DomainError
-        An InputError: s0 evaluates nonpositive, outside the validity
-        window or where the closed form has cancelled to no precision.
+        An InputError: s0 evaluates nonpositive, which only floating-point
+        cancellation can cause.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    regime = classify(k1, k2, eq_tol)
+    regime = classify(k1, k2)
     _check_arg_cap(regime, t)
     s0, s1, s2, s0dot = _raw_sfuncs(regime, t)
     if not s0 > 0:
-        upper = validity_window(k1, k2, t_max=max(2 * t, 1.0))[1]
-        if t < upper:
-            raise DomainError(
-                f"s0({t:.6g}) = {s0:.3e} for regime {regime.tag}: the closed form "
-                f"lost all precision (s0 cancelled to 0) inside its validity window "
-                f"(0, {upper:.6g}); use the exponential route (fundamental_M, "
-                "S_from_M) or the Riccati route (bound_N) instead"
-            )
         raise DomainError(
-            f"s0({t:.6g}) = {s0:.3e} <= 0 for regime {regime.tag}; "
-            f"validity window is (0, {upper:.6g})"
+            f"s0({t:.6g}) = {s0:.3e} for regime {regime.tag}: the closed form "
+            "lost all precision (s0 > 0 for every t > 0, but it cancelled to 0); "
+            "use the exponential route (fundamental_M, S_from_M) or the Riccati "
+            "route (bound_N) instead"
         )
     return SFuncs(t=float(t), s0=s0, s1=s1, s2=s2, s0dot=s0dot, regime=regime)
 
 
-def printed_sfuncs(k1, k2, t, eq_tol=EQ_TOL_DEFAULT):
+def printed_sfuncs(k1, k2, t):
     """The literal published s-triple (CASE4 signs and argument as printed).
 
     Only CASE4 differs from eval_sfuncs at the s-function level; the
@@ -216,7 +224,7 @@ def printed_sfuncs(k1, k2, t, eq_tol=EQ_TOL_DEFAULT):
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    regime = classify(k1, k2, eq_tol)
+    regime = classify(k1, k2)
     _check_arg_cap(regime, t)
     if regime.tag == CASE4:
         k2 = regime.k2
@@ -230,7 +238,7 @@ def printed_sfuncs(k1, k2, t, eq_tol=EQ_TOL_DEFAULT):
             math.sqrt(2 * k2) * t
         ) - (math.sqrt(2 * k2) * ch * sh + k2 * t * math.cosh(2 * b * t))
         return SFuncs(t=float(t), s0=s0, s1=s1, s2=s2, s0dot=s0dot, regime=regime)
-    return eval_sfuncs(k1, k2, t, eq_tol)
+    return eval_sfuncs(k1, k2, t)
 
 
 def assemble_bound(sf, n=1, normalization=ORACLE_CALIBRATED):
@@ -258,42 +266,6 @@ def assemble_bound(sf, n=1, normalization=ORACLE_CALIBRATED):
     return BlockSym2n(np.vstack([top, bot]))
 
 
-def validity_window(k1, k2, t_max=50.0, step=0.01, bisect_tol=1e-12):
-    """Largest interval (0, t_sup) on which s0 stays positive.
-
-    Scans with the given step and refines the first sign change by
-    bisection.  Returns (0.0, inf) when no zero is found up to t_max;
-    every nonnegative curvature pair tested lands in this case, so the
-    finite branch exists for robustness rather than observed need.
-    """
-    regime = classify(k1, k2)
-    max_rate = max(regime.params.values(), default=0.0)
-    if max_rate > 0:
-        t_max = min(t_max, 0.99 * HYP_ARG_CAP / (2.0 * max_rate))
-
-    def s0_of(t):
-        return _raw_sfuncs(regime, t)[0]
-
-    # start past the cancellation-dominated region near zero
-    t_prev = max(step, 1e-3)
-    v_prev = s0_of(t_prev)
-    t = t_prev + step
-    while t <= t_max + 1e-12:
-        v = s0_of(t)
-        if v <= 0 and v_prev > 0:
-            lo, hi = t_prev, t
-            while hi - lo > bisect_tol * max(1.0, hi):
-                mid = 0.5 * (lo + hi)
-                if s0_of(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return (0.0, 0.5 * (lo + hi))
-        t_prev, v_prev = t, v
-        t += step
-    return (0.0, math.inf)
-
-
 @dataclass(frozen=True)
 class ErrataRow:
     """One block-level discrepancy between printed and oracle bounds."""
@@ -308,12 +280,12 @@ class ErrataRow:
     ratio: float
 
 
-def reconcile(k1, k2, t_grid, rel_tol=1e-9):
+def reconcile(k1, k2, t_grid):
     """Compare the literal printed bound against the exponential oracle.
 
     Returns the ErrataRow list for every (t, block) whose relative
-    mismatch exceeds rel_tol; an empty list means the printed formulas
-    agree with the oracle on the whole grid.
+    mismatch exceeds ERRATA_REL_TOL; an empty list means the printed
+    formulas agree with the oracle on the whole grid.
     """
     rows = []
     K = CurvatureBound(k1=k1, k2=k2, n=1)
@@ -323,7 +295,7 @@ def reconcile(k1, k2, t_grid, rel_tol=1e-9):
         printed = assemble_bound(sf, n=1, normalization=PRINTED).entries
         for block, (i, j) in (("xx", (0, 0)), ("xv", (0, 1)), ("vv", (1, 1))):
             p, o = float(printed[i, j]), float(oracle.entries[i, j])
-            if abs(p - o) > rel_tol * max(1.0, abs(o)):
+            if abs(p - o) > ERRATA_REL_TOL * max(1.0, abs(o)):
                 rows.append(
                     ErrataRow(
                         regime=sf.regime.tag,

@@ -31,6 +31,8 @@ from itertools import repeat
 import numpy as np
 
 from . import _csv
+from .closed_forms import eval_sfuncs
+from .gaussian_kernel import free_covariance, kernel_state, log_density
 from .riccati_engine import InputError
 
 ENDPOINT_TOL = 1e-9
@@ -176,8 +178,6 @@ def cost_identity_gap(tau, n=1):
     kron(W, I) has the same (x-block, v-block) layout as the kernel
     covariance, so the comparison is entrywise.
     """
-    from .gaussian_kernel import free_covariance
-
     W2 = np.kron(_gram_matrix(tau), np.eye(n))
     lhs = 0.25 * np.linalg.inv(W2)
     rhs = 0.5 * np.linalg.inv(free_covariance(tau, n))
@@ -219,13 +219,13 @@ def _correct_last_two(problem, m, controls):
 
 
 def _segment_count(m, what):
-    """m as an int, or ValueError if it is not an integer >= 2."""
+    """m as an int, or InputError if it is not an integer >= 2."""
     try:
         m = operator.index(m)
     except TypeError:
-        raise ValueError(f"m must be an integer, got m={m!r}") from None
+        raise InputError(f"m must be an integer, got m={m!r}") from None
     if m < 2:
-        raise ValueError(f"{what} needs at least 2 segments")
+        raise InputError(f"{what} needs at least 2 segments")
     return m
 
 
@@ -235,7 +235,7 @@ def steer_exact(problem, m=8):
     Controls sample the energy-optimal continuous control at segment
     midpoints; the last two segments are then re-solved through the
     exact endpoint map (a per-dimension 2x2 linear system), which
-    absorbs the sampling error.  Needs an integer m >= 2 (ValueError
+    absorbs the sampling error.  Needs an integer m >= 2 (InputError
     otherwise).
     """
     m = _segment_count(m, "steering")
@@ -331,11 +331,11 @@ def transcribe_cost(problem, m=24, h=None):
     Raises
     ------
     ValueError
-        If m is not an integer >= 2, or h is not a finite (c, g, H) of
-        the right shapes with H symmetric.
+        If h is not a finite (c, g, H) of the right shapes with H
+        symmetric.
     InputError
-        Without h, if the discrete Gramian A A^T overflows (tau too
-        large for m segments).
+        If m is not an integer >= 2, or, without h, if the discrete
+        Gramian A A^T overflows (tau too large for m segments).
     """
     m = _segment_count(m, "transcription")
     n = problem.n
@@ -427,8 +427,6 @@ def harnack_rhs(s, t, cost, n=1, k1=0.0, k2=0.0, U_start=0.0, U_end=0.0):
 
 def log_harnack_rhs(s, t, cost, n=1, k1=0.0, k2=0.0, U_start=0.0, U_end=0.0):
     """Log of harnack_rhs; an array of costs gives an array of logs."""
-    from .closed_forms import eval_sfuncs
-
     s0s = eval_sfuncs(k1, k2, s).s0
     s0t = eval_sfuncs(k1, k2, t).s0
     return (
@@ -464,8 +462,6 @@ def verify_harnack_kernel(s, t, n_pairs=1000, seed=0, box=3.0):
     Raises ValueError unless s and t are finite with 0 < s < t,
     n_pairs >= 1 and box is finite and positive.
     """
-    from .gaussian_kernel import kernel_state, log_density
-
     for name, value in (("s", s), ("t", t)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {name}={value}")

@@ -182,7 +182,7 @@ def pde_residual(state, points):
     return float(np.abs(residual).max()) / peak
 
 
-def sharpness_gap(state, tol=1e-10):
+def sharpness_gap(state):
     """Max-entry gap between the exact log Hessian and the bound N(t).
 
     Zero (to rounding) exactly when the state is a kernel state: the
@@ -199,13 +199,13 @@ def sharpness_gap(state, tol=1e-10):
     n = states[0].n
     if any(st.n != n for st in states):
         raise ValueError("states must share the dimension n")
-    Ns = bound_N(CurvatureBound(k1=0.0, k2=0.0, n=n), [st.t for st in states], tol=tol)
+    Ns = bound_N(CurvatureBound(k1=0.0, k2=0.0, n=n), [st.t for st in states])
     gaps = [float(np.abs(log_hessian(st).entries - N.entries).max())
             for st, N in zip(states, Ns)]
     return gaps[0] if single else gaps
 
 
-def scalar_sharpness_gap(state, tol=1e-10):
+def scalar_sharpness_gap(state):
     """Gap in the scalar (velocity-trace) form of the bound.
 
     Compares tr_v of the log Hessian with -n s0'/(2 s0) evaluated at

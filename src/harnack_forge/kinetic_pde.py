@@ -40,11 +40,17 @@ import numpy as np
 
 from . import _csv
 from .closed_forms import assemble_bound, eval_sfuncs
+from .gaussian_kernel import GaussianState, grid_density, kernel_state
 from .riccati_engine import BlockSym2n, CurvatureBound, InputError, bound_N
 
 BOUNDARY_LEAK_WARN = 1e-4
 LEDGER_TOL = 1e-10
+# a point is testable when its 5x5 density stencil clears this times the peak
 FLOOR_FRAC_DEFAULT = 1e-12
+# the lie scheme's step is this fraction of the largest stable step
+CFL_LIMIT = 0.9
+# matrix_implies_scalar_gap's allowance for rounding
+IMPLICATION_SLACK = 1e-12
 CURVATURE_FEAS_TOL = 1e-10
 MIN_GRID_CELLS = 8
 
@@ -221,9 +227,12 @@ def curvature_of(potential):
 
 
 def make_grid(extent, n):
-    """Cell-centered symmetric grid on [-extent, extent] with n cells."""
+    """Cell-centered symmetric grid on [-extent, extent] with n cells.
+
+    Raises InputError if n is below MIN_GRID_CELLS.
+    """
     if n < MIN_GRID_CELLS:
-        raise ValueError(f"grid needs at least {MIN_GRID_CELLS} cells")
+        raise InputError(f"grid needs at least {MIN_GRID_CELLS} cells, got {n}")
     return np.linspace(-extent, extent, n, endpoint=False) + extent / n
 
 
@@ -282,22 +291,19 @@ class GridField:
         return np.meshgrid(self.xs, self.vs, indexing="ij")
 
 
-def kernel_field(t, extent=4.0, n=256, x0=0.0, v0=0.0, sigma2=None):
+def kernel_field(t, extent=4.0, n=256, sigma2=None):
     """Grid sampling of an exact Gaussian state as an initial condition.
 
-    With sigma2 None the state is the fundamental solution of age t;
-    otherwise an isotropic Gaussian with covariance sigma2 * I centered
-    at (x0, v0), which models spread-out initial data born at time t.
+    With sigma2 None the state is the fundamental solution of age t
+    started at the origin; otherwise an isotropic Gaussian with
+    covariance sigma2 * I centered at the origin, which models
+    spread-out initial data born at time t.
     """
-    from .gaussian_kernel import GaussianState, grid_density, kernel_state
-
     xs = make_grid(extent, n)
     if sigma2 is None:
-        state = kernel_state([x0], [v0], t)
+        state = kernel_state([0.0], [0.0], t)
     else:
-        state = GaussianState.make(
-            [x0, v0], float(sigma2) * np.eye(2), t
-        )
+        state = GaussianState.make([0.0, 0.0], float(sigma2) * np.eye(2), t)
     rho = grid_density(state, xs, xs)
     return GridField(xs, xs, rho, t=t, t0=t)
 
@@ -481,7 +487,6 @@ def evolve(
     potential,
     t1,
     scheme="lie",
-    cfl_limit=0.9,
     dt=None,
     chunks=2,
     diffusion_substeps=16,
@@ -489,8 +494,9 @@ def evolve(
     """Advance a grid field to absolute time t1.
 
     scheme "lie": per step, upwind x-transport, upwind v-drift, one
-    implicit diffusion solve; dt is chosen from the CFL limit unless
-    given explicitly (an explicit violating dt raises CFLError).
+    implicit diffusion solve; dt is CFL_LIMIT times the largest stable
+    step, shortened to divide the interval, unless given explicitly (an
+    explicit dt beyond the stable step raises CFLError).
 
     scheme "strang": telescoped Strang splitting over `chunks` equal
     chunks, semi-Lagrangian transport, `diffusion_substeps` implicit
@@ -506,13 +512,16 @@ def evolve(
         An InputError: an explicit lie dt exceeds the CFL limit, or the
         strang drift's Courant number exceeds 1 at the chunk size.
     InputError
-        If the diffusion number dt / dv^2 is not a positive finite float.
+        If t1 does not exceed field.t, the scheme is neither "lie" nor
+        "strang", or the diffusion number dt / dv^2 is not a positive
+        finite float.
     ValueError
-        If t1 does not exceed field.t, or the scheme, dt or chunks are
-        invalid.
+        If dt or chunks are invalid.
     """
     if not t1 > field.t:
-        raise ValueError(f"t1={t1} must exceed the field time {field.t}")
+        raise InputError(f"t1={t1} must exceed the field time {field.t}")
+    if scheme not in ("lie", "strang"):
+        raise InputError(f"unknown scheme {scheme!r}: expected lie or strang")
     T = t1 - field.t
     speed = potential.grad_v(*field.meshes())
     rate_x, rate_v = _courant_rates(field.xs, field.vs, speed)
@@ -540,7 +549,7 @@ def evolve(
         rate = max(rate_x, rate_v)
         if rate <= 0:
             raise ValueError("degenerate grid: zero transport rates")
-        dt_max = cfl_limit / rate
+        dt_max = CFL_LIMIT / rate
         if dt is None:
             n_steps = max(1, int(np.ceil(T / dt_max)))
             dt = T / n_steps
@@ -568,7 +577,7 @@ def evolve(
             diff_loss += ld * cell
         report_dt = dt
         cx, cv = rate_x * dt, rate_v * dt
-    elif scheme == "strang":
+    else:
         if chunks < 1:
             raise ValueError("chunks must be >= 1")
         delta = T / chunks
@@ -597,8 +606,6 @@ def evolve(
         n_steps = chunks
         report_dt = delta
         cx, cv = rate_x * delta, rate_v * delta
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     out = GridField(field.xs, field.vs, rho, t=t1, t0=field.t0)
     m1 = out.mass()
@@ -671,12 +678,12 @@ def _stencil_arrays(field, potential, floor_frac):
     return gxx, gxv, gvv, testable
 
 
-def estimate_log_hessian(field, potential, i, j, floor_frac=FLOOR_FRAC_DEFAULT):
+def estimate_log_hessian(field, potential, i, j):
     """Estimated Hessian of log rho - U/2 at grid index (i, j).
 
     Centered second differences over the 3x3 neighborhood; the full 5x5
-    density stencil must clear the floor (floor_frac times the peak),
-    otherwise the point is untestable and a ValueError is raised.
+    density stencil must clear the floor (FLOOR_FRAC_DEFAULT times the
+    peak), otherwise the point is untestable and a ValueError is raised.
     Indices within two cells of the boundary are rejected.
     """
     nx, nv = field.rho.shape
@@ -685,7 +692,7 @@ def estimate_log_hessian(field, potential, i, j, floor_frac=FLOOR_FRAC_DEFAULT):
             f"index ({i}, {j}) is within two cells of the boundary; "
             "the stencil does not fit"
         )
-    gxx, gxv, gvv, testable = _stencil_arrays(field, potential, floor_frac)
+    gxx, gxv, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
     ii, jj = i - 2, j - 2
     if not testable[ii, jj]:
         raise ValueError(
@@ -696,9 +703,9 @@ def estimate_log_hessian(field, potential, i, j, floor_frac=FLOOR_FRAC_DEFAULT):
     )
 
 
-def _bound_matrix(curvature, t, bound_source, tol=1e-10):
+def _bound_matrix(curvature, t, bound_source):
     if bound_source == "oracle":
-        return bound_N(curvature, t, tol=tol).entries
+        return bound_N(curvature, t).entries
     if bound_source == "closed_form":
         if curvature.k1 is None:
             raise ValueError("closed_form bound needs a scalar curvature pair")
@@ -763,7 +770,6 @@ def verify_matrix_harnack(
     bound_source="oracle",
     tolerance=0.1,
     region=None,
-    floor_frac=FLOOR_FRAC_DEFAULT,
     bound_shift=0.0,
 ):
     """Check Hess(log rho - U/2) >= N(t) pointwise on the grid.
@@ -786,7 +792,7 @@ def verify_matrix_harnack(
     if curvature is None:
         curvature = curvature_of(potential)
     N = _bound_matrix(curvature, field.t, bound_source) + bound_shift * np.eye(2)
-    gxx, gxv, gvv, testable = _stencil_arrays(field, potential, floor_frac)
+    gxx, gxv, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
     testable &= _region_mask(field, region)
     # smaller eigenvalue of the 2x2 margin matrix, on testable points only
     a = gxx[testable] - N[0, 0]
@@ -802,7 +808,6 @@ def verify_scalar_harnack(
     curvature=None,
     tolerance=0.1,
     region=None,
-    floor_frac=FLOOR_FRAC_DEFAULT,
 ):
     """Check Delta_v(log rho) - Delta_v U / 2 >= -n s0'/(2 s0) on the grid.
 
@@ -818,19 +823,20 @@ def verify_scalar_harnack(
         raise ValueError("scalar check needs a scalar curvature pair")
     sf = eval_sfuncs(curvature.k1, curvature.k2, field.t)
     rhs = -sf.s0dot / (2.0 * sf.s0)  # n = 1 on a planar grid
-    _, _, gvv, testable = _stencil_arrays(field, potential, floor_frac)
+    _, _, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
     testable &= _region_mask(field, region)
     margin = gvv[testable] - rhs
     return _margin_report("scalar", field, "closed_form", margin, testable, tolerance)
 
 
-def matrix_implies_scalar_gap(matrix_report, scalar_report, n=1, slack=1e-12):
-    """Slack in the implication scalar_margin >= n * matrix_margin.
+def matrix_implies_scalar_gap(matrix_report, scalar_report):
+    """Slack in the implication scalar_margin >= matrix_margin (n = 1).
 
-    Nonnegative (up to `slack`) whenever both reports come from the
-    same field, potential, and curvature; returns the signed slack.
+    Nonnegative (up to IMPLICATION_SLACK) whenever both reports come
+    from the same field, potential, and curvature; returns the signed
+    slack.
     """
-    return scalar_report.min_margin - n * matrix_report.min_margin + slack
+    return scalar_report.min_margin - matrix_report.min_margin + IMPLICATION_SLACK
 
 
 # ---------------------------------------------------------------------------

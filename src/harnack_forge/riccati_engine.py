@@ -26,6 +26,7 @@ from . import _csv
 SYMMETRY_TOL = 1e-12
 SYMMETRY_ABORT = 1e-9
 PSD_TOL = 1e-12
+# bound_N takes the small-time expansion below this time
 T_MIN_DEFAULT = 1e-3
 EXP_ARG_CAP = 700.0
 # integrate_S takes no step shorter than STEP_FLOOR * max(t_end, 1)
@@ -33,6 +34,9 @@ STEP_FLOOR = 1e-14
 # integrate_S merges a target within MERGE_TOL of the time it has reached,
 # and bound_N matches requested times to the grid with the same tolerance
 MERGE_TOL = 1e-15
+# comparison_check counts a top eigenvalue of S_small - S_large up to this
+# as ordered
+COMPARISON_SLACK = 1e-8
 # stationary_N's sign iteration settles in 3 to 7 steps for curvatures in
 # [1e-8, 1e12]; past this many it stops and leaves the rest to Newton-Kleinman
 SIGN_STEPS = 50
@@ -134,9 +138,6 @@ class BlockSym2n:
 
     def max_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.entries)[-1])
-
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.entries)[0])
 
     def __repr__(self):
         return f"BlockSym2n(n={self.n},\n{self.entries!r})"
@@ -419,17 +420,17 @@ def _scaled_inverse(S, times, n):
         raise SingularityError(
             f"S(t) numerically singular at t={t:.3g} "
             f"(scaled condition {c:.3e}); conditioning threshold "
-            f"t_min={T_MIN_DEFAULT} applies below that time",
+            f"T_MIN_DEFAULT={T_MIN_DEFAULT} applies below that time",
             cond=c,
         )
     return np.linalg.inv(Shat) / outer
 
 
-def bound_N(K, t, tol=1e-10, t_min=T_MIN_DEFAULT, trajectory=None):
+def bound_N(K, t, tol=1e-10, trajectory=None):
     """Sharp bound matrix N(t) = S(t)^{-1}, at one time or on a time grid.
 
     One integration of S to the largest requested time supplies every
-    N(t); times below t_min use the analytic small-time expansion
+    N(t); times below T_MIN_DEFAULT use the analytic small-time expansion
     instead (inversion there would lose ~3 digits per decade).  The
     scaled inversions of the whole grid run as one stack.
 
@@ -441,11 +442,9 @@ def bound_N(K, t, tol=1e-10, t_min=T_MIN_DEFAULT, trajectory=None):
         are allowed.
     tol : float
         Local error tolerance of the integration.
-    t_min : float
-        Crossover time of the small-time expansion.
     trajectory : list of (t, BlockSym2n), optional
         An integrate_S trajectory of K whose grid already contains every
-        requested time >= t_min; it replaces the integration.
+        requested time >= T_MIN_DEFAULT; it replaces the integration.
 
     Returns
     -------
@@ -470,7 +469,7 @@ def bound_N(K, t, tol=1e-10, t_min=T_MIN_DEFAULT, trajectory=None):
     if not (times > 0).all():
         raise ValueError(f"times must be positive, got {times[~(times > 0)][0]}")
     S = np.empty((times.size, 2 * K.n, 2 * K.n))
-    early = times < t_min
+    early = times < T_MIN_DEFAULT
     for k in np.flatnonzero(early):
         S[k] = small_time_S(K, times[k]).entries
     late = times[~early]
@@ -713,13 +712,15 @@ class ComparisonReport:
     per_time: list = field(default_factory=list)  # (t, max eig of S_small - S_large)
 
 
-def comparison_check(K_small, K_large, t_grid, tol=1e-10, slack=1e-8):
+def comparison_check(K_small, K_large, t_grid, tol=1e-10):
     """Check the comparison-theorem ordering S_small(t) <= S_large(t).
 
     The hypothesis is the semidefinite ordering of the coefficient block
     matrices [[-D, -C], [-C^T, K]]; with shared C, D it reduces to
     K_large - K_small >= 0, checked by eigensolve.  If the hypothesis
     fails the report says so instead of passing or failing the ordering.
+    The ordering holds when no top eigenvalue of S_small - S_large
+    exceeds COMPARISON_SLACK.
     """
     K_small = _as_curvature(K_small)
     K_large = _as_curvature(K_large)
@@ -748,7 +749,7 @@ def comparison_check(K_small, K_large, t_grid, tol=1e-10, slack=1e-8):
     return ComparisonReport(
         status="ok",
         hypothesis_min_eig=hyp_min,
-        ordering_holds=worst <= slack,
+        ordering_holds=worst <= COMPARISON_SLACK,
         worst_violation=worst,
         per_time=per_time,
     )

@@ -120,6 +120,9 @@ class TestParse:
             ["pde-harnack", "--set", "sigma2=1e-300"],
             ["pde-harnack", "--set", "region=[3.9,4.0,3.9,4.0]"],
             ["pde-harnack", "--set", "region=[1e-9,2e-9,0.0,1.0]"],
+            # drawn costs that are subnormal, or 0, leave no relative gap
+            ["control-cost", "--set", "box=1e-160"],
+            ["control-cost", "--set", "box=1e-170"],
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -266,11 +269,21 @@ class TestMain:
             prob = ControlProblem.make(p["s"], p["t"], [x0], [v0], [x1], [v1])
             exact = energy_cost(prob)
             trans = transcribe_cost(prob, m=p["m"]).cost
-            gap = abs(trans - exact) / max(1.0, abs(exact))
+            gap = abs(trans - exact) / abs(exact)
             ends = (p["s"], p["t"], x0, v0, x1, v1)
             rows.append((*ends, exact, "closed_form", 0, 0.0))
             rows.append((*ends, trans, "transcribe", p["m"], gap))
         assert (tmp_path / "control_costs.csv").read_bytes() == cost_csv(rows).encode()
+
+    def test_control_cost_gap_is_relative_on_wide_windows(self, tmp_path):
+        # every cost of a window of width 2e30 is about 1e-30; a gap floored
+        # at |exact| >= 1 read 3.7e-33 there, while the two routes differ by
+        # the transcription's O(1/m^2) excess, as on the unit window
+        argv = ["control-cost", "--out", str(tmp_path),
+                "--set", "s=-1e30", "--set", "t=1e30"]
+        assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "report_control-cost.json").read_text())
+        assert report["metrics"]["worst_relative_gap"] >= 9e-4
 
     @pytest.mark.parametrize("campaign", ["control-cost", "harnack-integrated"])
     def test_largest_accepted_box_stays_finite(self, tmp_path, campaign):

@@ -21,7 +21,6 @@ from harnack_forge.closed_forms import (
     eval_sfuncs,
     printed_sfuncs,
     reconcile,
-    validity_window,
 )
 from harnack_forge.riccati_engine import CurvatureBound, S_from_M, fundamental_M
 
@@ -48,6 +47,15 @@ curvature_pairs = st.one_of(
     near_boundary, st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
 )
 
+# (k1, k2) with each rate 0 or in [1e-2, 50], covering all five regimes:
+# on the parabola k2^2 = 2 k1 (CASE2), or two independent draws, which
+# give CASE5 (both 0), CASE4 (k1 = 0), CASE1 or CASE3
+rate = st.one_of(st.just(0.0), st.floats(1e-2, 50.0))
+regime_pairs = st.one_of(
+    st.floats(math.sqrt(2e-2), 10.0).map(lambda k2: (k2 * k2 / 2.0, k2)),
+    st.tuples(rate, rate),
+)
+
 
 class TestClassify:
     def test_representative_pairs(self):
@@ -55,7 +63,7 @@ class TestClassify:
             assert classify(k1, k2).tag == tag
 
     def test_boundary_tolerance(self):
-        # within eq_tol of the parabola k2^2 = 2 k1 counts as CASE2
+        # within EQ_TOL_DEFAULT of the parabola k2^2 = 2 k1 counts as CASE2
         assert classify(2.0 - 1e-14, 2.0).tag == CASE2
         assert classify(2.0 - 1e-8, 2.0).tag == CASE1
         assert classify(2.0 + 1e-8, 2.0).tag == CASE3
@@ -163,19 +171,16 @@ class TestSFuncs:
             eval_sfuncs(0.0, 800.0**2 / 2.0, 50.0)
 
 
-class TestValidityWindow:
-    def test_windows_are_unbounded(self):
-        for k1, k2 in REGIME_PAIRS.values():
-            lo, hi = validity_window(k1, k2)
-            assert lo == 0.0
-            assert hi == math.inf
-
-    def test_artificial_sign_change_is_found(self):
-        # the scan-plus-bisection branch, exercised through a regime
-        # whose s0 we can push negative is not reachable with valid
-        # curvature input; instead check the scan respects t_max capping
-        lo, hi = validity_window(0.0, 800.0**2 / 2.0)
-        assert hi == math.inf  # capped scan, no zero found
+@given(pair=regime_pairs, frac=st.floats(0.0, 1.0))
+def test_s0_is_positive_on_the_whole_time_axis(pair, frac):
+    # s0 > 0 for every t > 0 in every regime (the proofs are in the
+    # eval_sfuncs docstring); sampled on t in [1e-2, min(20, 300 / rate)],
+    # which keeps the fastest hyperbolic argument under the cap
+    k1, k2 = pair
+    fastest = max(classify(k1, k2).params.values(), default=0.0)
+    t_hi = min(20.0, 300.0 / fastest) if fastest > 0 else 20.0
+    t = 1e-2 + frac * (t_hi - 1e-2)
+    assert eval_sfuncs(k1, k2, t).s0 > 0
 
 
 class TestPrintedVersusOracle:

@@ -201,7 +201,7 @@ class TestBoundN:
             assert np.abs(bound_N(K, t).entries - want).max() < 1e-7 * 1 / t**3
 
     def test_small_time_expansion_path(self):
-        # below t_min the expansion replaces integration; at K = 0 the
+        # below T_MIN_DEFAULT the expansion replaces integration; at K = 0 the
         # expansion is the exact solution, so the inverse is exact too
         K = CurvatureBound(k1=0.0, k2=0.0, n=1)
         t = 5e-4

@@ -45,7 +45,7 @@ def curvatures(draw):
 
 @st.composite
 def time_sets(draw):
-    """Unsorted times in [1e-4, 2.5], with duplicates and some below t_min."""
+    """Unsorted times in [1e-4, 2.5], with duplicates and some below T_MIN_DEFAULT."""
     times = draw(st.lists(st.floats(1e-4, 2.5), min_size=1, max_size=5))
     times += draw(st.lists(st.sampled_from(times), max_size=2))
     below_t_min = st.floats(1e-5, T_MIN_DEFAULT, exclude_max=True)
