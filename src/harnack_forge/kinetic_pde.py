@@ -39,7 +39,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import _csv
-from .closed_forms import assemble_bound, eval_sfuncs
+from .closed_forms import eval_sfuncs
 from .gaussian_kernel import GaussianState, grid_density, kernel_state
 from .riccati_engine import BlockSym2n, CurvatureBound, InputError, bound_N
 
@@ -49,8 +49,6 @@ LEDGER_TOL = 1e-10
 FLOOR_FRAC_DEFAULT = 1e-12
 # the lie scheme's step is this fraction of the largest stable step
 CFL_LIMIT = 0.9
-# matrix_implies_scalar_gap's allowance for rounding
-IMPLICATION_SLACK = 1e-12
 CURVATURE_FEAS_TOL = 1e-10
 MIN_GRID_CELLS = 8
 
@@ -105,12 +103,9 @@ class Potential:
         """
         x = np.asarray([p[0] for p in points], dtype=float)
         v = np.asarray([p[1] for p in points], dtype=float)
-        e = self.fd_step
-        fd_x = (self.value(x + e, v) - self.value(x - e, v)) / (2 * e)
-        fd_v = (self.value(x, v + e) - self.value(x, v - e)) / (2 * e)
         worst = max(
-            float(np.abs(self.grad_x(x, v) - fd_x).max()),
-            float(np.abs(self.grad_v(x, v) - fd_v).max()),
+            float(np.abs(self.grad_x(x, v) - Potential.grad_x(self, x, v)).max()),
+            float(np.abs(self.grad_v(x, v) - Potential.grad_v(self, x, v)).max()),
         )
         if worst > tol:
             raise ValueError(f"gradient check failed: max mismatch {worst:.3e}")
@@ -251,8 +246,11 @@ class GridField:
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
         for name, axis in (("xs", self.xs), ("vs", self.vs)):
-            if not np.all(np.diff(axis) > 0):
+            step = np.diff(axis)
+            if not np.all(step > 0):
                 raise ValueError(f"{name} must be strictly increasing")
+            if np.any(np.abs(step - step[:1]) > 1e-9 * step[:1]):
+                raise ValueError(f"{name} must be uniform")
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (self.xs.size, self.vs.size):
             raise ValueError(
@@ -487,7 +485,6 @@ def evolve(
     potential,
     t1,
     scheme="lie",
-    dt=None,
     chunks=2,
     diffusion_substeps=16,
 ):
@@ -495,8 +492,7 @@ def evolve(
 
     scheme "lie": per step, upwind x-transport, upwind v-drift, one
     implicit diffusion solve; dt is CFL_LIMIT times the largest stable
-    step, shortened to divide the interval, unless given explicitly (an
-    explicit dt beyond the stable step raises CFLError).
+    step, shortened to divide the interval.
 
     scheme "strang": telescoped Strang splitting over `chunks` equal
     chunks, semi-Lagrangian transport, `diffusion_substeps` implicit
@@ -509,14 +505,14 @@ def evolve(
     Raises
     ------
     CFLError
-        An InputError: an explicit lie dt exceeds the CFL limit, or the
-        strang drift's Courant number exceeds 1 at the chunk size.
+        An InputError: the strang drift's Courant number exceeds 1 at the
+        chunk size.
     InputError
         If t1 does not exceed field.t, the scheme is neither "lie" nor
         "strang", or the diffusion number dt / dv^2 is not a positive
         finite float.
     ValueError
-        If dt or chunks are invalid.
+        If chunks is below 1.
     """
     if not t1 > field.t:
         raise InputError(f"t1={t1} must exceed the field time {field.t}")
@@ -546,22 +542,8 @@ def evolve(
         return before - total
 
     if scheme == "lie":
-        rate = max(rate_x, rate_v)
-        if rate <= 0:
-            raise ValueError("degenerate grid: zero transport rates")
-        dt_max = CFL_LIMIT / rate
-        if dt is None:
-            n_steps = max(1, int(np.ceil(T / dt_max)))
-            dt = T / n_steps
-        else:
-            n_steps = max(1, int(round(T / dt)))
-            if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-                raise ValueError("explicit dt must divide the time interval")
-            if dt > dt_max * (1 + 1e-12):
-                raise CFLError(
-                    f"dt={dt:.3e} exceeds CFL limit {dt_max:.3e} "
-                    f"(rates: x {rate_x:.3g}, v {rate_v:.3g})"
-                )
+        n_steps = max(1, int(np.ceil(T / (CFL_LIMIT / max(rate_x, rate_v)))))
+        dt = T / n_steps
         courant_v = speed * dt / field.dv
         diffuse = _diffuse_v(field.rho.shape, field.dv, dt)
         rho = field.rho
@@ -703,24 +685,12 @@ def estimate_log_hessian(field, potential, i, j):
     )
 
 
-def _bound_matrix(curvature, t, bound_source):
-    if bound_source == "oracle":
-        return bound_N(curvature, t).entries
-    if bound_source == "closed_form":
-        if curvature.k1 is None:
-            raise ValueError("closed_form bound needs a scalar curvature pair")
-        sf = eval_sfuncs(curvature.k1, curvature.k2, t)
-        return assemble_bound(sf, n=curvature.n).entries
-    raise ValueError(f"unknown bound_source {bound_source!r}")
-
-
 @dataclass
 class HarnackCheckReport:
     """Outcome of a matrix or scalar Harnack verification on a field."""
 
     kind: str  # "matrix" or "scalar"
     t: float
-    bound_source: str
     min_margin: float
     argmin: tuple  # (x, v) location of the worst margin
     n_tested: int
@@ -738,7 +708,7 @@ def _region_mask(field, region):
     return (X >= x_lo) & (X <= x_hi) & (V >= v_lo) & (V <= v_hi)
 
 
-def _margin_report(kind, field, bound_source, margin, testable, tolerance):
+def _margin_report(kind, field, margin, testable, tolerance):
     """Report on margin, the margins at the testable interior points in
     row-major order; raises UntestableRegionError if there are none."""
     n_tested = int(testable.sum())
@@ -752,7 +722,6 @@ def _margin_report(kind, field, bound_source, margin, testable, tolerance):
     return HarnackCheckReport(
         kind=kind,
         t=field.t,
-        bound_source=bound_source,
         min_margin=min_margin,
         argmin=(float(field.xs[ii + 2]), float(field.vs[jj + 2])),
         n_tested=n_tested,
@@ -767,7 +736,6 @@ def verify_matrix_harnack(
     field,
     potential,
     curvature=None,
-    bound_source="oracle",
     tolerance=0.1,
     region=None,
     bound_shift=0.0,
@@ -791,7 +759,7 @@ def verify_matrix_harnack(
     """
     if curvature is None:
         curvature = curvature_of(potential)
-    N = _bound_matrix(curvature, field.t, bound_source) + bound_shift * np.eye(2)
+    N = bound_N(curvature, field.t).entries + bound_shift * np.eye(2)
     gxx, gxv, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
     testable &= _region_mask(field, region)
     # smaller eigenvalue of the 2x2 margin matrix, on testable points only
@@ -799,7 +767,7 @@ def verify_matrix_harnack(
     b = gxv[testable] - N[0, 1]
     c = gvv[testable] - N[1, 1]
     min_eig = 0.5 * (a + c) - np.sqrt(np.square(0.5 * (a - c)) + np.square(b))
-    return _margin_report("matrix", field, bound_source, min_eig, testable, tolerance)
+    return _margin_report("matrix", field, min_eig, testable, tolerance)
 
 
 def verify_scalar_harnack(
@@ -826,17 +794,7 @@ def verify_scalar_harnack(
     _, _, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
     testable &= _region_mask(field, region)
     margin = gvv[testable] - rhs
-    return _margin_report("scalar", field, "closed_form", margin, testable, tolerance)
-
-
-def matrix_implies_scalar_gap(matrix_report, scalar_report):
-    """Slack in the implication scalar_margin >= matrix_margin (n = 1).
-
-    Nonnegative (up to IMPLICATION_SLACK) whenever both reports come
-    from the same field, potential, and curvature; returns the signed
-    slack.
-    """
-    return scalar_report.min_margin - matrix_report.min_margin + IMPLICATION_SLACK
+    return _margin_report("scalar", field, margin, testable, tolerance)
 
 
 # ---------------------------------------------------------------------------

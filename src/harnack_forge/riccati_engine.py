@@ -162,7 +162,8 @@ class CurvatureBound:
         General symmetric PSD 2n x 2n matrix (mutually exclusive with
         the scalar form).
     n : int
-        Spatial dimension (scalar form only; inferred from `matrix`).
+        Spatial dimension (scalar form only; inferred from `matrix`); a
+        positive integer, else ValueError, as in build_structural.
     """
 
     __slots__ = ("n", "K", "k1", "k2")
@@ -184,8 +185,7 @@ class CurvatureBound:
         else:
             if k1 is None or k2 is None:
                 raise ValueError("scalar form needs both k1 and k2")
-            if n < 1:
-                raise ValueError("n must be a positive integer")
+            _check_dimension(n)
             k1, k2 = float(k1), float(k2)
             if not (np.isfinite(k1) and np.isfinite(k2)):
                 raise ValueError(f"k1 and k2 must be finite, got ({k1}, {k2})")
@@ -207,14 +207,19 @@ class CurvatureBound:
         return f"CurvatureBound(matrix=..., n={self.n})"
 
 
+def _check_dimension(n):
+    """Raise ValueError unless n is a positive integer (bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"invalid dimension n={n!r}; need a positive integer")
+
+
 def build_structural(n):
     """Structural pair C, D in dimension 2n.
 
     C carries -I in the (x, v) block, D carries 2I in the (v, v) block;
-    entries are exact integers.
+    entries are exact integers.  n must be a positive integer (ValueError).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"invalid dimension n={n}; need a positive integer")
+    _check_dimension(n)
     I = np.eye(n)
     C = np.zeros((2 * n, 2 * n))
     D = np.zeros((2 * n, 2 * n))
@@ -238,12 +243,10 @@ def small_time_S(K, t):
     return BlockSym2n(np.vstack([top, bot]), symmetrize=True)
 
 
-def _as_curvature(K, n=1):
-    if isinstance(K, CurvatureBound):
-        return K
-    if np.isscalar(K):
-        return CurvatureBound(k1=float(K), k2=float(K), n=n)
-    return CurvatureBound(matrix=K)
+def _as_curvature(K):
+    if not isinstance(K, CurvatureBound):
+        raise TypeError(f"K must be a CurvatureBound, got {type(K).__name__}")
+    return K
 
 
 def _riccati_rhs(S, negC, CT, D, K):
@@ -311,7 +314,7 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
 
     Parameters
     ----------
-    K : CurvatureBound or array_like or scalar
+    K : CurvatureBound
     t_end : float
         Final time, > 0.
     tol : float
@@ -436,7 +439,7 @@ def bound_N(K, t, tol=1e-10, trajectory=None):
 
     Parameters
     ----------
-    K : CurvatureBound or array_like or scalar
+    K : CurvatureBound
     t : float or 1-D array_like of float
         One positive time, or a grid of them in any order; duplicates
         are allowed.
@@ -573,7 +576,7 @@ def fundamental_M(K, t):
 
     Parameters
     ----------
-    K : CurvatureBound or array_like or scalar
+    K : CurvatureBound
     t : float or 1-D array_like of float
         One time, or a grid of times (any order, zero allowed).
 
@@ -720,8 +723,11 @@ def comparison_check(K_small, K_large, t_grid, tol=1e-10):
     K_large - K_small >= 0, checked by eigensolve.  If the hypothesis
     fails the report says so instead of passing or failing the ordering.
     The ordering holds when no top eigenvalue of S_small - S_large
-    exceeds COMPARISON_SLACK.
+    exceeds COMPARISON_SLACK.  An empty t_grid raises ValueError.
     """
+    t_grid = sorted(float(t) for t in t_grid)
+    if not t_grid:
+        raise ValueError("t_grid must not be empty")
     K_small = _as_curvature(K_small)
     K_large = _as_curvature(K_large)
     if K_small.n != K_large.n:
@@ -735,7 +741,6 @@ def comparison_check(K_small, K_large, t_grid, tol=1e-10):
             ordering_holds=False,
             worst_violation=np.nan,
         )
-    t_grid = sorted(float(t) for t in t_grid)
     t_end = t_grid[-1]
     traj_s = {t: S for t, S in integrate_S(K_small, t_end, tol, eval_times=t_grid)}
     traj_l = {t: S for t, S in integrate_S(K_large, t_end, tol, eval_times=t_grid)}
@@ -794,7 +799,7 @@ def exponential_route_residual(K, M):
 
     Parameters
     ----------
-    K : CurvatureBound or array_like or scalar
+    K : CurvatureBound
     M : (m, 4n, 4n) array_like
         fundamental_M(K, t_grid) of a grid of positive times, so that the
         same stack can also feed S_from_M.

@@ -15,6 +15,7 @@ from harnack_forge.closed_forms import CASE2, classify
 from harnack_forge.gaussian_kernel import kernel_state, grid_density, propagate
 from harnack_forge.kinetic_pde import (
     FLOOR_FRAC_DEFAULT,
+    MIN_GRID_CELLS,
     CFLError,
     CustomPotential,
     GridField,
@@ -29,7 +30,6 @@ from harnack_forge.kinetic_pde import (
     kernel_field,
     load_snapshot,
     make_grid,
-    matrix_implies_scalar_gap,
     save_snapshot,
     snapshot_csv,
     verify_matrix_harnack,
@@ -169,6 +169,18 @@ class TestGridField:
             with pytest.raises(ValueError, match=f"{axis} must be strictly increasing"):
                 GridField(grid["xs"], grid["vs"], np.ones((16, 16)), t=0.1)
 
+    @pytest.mark.parametrize("axis", ["xs", "vs"])
+    def test_axes_must_be_uniform(self, axis):
+        grid = {"xs": [0.0, 1.0, 2.0], "vs": [0.0, 1.0, 2.0], axis: [0.0, 1.0, 3.0]}
+        with pytest.raises(ValueError, match=f"{axis} must be uniform"):
+            GridField(grid["xs"], grid["vs"], np.ones((3, 3)), t=1.0)
+
+    @pytest.mark.parametrize("extent", [1e-300, 1e300])
+    @pytest.mark.parametrize("n", [MIN_GRID_CELLS, 512])
+    def test_make_grid_axes_pass_the_uniformity_test(self, extent, n):
+        xs = make_grid(extent, n)
+        assert GridField(xs, xs, np.ones((n, n)), t=1.0).dx > 0
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_density_rejected(self, value):
         xs = make_grid(2.0, 16)
@@ -220,12 +232,8 @@ class TestEvolve:
         assert rep.ledger_discrepancy < 1e-10
         assert rep.drift_source > 0.0
 
-    def test_explicit_dt_validation(self):
+    def test_t1_must_exceed_field_time(self):
         f = kernel_field(0.3, extent=4.0, n=64)
-        with pytest.raises(CFLError, match="CFL"):
-            evolve(f, ZeroPotential(), 0.5, dt=0.1)
-        with pytest.raises(ValueError, match="divide"):
-            evolve(f, ZeroPotential(), 0.5, dt=0.2 / 7.3)
         with pytest.raises(ValueError, match="exceed"):
             evolve(f, ZeroPotential(), 0.2)
 
@@ -494,7 +502,7 @@ class TestHarnackVerification:
         srep = verify_scalar_harnack(f, ZeroPotential(), tolerance=1e-6)
         assert srep.passed
         assert srep.kind == "scalar"
-        assert matrix_implies_scalar_gap(mrep, srep) >= -1e-12
+        assert srep.min_margin - mrep.min_margin >= -2e-12
 
     def test_region_restriction(self):
         f = kernel_field(1.0, extent=6.0, n=128)
@@ -508,12 +516,6 @@ class TestHarnackVerification:
         f = kernel_field(1.0, extent=6.0, n=128)
         with pytest.raises(UntestableRegionError):
             verify_matrix_harnack(f, ZeroPotential(), region=(7.0, 8.0, 7.0, 8.0))
-
-    def test_closed_form_bound_source_agrees(self):
-        f = kernel_field(0.8, extent=6.0, n=96)
-        a = verify_matrix_harnack(f, ZeroPotential(), bound_source="oracle")
-        b = verify_matrix_harnack(f, ZeroPotential(), bound_source="closed_form")
-        assert abs(a.min_margin - b.min_margin) < 1e-6
 
     def test_untestable_points_raise_no_warning(self):
         # the strang run leaves empty cells, whose stencils are not finite

@@ -90,6 +90,25 @@ class TestCurvatureBound:
         with pytest.raises(ValueError, match="finite"):
             CurvatureBound(**kwargs)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2", True, 0, -1])
+    def test_dimension_must_be_positive_integer(self, n):
+        # CurvatureBound and build_structural share one dimension rule
+        with pytest.raises(ValueError, match="dimension n="):
+            CurvatureBound(k1=1, k2=1, n=n)
+        with pytest.raises(ValueError, match="dimension n="):
+            build_structural(n)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert CurvatureBound(k1=1, k2=1, n=np.int64(2)).K.shape == (4, 4)
+        assert build_structural(np.int64(2)).C.shape == (4, 4)
+
+    @pytest.mark.parametrize("K", [1.0, np.eye(2)])
+    def test_routes_take_only_curvature_bounds(self, K):
+        with pytest.raises(TypeError, match="CurvatureBound"):
+            bound_N(K, 1.0)
+        with pytest.raises(TypeError, match="CurvatureBound"):
+            integrate_S(K, 1.0)
+
 
 def test_structural_pair_entries():
     sp = build_structural(2)
@@ -353,6 +372,11 @@ class TestComparison:
         rep = comparison_check(small, large, [1.0])
         assert rep.status == "hypothesis-failed"
         assert not rep.ordering_holds
+
+    def test_empty_grid_rejected(self):
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        with pytest.raises(ValueError, match="t_grid must not be empty"):
+            comparison_check(K, K, [])
 
     def test_seeded_ordered_pairs(self):
         rng = np.random.default_rng(19)
