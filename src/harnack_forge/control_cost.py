@@ -100,27 +100,9 @@ class ControlPath:
             xs[i + 1] = xs[i] + dt * vs[i] + 0.5 * dt * dt * u
             vs[i + 1] = vs[i] + dt * u
         self._xs, self._vs = xs, vs
-        self._tgrid = self.s + np.concatenate([[0.0], np.cumsum(self.durations)])
-
-    @property
-    def t_end(self):
-        return float(self._tgrid[-1])
 
     def endpoint(self):
         return self._xs[-1].copy(), self._vs[-1].copy()
-
-    def state(self, theta):
-        """Exact state (x, v) at any time inside the window."""
-        tg = self._tgrid
-        if theta < tg[0] - 1e-12 or theta > tg[-1] + 1e-12:
-            raise ValueError(f"theta={theta} outside [{tg[0]}, {tg[-1]}]")
-        i = min(np.searchsorted(tg, theta, side="right") - 1, len(tg) - 2)
-        i = max(i, 0)
-        xi = theta - tg[i]
-        u = self.controls[i]
-        x = self._xs[i] + xi * self._vs[i] + 0.5 * xi * xi * u
-        v = self._vs[i] + xi * u
-        return x, v
 
     def energy(self):
         """Control energy sum dt |u|^2 / 4 over the segments."""

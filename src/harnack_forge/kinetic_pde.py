@@ -25,8 +25,10 @@ non-negative fields the solver carries; the solver needs numpy alone.
 
 Verification compares the estimated Hessian of log rho - U/2 on the
 grid against the Riccati bound N evaluated at the absolute snapshot
-time; a solution born at t0 from spread-out data dominates the bound
-of age t0 already, so absolute time is the correct argument.
+time.  That rests on an unchecked assumption: data born at t0 already
+satisfy the bound of age t0, which holds for spread-out data.  Narrow
+data break it: pde-harnack at sigma2=0.05, t0=0.05, t1=0.3, n_grid=256
+fails with matrix_min_margin -0.73.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from . import _csv
 from .closed_forms import eval_sfuncs
 from .gaussian_kernel import GaussianState, grid_density, kernel_state
-from .riccati_engine import BlockSym2n, CurvatureBound, InputError, bound_N
+from .riccati_engine import CurvatureBound, InputError, bound_N
 
 BOUNDARY_LEAK_WARN = 1e-4
 LEDGER_TOL = 1e-10
@@ -68,52 +70,11 @@ class UntestableRegionError(RuntimeError, InputError):
 # potentials
 
 
-class Potential:
-    """Velocity-coupled potential U(x, v) with derivative access.
+class QuadraticPotential:
+    """U = (q_xx x^2 + 2 q_xv x v + q_vv v^2) / 2 with exact derivatives.
 
-    Subclasses override value(); gradient and velocity Laplacian fall
-    back to central finite differences, so custom potentials only need
-    the scalar field.  All methods broadcast over meshgrid arrays.
+    The only potential type; all methods broadcast over meshgrid arrays.
     """
-
-    fd_step = 1e-6
-
-    def value(self, x, v):
-        raise NotImplementedError
-
-    def grad_x(self, x, v):
-        e = self.fd_step
-        return (self.value(x + e, v) - self.value(x - e, v)) / (2 * e)
-
-    def grad_v(self, x, v):
-        e = self.fd_step
-        return (self.value(x, v + e) - self.value(x, v - e)) / (2 * e)
-
-    def lap_v(self, x, v):
-        e = self.fd_step
-        return (
-            self.value(x, v + e) - 2 * self.value(x, v) + self.value(x, v - e)
-        ) / e**2
-
-    def gradient_check(self, points, tol=1e-5):
-        """Max mismatch between analytic and FD gradients at sample points.
-
-        Returns the worst absolute difference; raises if it exceeds tol.
-        Useful when a subclass overrides the gradients analytically.
-        """
-        x = np.asarray([p[0] for p in points], dtype=float)
-        v = np.asarray([p[1] for p in points], dtype=float)
-        worst = max(
-            float(np.abs(self.grad_x(x, v) - Potential.grad_x(self, x, v)).max()),
-            float(np.abs(self.grad_v(x, v) - Potential.grad_v(self, x, v)).max()),
-        )
-        if worst > tol:
-            raise ValueError(f"gradient check failed: max mismatch {worst:.3e}")
-        return worst
-
-
-class QuadraticPotential(Potential):
-    """U = (q_xx x^2 + 2 q_xv x v + q_vv v^2) / 2 with exact derivatives."""
 
     def __init__(self, q_xx=0.0, q_xv=0.0, q_vv=0.0):
         self.q_xx = float(q_xx)
@@ -149,34 +110,6 @@ class ZeroPotential(QuadraticPotential):
         super().__init__()
 
 
-class CustomPotential(Potential):
-    """Potential wrapping user callables; derivatives default to FD."""
-
-    def __init__(self, value, grad_x=None, grad_v=None, lap_v=None):
-        self._value = value
-        self._gx = grad_x
-        self._gv = grad_v
-        self._lv = lap_v
-
-    def value(self, x, v):
-        return np.asarray(self._value(x, v), dtype=float)
-
-    def grad_x(self, x, v):
-        if self._gx is None:
-            return super().grad_x(x, v)
-        return np.asarray(self._gx(x, v), dtype=float)
-
-    def grad_v(self, x, v):
-        if self._gv is None:
-            return super().grad_v(x, v)
-        return np.asarray(self._gv(x, v), dtype=float)
-
-    def lap_v(self, x, v):
-        if self._lv is None:
-            return super().lap_v(x, v)
-        return np.asarray(self._lv(x, v), dtype=float)
-
-
 def compute_h(potential, x, v):
     """Curvature function h = -<v, U_x>/2 + Delta_v U / 2 - |U_v|^2 / 4."""
     return (
@@ -196,8 +129,9 @@ def curvature_of(potential):
     minimum over k2 may be an infimum rather than attained;
     CURVATURE_FEAS_TOL sets the attainment margin.
 
-    Raises ValueError for any other potential: pass its curvature pair
-    as curvature= to verify_matrix_harnack / verify_scalar_harnack.
+    Raises ValueError for anything that is not a QuadraticPotential; an
+    explicit pair goes to verify_matrix_harnack / verify_scalar_harnack
+    as curvature= instead.
     """
     if not isinstance(potential, QuadraticPotential):
         raise ValueError(
@@ -234,9 +168,10 @@ def make_grid(extent, n):
 class GridField:
     """Nonnegative density on a tensor phase-space grid.
 
-    rho has shape (nx, nv) over uniform, strictly increasing (else
-    ValueError) cell-centered coordinates xs, vs; t is the absolute time
-    of the snapshot and t0 the birth time of the run.  boundary_warning
+    rho has shape (nx, nv) over uniform, strictly increasing
+    cell-centered coordinates xs, vs of at least 2 points each (else
+    ValueError); t is the absolute time of the snapshot and t0 the
+    birth time of the run.  boundary_warning
     is set when more than BOUNDARY_LEAK_WARN of the mass sits in the
     outermost cell ring (the Dirichlet boundary is then visibly
     truncating the solution).
@@ -246,6 +181,8 @@ class GridField:
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
         for name, axis in (("xs", self.xs), ("vs", self.vs)):
+            if axis.size < 2:
+                raise ValueError(f"{name} needs at least 2 points, got {axis.size}")
             step = np.diff(axis)
             if not np.all(step > 0):
                 raise ValueError(f"{name} must be strictly increasing")
@@ -475,11 +412,6 @@ def _courant_rates(xs, vs, speed):
     return rate_x, rate_v
 
 
-def cfl_rates(field, potential):
-    """Unit-time Courant rates (|v|/dx max, |U_v|/dv max) on the grid."""
-    return _courant_rates(field.xs, field.vs, potential.grad_v(*field.meshes()))
-
-
 def evolve(
     field,
     potential,
@@ -660,31 +592,6 @@ def _stencil_arrays(field, potential, floor_frac):
     return gxx, gxv, gvv, testable
 
 
-def estimate_log_hessian(field, potential, i, j):
-    """Estimated Hessian of log rho - U/2 at grid index (i, j).
-
-    Centered second differences over the 3x3 neighborhood; the full 5x5
-    density stencil must clear the floor (FLOOR_FRAC_DEFAULT times the
-    peak), otherwise the point is untestable and a ValueError is raised.
-    Indices within two cells of the boundary are rejected.
-    """
-    nx, nv = field.rho.shape
-    if not (2 <= i < nx - 2 and 2 <= j < nv - 2):
-        raise ValueError(
-            f"index ({i}, {j}) is within two cells of the boundary; "
-            "the stencil does not fit"
-        )
-    gxx, gxv, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
-    ii, jj = i - 2, j - 2
-    if not testable[ii, jj]:
-        raise ValueError(
-            f"point ({i}, {j}) untestable: density below floor on the 5x5 stencil"
-        )
-    return BlockSym2n(
-        np.array([[gxx[ii, jj], gxv[ii, jj]], [gxv[ii, jj], gvv[ii, jj]]])
-    )
-
-
 @dataclass
 class HarnackCheckReport:
     """Outcome of a matrix or scalar Harnack verification on a field."""
@@ -753,6 +660,8 @@ def verify_matrix_harnack(
     (x_lo, x_hi, v_lo, v_hi) that stays away from the boundary when the
     field carries visible mass there.
 
+    curvature is a CurvatureBound; None takes curvature_of(potential).
+
     Raises UntestableRegionError when no point clears the density floor,
     and ValueError (from curvature_of) when curvature is None and the
     potential is not a QuadraticPotential.
@@ -782,8 +691,8 @@ def verify_scalar_harnack(
     This is the velocity trace of the matrix inequality; it is implied
     by the matrix form with margin n times the eigenvalue margin, and
     is checked independently because it only needs the regime scalars.
-    Without curvature, a potential that is not a QuadraticPotential
-    raises ValueError (from curvature_of).
+    curvature is a scalar CurvatureBound; None takes curvature_of(potential),
+    which raises ValueError when the potential is not a QuadraticPotential.
     """
     if curvature is None:
         curvature = curvature_of(potential)

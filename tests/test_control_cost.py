@@ -86,27 +86,15 @@ class TestEnergyCost:
 
 class TestControlPath:
     def test_exact_segment_flow(self):
-        path = ControlPath(0.0, [0.0], [0.0], [0.5, 0.5], [[2.0], [-2.0]])
-        # after first segment: x = u t^2 / 2 = 0.25, v = 1
-        x, v = path.state(0.5)
+        # one segment: x = u t^2 / 2 = 0.25, v = 1
+        x, v = ControlPath(0.0, [0.0], [0.0], [0.5], [[2.0]]).endpoint()
         assert x[0] == pytest.approx(0.25)
         assert v[0] == pytest.approx(1.0)
+        path = ControlPath(0.0, [0.0], [0.0], [0.5, 0.5], [[2.0], [-2.0]])
         ex, ev = path.endpoint()
         # second segment: x = 0.25 + 0.5*1 - 2*0.125 = 0.5, v = 0
         assert ex[0] == pytest.approx(0.5)
         assert ev[0] == pytest.approx(0.0)
-
-    def test_state_continuity_at_knots(self):
-        rng = np.random.default_rng(4)
-        path = ControlPath(
-            0.0, [0.1], [-0.2], np.full(5, 0.2), rng.normal(size=(5, 1))
-        )
-        for k in range(1, 5):
-            tk = 0.2 * k
-            xl, vl = path.state(tk - 1e-12)
-            xr, vr = path.state(tk + 1e-12)
-            assert abs(xl[0] - xr[0]) < 1e-10
-            assert abs(vl[0] - vr[0]) < 1e-10
 
     def test_energy_formula(self):
         path = ControlPath(0.0, [0.0], [0.0], [0.5, 0.5], [[2.0], [-2.0]])

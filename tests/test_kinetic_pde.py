@@ -17,15 +17,12 @@ from harnack_forge.kinetic_pde import (
     FLOOR_FRAC_DEFAULT,
     MIN_GRID_CELLS,
     CFLError,
-    CustomPotential,
     GridField,
     QuadraticPotential,
     UntestableRegionError,
     ZeroPotential,
-    cfl_rates,
     compute_h,
     curvature_of,
-    estimate_log_hessian,
     evolve,
     kernel_field,
     load_snapshot,
@@ -34,6 +31,7 @@ from harnack_forge.kinetic_pde import (
     snapshot_csv,
     verify_matrix_harnack,
     verify_scalar_harnack,
+    _courant_rates,
     _diffuse_v,
     _region_mask,
     _sl_advect_x,
@@ -55,24 +53,6 @@ class TestPotentials:
         assert np.allclose(U.grad_x(x, v), 2 * x + v)
         assert np.allclose(U.grad_v(x, v), x + 3 * v)
         assert np.allclose(U.lap_v(x, v), 3.0)
-
-    def test_custom_fd_fallback(self):
-        U = CustomPotential(lambda x, v: 0.5 * v**2)
-        ref = QuadraticPotential(q_vv=1.0)
-        x, v = np.array([0.3]), np.array([-0.7])
-        assert np.allclose(U.grad_v(x, v), ref.grad_v(x, v), atol=1e-5)
-        assert np.allclose(U.grad_x(x, v), 0.0, atol=1e-5)
-        assert np.allclose(U.lap_v(x, v), 1.0, atol=1e-3)
-
-    def test_gradient_check_catches_lies(self):
-        good = CustomPotential(lambda x, v: x * v)
-        pts = np.array([[0.2, 0.3], [-0.5, 1.0]])
-        good.gradient_check(pts)  # should not raise
-        bad = CustomPotential(
-            lambda x, v: x * v, grad_x=lambda x, v: np.zeros_like(x)
-        )
-        with pytest.raises(ValueError, match="gradient"):
-            bad.gradient_check(pts)
 
     def test_compute_h(self):
         x, v = np.array([1.0, 2.0]), np.array([0.5, -1.0])
@@ -125,7 +105,11 @@ class TestPotentials:
         assert a >= 0 and c >= 0 and a * c >= Fraction(hxv) ** 2
 
     def test_curvature_needs_a_quadratic_potential(self):
-        U = CustomPotential(lambda x, v: 0.5 * v**2)
+        class HalfVSquared:  # U = v^2/2, but not a QuadraticPotential
+            def value(self, x, v):
+                return 0.5 * np.square(v)
+
+        U = HalfVSquared()
         with pytest.raises(ValueError, match="curvature="):
             curvature_of(U)
         f = kernel_field(0.3, extent=4.0, n=32, sigma2=1.0)
@@ -174,6 +158,14 @@ class TestGridField:
         grid = {"xs": [0.0, 1.0, 2.0], "vs": [0.0, 1.0, 2.0], axis: [0.0, 1.0, 3.0]}
         with pytest.raises(ValueError, match=f"{axis} must be uniform"):
             GridField(grid["xs"], grid["vs"], np.ones((3, 3)), t=1.0)
+
+    @pytest.mark.parametrize("axis", ["xs", "vs"])
+    def test_axes_need_two_points(self, axis):
+        for n in (0, 1):
+            grid = {"xs": [0.0, 1.0], "vs": [0.0, 1.0], axis: np.arange(float(n))}
+            rho = np.ones((len(grid["xs"]), len(grid["vs"])))
+            with pytest.raises(ValueError, match=f"^{axis} needs at least 2 points"):
+                GridField(grid["xs"], grid["vs"], rho, t=1.0)
 
     @pytest.mark.parametrize("extent", [1e-300, 1e300])
     @pytest.mark.parametrize("n", [MIN_GRID_CELLS, 512])
@@ -265,18 +257,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="scheme"):
             evolve(f, ZeroPotential(), 0.4, scheme="milstein")
 
-    def test_cfl_rates(self):
-        f = kernel_field(0.2, extent=4.0, n=64)
-        rx, rv = cfl_rates(f, QuadraticPotential(q_vv=1.0))
-        assert rx == pytest.approx(np.abs(f.vs).max() / f.dx)
-        assert rv == pytest.approx(np.abs(f.vs).max() / f.dv)
-
     @pytest.mark.parametrize("scheme", ["lie", "strang"])
     def test_report_cfl_numbers_are_cfl_rates_times_dt(self, scheme):
         # evolve derives the rates from its own drift array, bit for bit
         f = kernel_field(0.2, extent=4.0, n=64)
         for pot in (ZeroPotential(), QuadraticPotential(q_vv=1.0, q_xv=0.5)):
-            rx, rv = cfl_rates(f, pot)
+            rx, rv = _courant_rates(f.xs, f.vs, pot.grad_v(*f.meshes()))
             _, rep = evolve(f, pot, 0.5, scheme=scheme, chunks=40)
             assert (rep.cfl_x, rep.cfl_v) == (rx * rep.dt, rv * rep.dt)
 
@@ -462,22 +448,26 @@ class TestHessianEstimation:
     def test_exact_on_sampled_gaussian(self):
         # centered second differences are exact on quadratic log-density
         f = kernel_field(1.0, extent=6.0, n=128)
-        H = estimate_log_hessian(f, ZeroPotential(), 64, 64).entries
+        gxx, gxv, gvv, ok = _stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT)
+        assert ok[62, 62]  # grid index (64, 64)
+        H = [[gxx[62, 62], gxv[62, 62]], [gxv[62, 62], gvv[62, 62]]]
         assert np.allclose(H, [[-6.0, 3.0], [3.0, -2.0]], atol=1e-6)
 
     def test_potential_correction_enters(self):
         f = kernel_field(1.0, extent=6.0, n=128)
-        H0 = estimate_log_hessian(f, ZeroPotential(), 64, 64).entries
-        H1 = estimate_log_hessian(f, QuadraticPotential(q_vv=1.0), 64, 64).entries
+        H0 = _stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT)[:3]
+        H1 = _stencil_arrays(f, QuadraticPotential(q_vv=1.0), FLOOR_FRAC_DEFAULT)[:3]
         # log rho - U/2 shifts the vv entry by -1/2 exactly
-        assert np.allclose(H1 - H0, [[0.0, 0.0], [0.0, -0.5]], atol=1e-9)
+        shift = [H1[k][62, 62] - H0[k][62, 62] for k in range(3)]
+        assert np.allclose(shift, [0.0, 0.0, -0.5], atol=1e-9)
 
     def test_boundary_and_floor_rejection(self):
         f = kernel_field(0.3, extent=4.0, n=64)
-        with pytest.raises(ValueError, match="boundary"):
-            estimate_log_hessian(f, ZeroPotential(), 1, 30)
-        with pytest.raises(ValueError, match="untestable"):
-            estimate_log_hessian(f, ZeroPotential(), 2, 2)  # far corner
+        *_, ok = _stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT)
+        # points within two cells of the boundary have no mask entry
+        assert ok.shape == (60, 60)
+        assert ok[30, 30]  # grid index (32, 32), the peak
+        assert not ok[0, 0]  # grid index (2, 2), the far corner
 
 
 class TestHarnackVerification:
