@@ -84,11 +84,12 @@ def classify(k1, k2):
     EQ_TOL_DEFAULT * max(1, k2^2).  The bound is continuous across the
     boundary, so nearby pairs may land on either side; the s-functions are not:
     the CASE1 and CASE3 ones carry a common factor (4 b^2, mu2^2) that
-    vanishes on the boundary and cancels in assemble_bound.
+    vanishes on the boundary and cancels in assemble_bound.  A pair that
+    is not finite and nonnegative raises ValueError.
     """
     k1, k2 = float(k1), float(k2)
-    if k1 < 0 or k2 < 0:
-        raise ValueError(f"curvature pair must be nonnegative, got ({k1}, {k2})")
+    if not (0 <= k1 < math.inf and 0 <= k2 < math.inf):
+        raise ValueError(f"curvature pair must be nonnegative and finite, got ({k1}, {k2})")
     disc = k2 * k2 - 2.0 * k1
     if k1 == 0.0 and k2 == 0.0:
         return Regime(CASE5, k1, k2, {})
@@ -191,7 +192,7 @@ def eval_sfuncs(k1, k2, t):
     Raises
     ------
     ValueError
-        If t is not positive.
+        If t is not positive, or the pair is not finite and nonnegative.
     CapError
         An InputError and an OverflowError: twice the regime's fastest
         rate times t exceeds HYP_ARG_CAP, where the hyperbolic functions

@@ -77,32 +77,25 @@ class ControlPath:
 
     Within a segment of duration dt the flow is the exact double
     integrator: x -> x + dt v + dt^2/2 u, v -> v + dt u, so endpoint
-    positions carry no time-stepping error.
+    positions carry no time-stepping error.  The flow runs once, at
+    construction, and only its endpoint is kept.
     """
 
-    def __init__(self, s, x0, v0, durations, controls):
-        self.s = float(s)
-        self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        self.v0 = np.atleast_1d(np.asarray(v0, dtype=float))
+    def __init__(self, x0, v0, durations, controls):
         self.durations = np.asarray(durations, dtype=float)
         self.controls = np.asarray(controls, dtype=float)
         if self.controls.ndim != 2 or self.controls.shape[0] != self.durations.size:
             raise ValueError("controls must have shape (m, n) matching durations")
         if np.any(self.durations <= 0):
             raise ValueError("segment durations must be positive")
-        # precompute segment-boundary states
-        m, n = self.controls.shape
-        xs = np.empty((m + 1, n))
-        vs = np.empty((m + 1, n))
-        xs[0], vs[0] = self.x0, self.v0
-        for i in range(m):
-            dt, u = self.durations[i], self.controls[i]
-            xs[i + 1] = xs[i] + dt * vs[i] + 0.5 * dt * dt * u
-            vs[i + 1] = vs[i] + dt * u
-        self._xs, self._vs = xs, vs
+        x, v = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
+        for dt, u in zip(self.durations, self.controls):
+            x = x + dt * v + 0.5 * dt * dt * u
+            v = v + dt * u
+        self._end = x, v
 
     def endpoint(self):
-        return self._xs[-1].copy(), self._vs[-1].copy()
+        return self._end[0].copy(), self._end[1].copy()
 
     def energy(self):
         """Control energy sum dt |u|^2 / 4 over the segments."""
@@ -224,7 +217,7 @@ def steer_exact(problem, m=8):
     h = problem.tau / m
     midpoints = problem.s + (np.arange(m)[:, None] + 0.5) * h
     controls = _correct_last_two(problem, m, hermite_control(problem, midpoints))
-    path = ControlPath(problem.s, problem.x0, problem.v0, np.full(m, h), controls)
+    path = ControlPath(problem.x0, problem.v0, np.full(m, h), controls)
     ex, ev = path.endpoint()
     err = max(np.abs(ex - problem.x1).max(), np.abs(ev - problem.v1).max())
     if err > ENDPOINT_TOL:
@@ -333,7 +326,7 @@ def transcribe_cost(problem, m=24, h=None):
                              "is not finite")
         X = np.linalg.solve(np.broadcast_to(gram, (n, 2, 2)), B)  # (n, 2, 1)
         controls = _correct_last_two(p, m, (A.T @ X)[..., 0].T)  # (n, m, 1) -> (m, n)
-        path = ControlPath(p.s, p.x0, p.v0, np.full(m, dt), controls)
+        path = ControlPath(p.x0, p.v0, np.full(m, dt), controls)
         return TranscribeResult(0.25 * dt * float(np.sum(controls**2)), path, "ok", 1, 1)
     c, g, H = _quadratic(h, n)
 
@@ -391,7 +384,7 @@ def transcribe_cost(problem, m=24, h=None):
     Z = node_states(controls)
     hz = c + Z @ g + 0.5 * np.sum((Z @ H) * Z, axis=1)
     cost = 0.25 * dt * float(np.sum(controls**2)) - float(wq @ hz)
-    path = ControlPath(p.s, p.x0, p.v0, np.full(m, dt), controls)
+    path = ControlPath(p.x0, p.v0, np.full(m, dt), controls)
     return TranscribeResult(cost, path, "ok", 1, 1)
 
 

@@ -51,6 +51,9 @@ LEDGER_TOL = 1e-10
 FLOOR_FRAC_DEFAULT = 1e-12
 # the lie scheme's step is this fraction of the largest stable step
 CFL_LIMIT = 0.9
+# the strang scheme's equal chunks, and its implicit diffusion substeps per chunk
+STRANG_CHUNKS = 2
+STRANG_DIFFUSION_SUBSTEPS = 16
 CURVATURE_FEAS_TOL = 1e-10
 MIN_GRID_CELLS = 8
 
@@ -412,25 +415,18 @@ def _courant_rates(xs, vs, speed):
     return rate_x, rate_v
 
 
-def evolve(
-    field,
-    potential,
-    t1,
-    scheme="lie",
-    chunks=2,
-    diffusion_substeps=16,
-):
+def evolve(field, potential, t1, scheme="lie"):
     """Advance a grid field to absolute time t1.
 
     scheme "lie": per step, upwind x-transport, upwind v-drift, one
     implicit diffusion solve; dt is CFL_LIMIT times the largest stable
     step, shortened to divide the interval.
 
-    scheme "strang": telescoped Strang splitting over `chunks` equal
-    chunks, semi-Lagrangian transport, `diffusion_substeps` implicit
-    substeps per chunk.  Aimed at the free equation; a nonzero drift is
-    stepped with upwind inside each chunk and must satisfy CFL at the
-    chunk size.
+    scheme "strang": telescoped Strang splitting over STRANG_CHUNKS (2)
+    equal chunks, semi-Lagrangian transport, STRANG_DIFFUSION_SUBSTEPS
+    (16) implicit substeps per chunk.  Aimed at the free equation; a
+    nonzero drift is stepped with upwind inside each chunk and must
+    satisfy CFL at the chunk size.
 
     Returns (GridField at t1, EvolveReport).
 
@@ -440,14 +436,12 @@ def evolve(
         An InputError: the strang drift's Courant number exceeds 1 at the
         chunk size.
     InputError
-        If t1 does not exceed field.t, the scheme is neither "lie" nor
-        "strang", or the diffusion number dt / dv^2 is not a positive
-        finite float.
-    ValueError
-        If chunks is below 1.
+        If t1 is not finite or does not exceed field.t, the scheme is
+        neither "lie" nor "strang", or the diffusion number dt / dv^2 is
+        not a positive finite float.
     """
-    if not t1 > field.t:
-        raise InputError(f"t1={t1} must exceed the field time {field.t}")
+    if not field.t < t1 < np.inf:
+        raise InputError(f"t1={t1} must be finite and exceed the field time {field.t}")
     if scheme not in ("lie", "strang"):
         raise InputError(f"unknown scheme {scheme!r}: expected lie or strang")
     T = t1 - field.t
@@ -492,15 +486,12 @@ def evolve(
         report_dt = dt
         cx, cv = rate_x * dt, rate_v * dt
     else:
-        if chunks < 1:
-            raise ValueError("chunks must be >= 1")
-        delta = T / chunks
+        delta = T / STRANG_CHUNKS
         if rate_v * delta > 1.0 + 1e-12:
             raise CFLError(f"drift CFL {rate_v * delta:.3g} > 1 at chunk size "
-                           f"{delta:.3e}; increase chunks for potentials with drift")
-        diffuse = _diffuse_v(
-            field.rho.shape, field.dv, delta, nsub=diffusion_substeps
-        )
+                           f"{delta:.3e}; use scheme lie for this drift")
+        diffuse = _diffuse_v(field.rho.shape, field.dv, delta,
+                             nsub=STRANG_DIFFUSION_SUBSTEPS)
 
         def transport(rho, tau):
             nonlocal x_loss, drift_src
@@ -512,12 +503,12 @@ def evolve(
             return rho
 
         rho = transport(field.rho, 0.5 * delta)
-        for i in range(chunks):
+        for i in range(STRANG_CHUNKS):
             rho, ld = diffuse(rho)
             mass_lost(rho, ld)
             diff_loss += ld * cell
-            rho = transport(rho, delta if i < chunks - 1 else 0.5 * delta)
-        n_steps = chunks
+            rho = transport(rho, delta if i < STRANG_CHUNKS - 1 else 0.5 * delta)
+        n_steps = STRANG_CHUNKS
         report_dt = delta
         cx, cv = rate_x * delta, rate_v * delta
 

@@ -272,58 +272,27 @@ _DP_E = _DP_A[6] - np.array(
 )
 
 
-def _check_resolution(t_end, eval_times):
-    """Raise InputError unless integrate_S can resolve t_end and eval_times.
-
-    No step is shorter than the floor STEP_FLOOR * max(t_end, 1).  The
-    first step, min(1e-3, t_end / 10), must clear it, and so must the
-    smallest eval time, since the first step is cut short to land on it.
-    An eval time within MERGE_TOL of the one before it merges with it;
-    two eval times further apart than that but closer than the floor
-    would need a step under it.
-    """
-    t_end = float(t_end)
-    floor = STEP_FLOOR * max(t_end, 1.0)
-    first = min(1e-3, t_end / 10.0)
-    if first < floor:
-        raise InputError(f"t_end={t_end!r} cannot be resolved: the first step "
-                         f"{first:.3g} falls under the step floor {floor:.3g}")
-    times = sorted(float(t) for t in eval_times)
-    small = [t for t in times if t < floor]
-    if small:
-        raise InputError(f"eval time t={small[0]!r} cannot be resolved at "
-                         f"t_end={t_end!r}: it lies under the step floor {floor:.3g}")
-    landed = 0.0  # the time integrate_S last landed on, as its loop tracks it
-    for t in times:
-        if landed >= t - MERGE_TOL:
-            continue
-        if t - landed < floor:
-            raise InputError(
-                f"eval times t={landed!r} and t={t!r} cannot both be resolved "
-                f"at t_end={t_end!r}: they are {t - landed:.3g} apart, under the "
-                f"step floor {floor:.3g}, and more than {MERGE_TOL:g} apart, "
-                "so they do not merge"
-            )
-        landed = t
-
-
 def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     """Integrate S' = -CS - SC^T - D + SKS from S(0) = 0.
 
     Adaptive embedded Runge-Kutta 5(4) with per-step symmetry projection.
+    Its grid rule: no step is shorter than the floor STEP_FLOOR *
+    max(t_end, 1); a step is cut short to land exactly on the next
+    target (an eval time or t_end); a target within MERGE_TOL of the
+    time reached merges with it.
 
     Parameters
     ----------
     K : CurvatureBound
     t_end : float
-        Final time, > 0.
+        Final time, finite and > 0.
     tol : float
         Local error tolerance, in (1e-14, 1e-2).
     eval_times : sequence of float, optional
         Times that must appear exactly in the output grid.  A time
         within MERGE_TOL (1e-15) of the previous grid time merges with
-        it and does not appear again; bound_N matches requested times
-        to the grid with the same tolerance.
+        it and does not appear again; bound_N and comparison_check read
+        the grid with the same tolerance.
 
     Returns
     -------
@@ -333,38 +302,48 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     Raises
     ------
     InputError
-        If tol lies outside (1e-14, 1e-2), or t_end or an eval time cannot
-        be resolved from the step floor STEP_FLOOR * max(t_end, 1): the
-        first step min(1e-3, t_end / 10) or the smallest eval time lies
-        under it, or two eval times are closer than the floor but more
-        than MERGE_TOL apart (the message names both).
+        Before the first step: if t_end is not finite and positive, tol
+        lies outside (1e-14, 1e-2), or the first step min(1e-3,
+        t_end / 10) or the smallest eval time lies under the floor.
+        After the integration up to it: at a time from which the next
+        target lies more than MERGE_TOL but less than the floor ahead,
+        whether the loop landed there on an eval time or by an adaptive
+        step (the message names both times).  Either way no trajectory
+        is returned, so a caller that writes it writes nothing.
     ValueError
-        If t_end is not positive or an eval time lies outside (0, t_end].
+        If an eval time does not lie in (0, t_end] (NaN does not).
     StepUnderflowError
-        If the step size collapses (stiff blow-up).
+        If the adaptive step size collapses under the floor (stiff
+        blow-up).
     SymmetryDriftError
         If max|S - S^T| exceeds 1e-9 before projection.
     """
     K = _as_curvature(K)
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    t_end = float(t_end)
+    if not 0 < t_end < np.inf:
+        raise InputError(f"t_end={t_end!r} must be finite and positive")
     if not (1e-14 < tol < 1e-2):
         raise InputError(f"tol={tol!r} must lie in (1e-14, 1e-2)")
     sp = build_structural(K.n)
     negC, CT, D, Km = -sp.C, sp.C.T, sp.D, K.K
 
     extra = [] if eval_times is None else list(np.asarray(eval_times, dtype=float).ravel())
-    targets = sorted({float(t_end)} | {float(t) for t in extra})
-    if targets[0] <= 0 or targets[-1] > t_end:
+    targets = sorted({t_end} | {float(t) for t in extra})
+    if not all(0 < t <= t_end for t in targets):  # a NaN sorts anywhere
         raise ValueError("eval_times must lie in (0, t_end]")
-    _check_resolution(t_end, targets)
     floor = STEP_FLOOR * max(t_end, 1.0)
+    h = min(1e-3, t_end / 10.0)
+    if h < floor:
+        raise InputError(f"t_end={t_end!r} cannot be resolved: the first step "
+                         f"{h:.3g} falls under the step floor {floor:.3g}")
+    if targets[0] < floor:  # before the loop, which would merge it with t = 0
+        raise InputError(f"eval time t={targets[0]!r} cannot be resolved at "
+                         f"t_end={t_end!r}: it lies under the step floor {floor:.3g}")
 
     dim = 2 * K.n
     S = np.zeros((dim, dim))  # every S below is a fresh array, never written to
     t = 0.0
     out = [(0.0, BlockSym2n._wrap(S))]
-    h = min(1e-3, t_end / 10.0)
     ks = np.empty((7, dim, dim))  # stage derivatives; ks[0] is the FSAL slot
     flat = ks.reshape(7, dim * dim)  # view: tableau rows contract it in one matmul
     # stage i contracts tableau row i with the i stages before it
@@ -377,6 +356,12 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
         if t >= t_next - MERGE_TOL:
             ti += 1
             continue
+        if t_next - t < floor:
+            raise InputError(
+                f"t={t!r} and t={t_next!r} cannot both be resolved at t_end={t_end!r}: "
+                f"they are {t_next - t:.3g} apart, under the step floor {floor:.3g}, "
+                f"and more than {MERGE_TOL:g} apart, so they do not merge"
+            )
         hits_target = h >= t_next - t
         if hits_target:
             h = t_next - t
@@ -429,6 +414,21 @@ def _scaled_inverse(S, times, n):
     return np.linalg.inv(Shat) / outer
 
 
+def _states_at(trajectory, times):
+    """The S entries of an integrate_S trajectory at each of times (1-D).
+
+    Each time reads the nearest grid time, which must lie within
+    MERGE_TOL of it, as integrate_S merges a target that close with the
+    grid time it has reached; else ValueError.
+    """
+    grid = np.array([tg for tg, _ in trajectory])
+    rows = np.abs(grid - times[:, None]).argmin(axis=1)
+    missing = np.abs(grid[rows] - times) > MERGE_TOL
+    if missing.any():
+        raise ValueError(f"trajectory has no grid time at t={times[missing][0]!r}")
+    return np.array([trajectory[row][1].entries for row in rows])
+
+
 def bound_N(K, t, tol=1e-10, trajectory=None):
     """Sharp bound matrix N(t) = S(t)^{-1}, at one time or on a time grid.
 
@@ -479,13 +479,7 @@ def bound_N(K, t, tol=1e-10, trajectory=None):
     if late.size:
         if trajectory is None:
             trajectory = integrate_S(K, late.max(), tol=tol, eval_times=late)
-        grid = np.array([tg for tg, _ in trajectory])
-        rows = np.abs(grid - late[:, None]).argmin(axis=1)
-        # integrate_S skips a target within MERGE_TOL of a grid time
-        missing = np.abs(grid[rows] - late) > MERGE_TOL
-        if missing.any():
-            raise ValueError(f"trajectory has no grid time at t={late[missing][0]!r}")
-        S[~early] = [trajectory[row][1].entries for row in rows]
+        S[~early] = _states_at(trajectory, late)
     N = _scaled_inverse(S, times, K.n)
     N = 0.5 * (N + N.transpose(0, 2, 1))
     out = [BlockSym2n._wrap(Nk) for Nk in N]
@@ -741,16 +735,12 @@ def comparison_check(K_small, K_large, t_grid, tol=1e-10):
             ordering_holds=False,
             worst_violation=np.nan,
         )
-    t_end = t_grid[-1]
-    traj_s = {t: S for t, S in integrate_S(K_small, t_end, tol, eval_times=t_grid)}
-    traj_l = {t: S for t, S in integrate_S(K_large, t_end, tol, eval_times=t_grid)}
-    per_time = []
-    worst = -np.inf
-    for t in t_grid:
-        gap = traj_s[t].entries - traj_l[t].entries
-        top = float(np.linalg.eigvalsh(gap)[-1])
-        per_time.append((t, top))
-        worst = max(worst, top)
+    ts = np.array(t_grid)
+    S_small, S_large = (_states_at(integrate_S(K, t_grid[-1], tol, eval_times=ts), ts)
+                        for K in (K_small, K_large))
+    tops = np.linalg.eigvalsh(S_small - S_large)[:, -1]
+    per_time = [(t, float(top)) for t, top in zip(t_grid, tops)]
+    worst = float(tops.max())
     return ComparisonReport(
         status="ok",
         hypothesis_min_eig=hyp_min,

@@ -30,17 +30,6 @@ import numpy as np
 from . import _csv, closed_forms, control_cost, gaussian_kernel, kinetic_pde
 from . import riccati_engine as ric
 
-CAMPAIGNS = (
-    "riccati",
-    "closed-form",
-    "kernel-sharpness",
-    "pde-harnack",
-    "control-cost",
-    "harnack-integrated",
-    "errata",
-)
-
-
 @dataclass
 class CampaignConfig:
     """Resolved configuration for one campaign run."""
@@ -317,6 +306,7 @@ RUNNERS = {
     "harnack-integrated": _campaign_harnack_integrated,
     "errata": _campaign_errata,
 }
+CAMPAIGNS = tuple(RUNNERS)
 
 
 def run_campaign(cfg):

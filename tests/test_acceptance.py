@@ -268,10 +268,7 @@ def test_criterion_8_pde_self_convergence():
     errors = []
     for n in (64, 128, 256):
         field = kernel_field(0.2, extent=4.0, n=n)
-        out, rep = evolve(
-            field, ZeroPotential(), 0.4, scheme="strang", chunks=2,
-            diffusion_substeps=16,
-        )
+        out, rep = evolve(field, ZeroPotential(), 0.4, scheme="strang")
         assert rep.ledger_discrepancy < 1e-10
         exact = grid_density(kernel_state(0.0, 0.0, 0.4), out.xs, out.vs)
         errors.append(float(np.abs(out.rho - exact).sum() * out.dx * out.dv))

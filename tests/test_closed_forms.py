@@ -1,6 +1,7 @@
 """Closed-form regime tests against the matrix-exponential oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ class TestClassify:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             classify(-1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "k1, k2", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_pair_rejected_by_name(self, k1, k2):
+        pair = re.escape(f"({k1}, {k2})")
+        with pytest.raises(ValueError, match=f"finite, got {pair}"):
+            classify(k1, k2)
+        # the pair is refused before any closed form could cancel
+        with pytest.raises(ValueError, match=f"finite, got {pair}") as err:
+            eval_sfuncs(k1, k2, 1.0)
+        assert not isinstance(err.value, DomainError)
 
     @pytest.mark.parametrize("k2", [1e-200, 1e-300, 5e-324])
     def test_k1_zero_is_case4_when_k2_squared_underflows(self, k2):

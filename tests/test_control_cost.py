@@ -87,24 +87,24 @@ class TestEnergyCost:
 class TestControlPath:
     def test_exact_segment_flow(self):
         # one segment: x = u t^2 / 2 = 0.25, v = 1
-        x, v = ControlPath(0.0, [0.0], [0.0], [0.5], [[2.0]]).endpoint()
+        x, v = ControlPath([0.0], [0.0], [0.5], [[2.0]]).endpoint()
         assert x[0] == pytest.approx(0.25)
         assert v[0] == pytest.approx(1.0)
-        path = ControlPath(0.0, [0.0], [0.0], [0.5, 0.5], [[2.0], [-2.0]])
+        path = ControlPath([0.0], [0.0], [0.5, 0.5], [[2.0], [-2.0]])
         ex, ev = path.endpoint()
         # second segment: x = 0.25 + 0.5*1 - 2*0.125 = 0.5, v = 0
         assert ex[0] == pytest.approx(0.5)
         assert ev[0] == pytest.approx(0.0)
 
     def test_energy_formula(self):
-        path = ControlPath(0.0, [0.0], [0.0], [0.5, 0.5], [[2.0], [-2.0]])
+        path = ControlPath([0.0], [0.0], [0.5, 0.5], [[2.0], [-2.0]])
         assert path.energy() == pytest.approx(0.25 * (0.5 * 4 + 0.5 * 4))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="durations"):
-            ControlPath(0.0, [0.0], [0.0], [0.5, -0.5], [[1.0], [1.0]])
+            ControlPath([0.0], [0.0], [0.5, -0.5], [[1.0], [1.0]])
         with pytest.raises(ValueError, match="shape"):
-            ControlPath(0.0, [0.0], [0.0], [0.5], [[1.0], [1.0]])
+            ControlPath([0.0], [0.0], [0.5], [[1.0], [1.0]])
 
 
 class TestSteering:

@@ -166,6 +166,12 @@ class TestIntegrateS:
             integrate_S(K, -1.0)
         with pytest.raises(ValueError, match="eval_times"):
             integrate_S(K, 1.0, eval_times=[2.0])
+        with pytest.raises(ValueError, match="eval_times"):
+            integrate_S(K, 1.0, eval_times=[np.nan, 0.5])  # the loop never reaches NaN
+        with pytest.raises(InputError, match="t_end=inf"):
+            integrate_S(K, np.inf)
+        with pytest.raises(InputError, match="t_end=inf"):
+            bound_N(K, np.inf)
 
     @pytest.mark.parametrize(
         "t_end, eval_times, named",
@@ -185,12 +191,25 @@ class TestIntegrateS:
         with pytest.raises(ValueError, match=named):
             integrate_S(K, t_end, eval_times=eval_times)
 
+    def test_target_within_the_floor_of_an_adaptive_step_is_named(self):
+        # an adaptive step lands 5e-15 short of the target: an input the
+        # loop cannot resolve, not a collapse of the step size
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        grid = [t for t, _ in integrate_S(K, 1.0)]
+        t = grid[len(grid) // 2]
+        with pytest.raises(InputError, match=f"t={t!r} and t={t + 5e-15!r}"):
+            integrate_S(K, 1.0, eval_times=[t + 5e-15])
+
     def test_eval_times_within_merge_tolerance_merge(self):
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
         grid = [t for t, _ in integrate_S(K, 1.0, eval_times=[0.5, 0.5 + 5e-16])]
         assert 0.5 in grid and 0.5 + 5e-16 not in grid
         N_a, N_b = bound_N(K, [0.5, 0.5 + 5e-16])  # both read the one grid time
         assert np.allclose(N_a.entries, N_b.entries, rtol=1e-14, atol=0)
+        rows = comparison_check(CurvatureBound(k1=0.5, k2=1.0, n=1), K,
+                                [0.5, 0.5 + 5e-16]).per_time
+        assert [t for t, _ in rows] == [0.5, 0.5 + 5e-16]
+        assert rows[0][1] == rows[1][1]
 
     def test_smallest_resolvable_horizon(self):
         # the first step t_end / 10 meets the step floor exactly
