@@ -192,7 +192,8 @@ def eval_sfuncs(k1, k2, t):
     Raises
     ------
     ValueError
-        If t is not positive, or the pair is not finite and nonnegative.
+        If t is not positive and finite, or the pair is not finite and
+        nonnegative.
     CapError
         An InputError and an OverflowError: twice the regime's fastest
         rate times t exceeds HYP_ARG_CAP, where the hyperbolic functions
@@ -201,8 +202,8 @@ def eval_sfuncs(k1, k2, t):
         An InputError: s0 evaluates nonpositive, which only floating-point
         cancellation can cause.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     regime = classify(k1, k2)
     _check_arg_cap(regime, t)
     s0, s1, s2, s0dot = _raw_sfuncs(regime, t)
@@ -223,8 +224,8 @@ def printed_sfuncs(k1, k2, t):
     CASE5 factor-of-two sits in the published global 1/2 and shows up in
     assemble_bound / reconcile instead.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     regime = classify(k1, k2)
     _check_arg_cap(regime, t)
     if regime.tag == CASE4:

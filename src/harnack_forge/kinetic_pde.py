@@ -23,6 +23,15 @@ swept in numpy (_diffuse_v).  It performs the operations of LAPACK's
 dgttrf/dgttrs in their order and so equals them bit for bit on the
 non-negative fields the solver carries; the solver needs numpy alone.
 
+GridField.rho is x-major, shape (nx, nv).  Inside evolve the field is
+velocity-major, a C-ordered (nv, nx) array whose row j is the line
+v = vs[j]: evolve transposes it once on entry and once on return, and
+every kernel (_upwind_x, _upwind_v, _diffuse_v, _sl_advect_x) takes and
+returns that layout.  Each kernel does the same float operations on
+the same operands as its x-major form, so the field is the same bit for
+bit; the mass ledger's sums run over the velocity-major array, in its
+memory order.
+
 Verification compares the estimated Hessian of log rho - U/2 on the
 grid against the Riccati bound N evaluated at the absolute snapshot
 time.  That rests on an unchecked assumption: data born at t0 already
@@ -56,6 +65,9 @@ STRANG_CHUNKS = 2
 STRANG_DIFFUSION_SUBSTEPS = 16
 CURVATURE_FEAS_TOL = 1e-10
 MIN_GRID_CELLS = 8
+# the lie scheme refuses a run of more steps times grid cells than this;
+# a cell-step costs about 15 to 20 ns, so the bound is some 15 to 20 s
+MAX_CELL_STEPS = 1e9
 
 
 class CFLError(RuntimeError, InputError):
@@ -174,10 +186,11 @@ class GridField:
     rho has shape (nx, nv) over uniform, strictly increasing
     cell-centered coordinates xs, vs of at least 2 points each (else
     ValueError); t is the absolute time of the snapshot and t0 the
-    birth time of the run.  boundary_warning
-    is set when more than BOUNDARY_LEAK_WARN of the mass sits in the
-    outermost cell ring (the Dirichlet boundary is then visibly
-    truncating the solution).
+    birth time of the run.  rho is stored as a read-only C-ordered
+    (x-major) copy, so a field never changes after construction.
+    boundary_warning is set when more than BOUNDARY_LEAK_WARN of the
+    mass sits in the outermost cell ring (the Dirichlet boundary is then
+    visibly truncating the solution).
     """
 
     def __init__(self, xs, vs, rho, t, t0=None):
@@ -201,7 +214,9 @@ class GridField:
             raise ValueError("density has non-finite entries")
         if float(rho.min()) < -1e-12:
             raise ValueError(f"density has negative entries: min {rho.min():.3e}")
-        self.rho = np.maximum(rho, 0.0)
+        self.rho = np.maximum(rho, 0.0, order="C")
+        self.rho.flags.writeable = False
+        self._stencil = None  # see _stencil_arrays
         self.t = float(t)
         self.t0 = float(t0) if t0 is not None else float(t)
         edge = (
@@ -268,39 +283,42 @@ class EvolveReport:
 
 
 def _upwind_x(rho, vs, dx, dt):
-    """First-order upwind transport in x with speed v (columnwise).
+    """First-order upwind transport in x with speed v (rowwise).
 
-    Returns (new_rho, boundary_loss) where the loss is the exact
-    telescoped edge flux; zero Dirichlet inflow.  vs must be increasing
-    (GridField guarantees it): the columns with negative and positive
-    Courant numbers are then two slices, and zero-speed columns between
-    them are left as they are.
+    rho is velocity-major, (nv, nx).  Returns (new_rho, boundary_loss)
+    where the loss is the exact telescoped edge flux; zero Dirichlet
+    inflow.  vs must be increasing (GridField guarantees it): the rows
+    with negative and positive Courant numbers are then two slices, and
+    zero-speed rows between them are left as they are.
     """
-    c = vs * dt / dx  # per-column Courant number
+    c = vs * dt / dx  # per-row Courant number
     neg = slice(None, int(np.searchsorted(c, 0.0, "left")))
     pos = slice(int(np.searchsorted(c, 0.0, "right")), None)
     new = rho.copy()
     # differences toward the upwind cell, computed in place; the empty
-    # inflow cell leaves rho[0] (already copied) and 0 - rho[-1]
-    p, q = new[:, pos], new[:, neg]
-    np.subtract(rho[1:, pos], rho[:-1, pos], out=p[1:])
-    np.subtract(rho[1:, neg], rho[:-1, neg], out=q[:-1])
-    np.subtract(0.0, rho[-1, neg], out=q[-1])
-    for cols, diff in ((pos, p), (neg, q)):
-        diff *= c[cols]
-        np.subtract(rho[:, cols], diff, out=diff)
-    loss = float(np.sum(c[pos] * rho[-1, pos]) + np.sum(-c[neg] * rho[0, neg]))
+    # inflow cell leaves rho[:, 0] (already copied) and 0 - rho[:, -1]
+    p, q = new[pos], new[neg]
+    np.subtract(rho[pos, 1:], rho[pos, :-1], out=p[:, 1:])
+    np.subtract(rho[neg, 1:], rho[neg, :-1], out=q[:, :-1])
+    np.subtract(0.0, rho[neg, -1], out=q[:, -1])
+    for rows, diff in ((pos, p), (neg, q)):
+        diff *= c[rows, None]
+        np.subtract(rho[rows], diff, out=diff)
+    loss = float(np.sum(c[pos] * rho[pos, -1]) + np.sum(-c[neg] * rho[neg, 0]))
     return new, loss
 
 
 def _upwind_v(rho, cv):
-    """First-order upwind drift in v with pointwise Courant numbers cv."""
-    # d[:, j] = rho[:, j] - rho[:, j - 1], with empty cells beyond both edges
-    d = np.empty((rho.shape[0], rho.shape[1] + 1))
-    d[:, 0] = rho[:, 0]
-    np.subtract(rho[:, 1:], rho[:, :-1], out=d[:, 1:-1])
-    np.subtract(0.0, rho[:, -1], out=d[:, -1])
-    step = np.where(cv > 0, d[:, :-1], d[:, 1:])
+    """First-order upwind drift in v with pointwise Courant numbers cv.
+
+    rho and cv are velocity-major, (nv, nx).
+    """
+    # d[j] = rho[j] - rho[j - 1], with empty rows beyond both edges
+    d = np.empty((rho.shape[0] + 1, rho.shape[1]))
+    d[0] = rho[0]
+    np.subtract(rho[1:], rho[:-1], out=d[1:-1])
+    np.subtract(0.0, rho[-1], out=d[-1])
+    step = np.where(cv > 0, d[:-1], d[1:])
     step *= cv
     return np.subtract(rho, step, out=step)
 
@@ -326,12 +344,12 @@ def _diffuse_v(shape, dv, dt, nsub=1):
     """Implicit backward-Euler velocity diffusion, zero Dirichlet.
 
     Factors the tridiagonal matrix once (_tridiag_lu); the returned
-    step(rho) -> (new_rho, boundary_loss) takes a field of the given
-    (nx, nv) shape, makes nsub solves of step dt / nsub, and returns a
-    new C-ordered array; the loss is the exact telescoped edge flux of
-    the solves.  Each solve is the Thomas algorithm (Golub & Van Loan,
-    Matrix Computations, section 4.3) swept over a velocity-major copy
-    of the field, one row operation for every x column at once:
+    step(rho) -> (new_rho, boundary_loss) takes a velocity-major field of
+    the given (nv, nx) shape, makes nsub solves of step dt / nsub on a
+    copy of it, and returns that copy; the loss is the exact telescoped
+    edge flux of the solves.  Each solve is the Thomas algorithm (Golub &
+    Van Loan, Matrix Computations, section 4.3) swept over the rows of
+    the copy, one row operation for every x value at once:
 
         forward  b_{i+1} = b_{i+1} - l_i b_i
         back     b_i = (b_i - du_i b_{i+1}) / d_i,   du_i = -r
@@ -347,7 +365,7 @@ def _diffuse_v(shape, dv, dt, nsub=1):
     Raises InputError when the diffusion number r = (dt / nsub) / dv^2 is
     not a positive finite float (dv^2 overflows or underflows).
     """
-    nx, nv = shape
+    nv, nx = shape
     try:
         r = (dt / nsub) / dv**2
     except ArithmeticError:  # Python floats raise where numpy gives inf
@@ -356,19 +374,22 @@ def _diffuse_v(shape, dv, dt, nsub=1):
         raise InputError(f"the diffusion number dt / dv^2 at dt={dt / nsub:.3g}, "
                          f"dv={dv:.3g} is not a positive finite float")
     d, l = _tridiag_lu(nv, r)
-    # Row views and 0-d coefficient arrays are built once: with them and
-    # a positional out, each ufunc call of the sweep is cheapest.
-    buf = np.empty((nv, nx))  # velocity-major: row i is the line v = vs[i]
-    rows = list(buf)
+    # 0-d coefficient arrays are built once and row views once per call:
+    # with them and a positional out, each ufunc call of the sweep is
+    # cheapest.
     tmp = np.empty(nx)
     du = np.array(-r)
-    forward = list(zip(map(np.array, l), rows[:-1], rows[1:]))
-    back = list(zip(map(np.array, d[-2::-1]), rows[-2::-1], rows[:0:-1]))
-    last, d_last = rows[-1], np.array(d[-1])
+    ls = list(map(np.array, l))
+    ds = list(map(np.array, d[-2::-1]))
+    d_last = np.array(d[-1])
     mul, sub, div = np.multiply, np.subtract, np.divide
 
     def step(rho):
-        np.copyto(buf, rho.T)
+        out = rho.copy()
+        rows = list(out)  # row i is the line v = vs[i]
+        forward = list(zip(ls, rows[:-1], rows[1:]))
+        back = list(zip(ds, rows[-2::-1], rows[:0:-1]))
+        last = rows[-1]
         loss = 0.0
         for _ in range(nsub):
             for li, bi, bj in forward:
@@ -379,8 +400,8 @@ def _diffuse_v(shape, dv, dt, nsub=1):
                 mul(du, bj, tmp)
                 sub(bi, tmp, bi)
                 div(bi, di, bi)
-            loss += r * float(buf[0].sum() + buf[-1].sum())
-        return buf.T.copy(), loss
+            loss += r * float(out[0].sum() + out[-1].sum())
+        return out, loss
 
     return step
 
@@ -390,20 +411,21 @@ def _sl_advect_x(rho, vs, dx, tau):
 
     Exact for the integer part of the Courant number, first-order
     diffusive only in the fractional remainder; stable for any tau.
-    Column j is shifted k_j = floor(c_j) cells toward +x and blended
-    with its shift by k_j + 1 (zero fill, no wraparound).
+    rho is velocity-major, (nv, nx): row j is shifted k_j = floor(c_j)
+    cells toward +x and blended with its shift by k_j + 1 (zero fill, no
+    wraparound).
     """
-    nx, nv = rho.shape
+    nv, nx = rho.shape
     c = vs * tau / dx
     k = np.floor(c)
-    a = c - k
-    # rows 0 and nx + 1 of padded are the empty cells beyond the edges
-    padded = np.zeros((nx + 2, nv))
-    padded[1:-1] = rho
-    src = np.arange(1, nx + 1)[:, None] - np.clip(k, -nx - 1, nx + 1).astype(int)
-    cols = np.arange(nv)
-    shifted = padded[np.clip(src, 0, nx + 1), cols]  # x_i - k_j
-    blend = padded[np.clip(src - 1, 0, nx + 1), cols]  # x_i - k_j - 1
+    a = (c - k)[:, None]
+    # columns 0 and nx + 1 of padded are the empty cells beyond the edges
+    padded = np.zeros((nv, nx + 2))
+    padded[:, 1:-1] = rho
+    src = np.arange(1, nx + 1) - np.clip(k, -nx - 1, nx + 1).astype(int)[:, None]
+    rows = np.arange(nv)[:, None]
+    shifted = padded[rows, np.clip(src, 0, nx + 1)]  # x_i - k_j
+    blend = padded[rows, np.clip(src - 1, 0, nx + 1)]  # x_i - k_j - 1
     return np.where(a > 0.0, (1.0 - a) * shifted + a * blend, shifted)
 
 
@@ -420,13 +442,20 @@ def evolve(field, potential, t1, scheme="lie"):
 
     scheme "lie": per step, upwind x-transport, upwind v-drift, one
     implicit diffusion solve; dt is CFL_LIMIT times the largest stable
-    step, shortened to divide the interval.
+    step, shortened to divide the interval.  A run whose predicted work,
+    steps times grid cells, exceeds MAX_CELL_STEPS is refused before the
+    first step.
 
     scheme "strang": telescoped Strang splitting over STRANG_CHUNKS (2)
     equal chunks, semi-Lagrangian transport, STRANG_DIFFUSION_SUBSTEPS
     (16) implicit substeps per chunk.  Aimed at the free equation; a
     nonzero drift is stepped with upwind inside each chunk and must
     satisfy CFL at the chunk size.
+
+    The field is transposed once on entry to a velocity-major (nv, nx)
+    array, stepped in that layout, and transposed back once into the
+    returned x-major GridField.  The ledger's per-substep sums run over
+    the velocity-major array, in its memory order.
 
     Returns (GridField at t1, EvolveReport).
 
@@ -437,25 +466,28 @@ def evolve(field, potential, t1, scheme="lie"):
         chunk size.
     InputError
         If t1 is not finite or does not exceed field.t, the scheme is
-        neither "lie" nor "strang", or the diffusion number dt / dv^2 is
-        not a positive finite float.
+        neither "lie" nor "strang", the lie run's predicted work exceeds
+        MAX_CELL_STEPS, or the diffusion number dt / dv^2 is not a
+        positive finite float.
     """
     if not field.t < t1 < np.inf:
         raise InputError(f"t1={t1} must be finite and exceed the field time {field.t}")
     if scheme not in ("lie", "strang"):
         raise InputError(f"unknown scheme {scheme!r}: expected lie or strang")
     T = t1 - field.t
-    speed = potential.grad_v(*field.meshes())
+    # velocity-major from here on: row j is the line v = vs[j]
+    speed = potential.grad_v(*np.meshgrid(field.xs, field.vs))
     rate_x, rate_v = _courant_rates(field.xs, field.vs, speed)
     has_drift = rate_v > 0
     m0 = field.mass()
     cell = field.dx * field.dv
+    rho = field.rho.T.copy()
 
     x_loss = 0.0
     diff_loss = 0.0
     drift_src = 0.0
     worst_ledger = 0.0
-    total = field.rho.sum()
+    total = rho.sum()
 
     def mass_lost(rho, flux=None):
         """Mass lost by the substep that produced rho; flux, the edge flux
@@ -468,11 +500,15 @@ def evolve(field, potential, t1, scheme="lie"):
         return before - total
 
     if scheme == "lie":
-        n_steps = max(1, int(np.ceil(T / (CFL_LIMIT / max(rate_x, rate_v)))))
+        steps = np.ceil(T / (CFL_LIMIT / max(rate_x, rate_v)))
+        if not steps * rho.size <= MAX_CELL_STEPS:
+            raise InputError(f"t1={t1} needs a predicted {steps * rho.size:.3g} "
+                             f"cell-steps ({steps:.3g} steps of {rho.size} cells), "
+                             f"over the bound MAX_CELL_STEPS={MAX_CELL_STEPS:.3g}")
+        n_steps = max(1, int(steps))
         dt = T / n_steps
         courant_v = speed * dt / field.dv
-        diffuse = _diffuse_v(field.rho.shape, field.dv, dt)
-        rho = field.rho
+        diffuse = _diffuse_v(rho.shape, field.dv, dt)
         for _ in range(n_steps):
             rho, lx = _upwind_x(rho, field.vs, field.dx, dt)
             mass_lost(rho, lx)
@@ -490,7 +526,7 @@ def evolve(field, potential, t1, scheme="lie"):
         if rate_v * delta > 1.0 + 1e-12:
             raise CFLError(f"drift CFL {rate_v * delta:.3g} > 1 at chunk size "
                            f"{delta:.3e}; use scheme lie for this drift")
-        diffuse = _diffuse_v(field.rho.shape, field.dv, delta,
+        diffuse = _diffuse_v(rho.shape, field.dv, delta,
                              nsub=STRANG_DIFFUSION_SUBSTEPS)
 
         def transport(rho, tau):
@@ -502,7 +538,7 @@ def evolve(field, potential, t1, scheme="lie"):
                 drift_src -= mass_lost(rho) * cell
             return rho
 
-        rho = transport(field.rho, 0.5 * delta)
+        rho = transport(rho, 0.5 * delta)
         for i in range(STRANG_CHUNKS):
             rho, ld = diffuse(rho)
             mass_lost(rho, ld)
@@ -512,7 +548,7 @@ def evolve(field, potential, t1, scheme="lie"):
         report_dt = delta
         cx, cv = rate_x * delta, rate_v * delta
 
-    out = GridField(field.xs, field.vs, rho, t=t1, t0=field.t0)
+    out = GridField(field.xs, field.vs, rho.T, t=t1, t0=field.t0)
     m1 = out.mass()
     # closing identity: every unit of mass change is a recorded flux
     closure = abs((m0 - m1) - (x_loss + diff_loss - drift_src)) / max(m0, 1e-300)
@@ -558,10 +594,18 @@ def _window_min(a, w):
 def _stencil_arrays(field, potential, floor_frac):
     """Second differences of g = log rho - U/2 on the 2-cell interior.
 
-    Returns (gxx, gxv, gvv, testable) on the (nx-4, nv-4) interior;
-    a point is testable when the full 5x5 density stencil around it
-    clears the floor floor_frac * peak.
+    Returns (gxx, gxv, gvv, testable) on the (nx-4, nv-4) interior, as
+    read-only arrays; a point is testable when the full 5x5 density
+    stencil around it clears the floor floor_frac * peak.
+
+    A call leaves its arrays on the field, and the next call on that
+    field takes them off, reusing them if it asks for the same potential
+    object and floor.  So the matrix and scalar checks of one field
+    compute one stencil between them, and no stencil outlives the pair.
     """
+    held, field._stencil = field._stencil, None
+    if held is not None and held[0] is potential and held[1] == floor_frac:
+        return held[2]
     nx, nv = field.rho.shape
     if nx < 5 or nv < 5:
         raise ValueError("grid too small for the 5x5 Hessian stencil")
@@ -580,7 +624,11 @@ def _stencil_arrays(field, potential, floor_frac):
         )
     bad = ~np.isfinite(gxx) | ~np.isfinite(gvv) | ~np.isfinite(gxv)
     testable = testable & ~bad
-    return gxx, gxv, gvv, testable
+    arrays = gxx, gxv, gvv, testable
+    for a in arrays:
+        a.flags.writeable = False
+    field._stencil = (potential, floor_frac, arrays)
+    return arrays
 
 
 @dataclass
@@ -661,7 +709,7 @@ def verify_matrix_harnack(
         curvature = curvature_of(potential)
     N = bound_N(curvature, field.t).entries + bound_shift * np.eye(2)
     gxx, gxv, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
-    testable &= _region_mask(field, region)
+    testable = testable & _region_mask(field, region)
     # smaller eigenvalue of the 2x2 margin matrix, on testable points only
     a = gxx[testable] - N[0, 0]
     b = gxv[testable] - N[0, 1]
@@ -692,7 +740,7 @@ def verify_scalar_harnack(
     sf = eval_sfuncs(curvature.k1, curvature.k2, field.t)
     rhs = -sf.s0dot / (2.0 * sf.s0)  # n = 1 on a planar grid
     _, _, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
-    testable &= _region_mask(field, region)
+    testable = testable & _region_mask(field, region)
     margin = gvv[testable] - rhs
     return _margin_report("scalar", field, margin, testable, tolerance)
 

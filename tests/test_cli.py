@@ -156,6 +156,16 @@ class TestParse:
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    # at n_grid 128: about 1.2e10 and 1.2e306 cell-steps of the lie scheme
+    @pytest.mark.parametrize("t1", ["1e4", "1e300"])
+    def test_runs_past_the_work_bound_exit_before_any_step(self, t1, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["pde-harnack", "--set", f"t1={t1}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"t1={float(t1)!r}" in err
+        assert "cell-steps" in err and "MAX_CELL_STEPS" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "campaign, stacks", [("riccati", 1), ("closed-form", 5), ("errata", 2)]
     )

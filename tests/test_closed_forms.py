@@ -191,6 +191,16 @@ class TestSFuncs:
         with pytest.raises(ValueError, match="positive"):
             eval_sfuncs(1.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("tag", sorted(REGIME_PAIRS))
+    def test_infinite_time_rejected(self, tag):
+        # refused as t <= 0 is: CASE5's cap check would see 0 * inf = NaN
+        # and let the time through, and CASE1-4's would call it a cap
+        k1, k2 = REGIME_PAIRS[tag]
+        for sfuncs in (eval_sfuncs, printed_sfuncs):
+            with pytest.raises(ValueError, match="positive and finite, got inf") as err:
+                sfuncs(k1, k2, math.inf)
+            assert type(err.value) is ValueError
+
     def test_overflow_cap(self):
         with pytest.raises(OverflowError, match="cap"):
             eval_sfuncs(0.0, 800.0**2 / 2.0, 50.0)

@@ -1,5 +1,6 @@
 """Grid PDE tests: potentials, evolution ledger, Hessian checks."""
 
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -11,11 +12,17 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack, solve_banded
 
+from harnack_forge import kinetic_pde
 from harnack_forge.closed_forms import CASE2, classify
 from harnack_forge.gaussian_kernel import kernel_state, grid_density, propagate
 from harnack_forge.kinetic_pde import (
+    CFL_LIMIT,
     FLOOR_FRAC_DEFAULT,
+    LEDGER_TOL,
+    MAX_CELL_STEPS,
     MIN_GRID_CELLS,
+    STRANG_CHUNKS,
+    STRANG_DIFFUSION_SUBSTEPS,
     CFLError,
     GridField,
     QuadraticPotential,
@@ -257,6 +264,52 @@ class TestEvolve:
         with pytest.raises(ValueError, match="scheme"):
             evolve(f, ZeroPotential(), 0.4, scheme="milstein")
 
+    def test_work_bound_refuses_before_any_step(self, monkeypatch):
+        f = kernel_field(0.2, extent=4.0, n=32, sigma2=1.0)
+        _, rep = evolve(f, ZeroPotential(), 0.6)
+        work = rep.n_steps * f.rho.size
+        monkeypatch.setattr(kinetic_pde, "MAX_CELL_STEPS", work)
+        evolve(f, ZeroPotential(), 0.6)  # a run of exactly the bound goes ahead
+
+        def no_step(*args):
+            raise AssertionError("a refused run took a step")
+
+        monkeypatch.setattr(kinetic_pde, "MAX_CELL_STEPS", work - 1)
+        monkeypatch.setattr(kinetic_pde, "_upwind_x", no_step)
+        with pytest.raises(InputError, match=re.escape(f"predicted {work:.3g} cell-steps")):
+            evolve(f, ZeroPotential(), 0.6)
+
+    @pytest.mark.parametrize("t1", [1e4, 1e300, 1.7e308])
+    def test_endless_lie_runs_are_refused(self, t1):
+        # 1e300 predicts some 1e302 steps; 1.7e308 overflows the prediction
+        f = kernel_field(0.2, extent=4.0, n=128, sigma2=1.0)
+        with pytest.raises(InputError, match=re.escape(f"t1={t1} needs a predicted")):
+            evolve(f, QuadraticPotential(q_vv=1.0), t1)
+
+    def test_campaign_runs_stay_far_below_the_work_bound(self):
+        # the heaviest campaign run: n_grid 256 over the grid mix's span 0.4
+        f = kernel_field(0.2, extent=4.0, n=256, sigma2=1.0)
+        _, rep = evolve(f, QuadraticPotential(q_vv=1.0), 0.6)
+        assert rep.n_steps * f.rho.size * 100 < MAX_CELL_STEPS
+
+    @pytest.mark.parametrize(
+        "scheme, potential, bound",
+        [("lie", QuadraticPotential(q_vv=1.0), 5.5), ("strang", ZeroPotential(), 8.5)],
+    )
+    def test_peak_memory_in_field_sizes(self, scheme, potential, bound):
+        # in fields of 256^2 doubles: the x-major solver, with a transposing
+        # copy in and out of each diffusion solve, peaked at 6.56 (lie) and
+        # 9.33 (strang); the velocity-major one peaks at 5.25 and 8.27, and
+        # the bound leaves no room for one more copy of the field
+        f = kernel_field(0.2, extent=4.0, n=256, sigma2=1.0)
+        tracemalloc.start()
+        try:
+            evolve(f, potential, 0.6, scheme=scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * f.rho.nbytes, peak / f.rho.nbytes
+
     @pytest.mark.parametrize("scheme", ["lie", "strang"])
     def test_report_cfl_numbers_are_cfl_rates_times_dt(self, scheme):
         # evolve derives the rates from its own drift array, bit for bit;
@@ -268,9 +321,10 @@ class TestEvolve:
             assert (rep.cfl_x, rep.cfl_v) == (rx * rep.dt, rv * rep.dt)
 
 
-# Straightforward forms of the solver kernels: masked columns, padded
-# copies, a banded solve per call, a Python loop over columns.  The
-# kernels in kinetic_pde must reproduce them bit for bit.
+# Straightforward x-major forms of the solver kernels: masked columns,
+# padded copies, a banded solve per call, a Python loop over columns.
+# The kernels in kinetic_pde take and return velocity-major arrays (the
+# transpose, in C order) and must reproduce them bit for bit.
 
 
 def _reference_upwind_x(rho, vs, dx, dt):
@@ -336,6 +390,11 @@ def _reference_sl_advect_x(rho, vs, dx, tau):
     return out
 
 
+def _vmajor(a):
+    """The velocity-major, C-ordered copy of an x-major array."""
+    return a.T.copy()
+
+
 def _assert_bitwise_equal(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
@@ -368,12 +427,12 @@ class TestKernelsMatchReferenceFormulas:
     def test_upwind_x(self, field, dt):
         xs, rho = field
         dx = float(xs[1] - xs[0])
-        new, loss = _upwind_x(rho, xs, dx, dt)
+        new, loss = _upwind_x(_vmajor(rho), xs, dx, dt)
         want, want_loss = _reference_upwind_x(rho, xs, dx, dt)
-        _assert_bitwise_equal(new, want)
+        _assert_bitwise_equal(new.T, want)
         assert loss == want_loss
         if xs.size % 2 and xs[xs.size // 2] == 0.0:  # a v = 0 column stays as it is
-            _assert_bitwise_equal(new[:, xs.size // 2], rho[:, xs.size // 2])
+            _assert_bitwise_equal(new[xs.size // 2], rho[:, xs.size // 2])
 
     @given(field=grid_fields(), potential=speeds, dt=steps)
     def test_upwind_v(self, field, potential, dt):
@@ -381,7 +440,8 @@ class TestKernelsMatchReferenceFormulas:
         dv = float(xs[1] - xs[0])
         speed = potential.grad_v(*np.meshgrid(xs, xs, indexing="ij"))
         _assert_bitwise_equal(
-            _upwind_v(rho, speed * dt / dv), _reference_upwind_v(rho, speed, dv, dt)
+            _upwind_v(_vmajor(rho), _vmajor(speed * dt / dv)).T,
+            _reference_upwind_v(rho, speed, dv, dt),
         )
 
     @pytest.mark.parametrize("nsub", [1, 16])
@@ -389,12 +449,12 @@ class TestKernelsMatchReferenceFormulas:
     def test_diffuse_v(self, nsub, field, dt):
         xs, rho = field
         dv = float(xs[1] - xs[0])
-        before = rho.copy()
-        new, loss = _diffuse_v(rho.shape, dv, dt, nsub)(rho)
+        vm = _vmajor(rho)
+        new, loss = _diffuse_v(vm.shape, dv, dt, nsub)(vm)
         want, want_loss = _reference_diffuse_v(rho, dv, dt, nsub)
-        _assert_bitwise_equal(new, want)
+        _assert_bitwise_equal(new.T, want)
         assert loss == want_loss
-        _assert_bitwise_equal(rho, before)  # the solves never overwrite the input
+        _assert_bitwise_equal(vm, _vmajor(rho))  # the solves never overwrite the input
 
     def test_diffuse_v_at_campaign_size(self):
         # n = 256 at the lie step of a quadratic_v run, and at the strang
@@ -402,9 +462,9 @@ class TestKernelsMatchReferenceFormulas:
         field = kernel_field(0.2, extent=4.0, n=256, sigma2=1.0)
         out, rep = evolve(field, QuadraticPotential(q_vv=1.0), 0.6, scheme="lie")
         for rho, dt, nsub in ((field.rho, rep.dt, 1), (out.rho, (0.6 - 0.2) / 2, 16)):
-            new, loss = _diffuse_v(rho.shape, field.dv, dt, nsub)(rho)
+            new, loss = _diffuse_v(rho.T.shape, field.dv, dt, nsub)(_vmajor(rho))
             want, want_loss = _reference_diffuse_v(rho, field.dv, dt, nsub)
-            _assert_bitwise_equal(new, want)
+            _assert_bitwise_equal(new.T, want)
             assert loss == want_loss
 
     @given(nv=st.integers(8, 520), log_r=st.floats(-12.0, 8.0))
@@ -424,7 +484,8 @@ class TestKernelsMatchReferenceFormulas:
         xs, rho = field
         dx = float(xs[1] - xs[0])
         _assert_bitwise_equal(
-            _sl_advect_x(rho, xs, dx, tau), _reference_sl_advect_x(rho, xs, dx, tau)
+            _sl_advect_x(_vmajor(rho), xs, dx, tau).T,
+            _reference_sl_advect_x(rho, xs, dx, tau),
         )
 
     def test_sl_advect_x_shifts_of_n_cells_and_more(self):
@@ -434,7 +495,8 @@ class TestKernelsMatchReferenceFormulas:
         rho = np.random.default_rng(3).uniform(0.0, 1.0, (n, vs.size))
         for tau in (1.0, 0.999, 1.001):
             _assert_bitwise_equal(
-                _sl_advect_x(rho, vs, 1.0, tau), _reference_sl_advect_x(rho, vs, 1.0, tau)
+                _sl_advect_x(_vmajor(rho), vs, 1.0, tau).T,
+                _reference_sl_advect_x(rho, vs, 1.0, tau),
             )
 
     @given(field=grid_fields())
@@ -443,6 +505,50 @@ class TestKernelsMatchReferenceFormulas:
         _assert_bitwise_equal(
             _window_min(rho, 5), sliding_window_view(rho, (5, 5)).min(axis=(2, 3))
         )
+
+
+def _reference_evolve(field, potential, t1, scheme):
+    """evolve's output density as a plain x-major loop of the
+    _reference_* kernels, with evolve's step rules."""
+    T = t1 - field.t
+    speed = potential.grad_v(*field.meshes())
+    rate_x, rate_v = _courant_rates(field.xs, field.vs, speed)
+    rho, vs, dx, dv = field.rho, field.vs, field.dx, field.dv
+    if scheme == "lie":
+        n_steps = max(1, int(np.ceil(T / (CFL_LIMIT / max(rate_x, rate_v)))))
+        dt = T / n_steps
+        for _ in range(n_steps):
+            rho, _ = _reference_upwind_x(rho, vs, dx, dt)
+            if rate_v > 0:
+                rho = _reference_upwind_v(rho, speed, dv, dt)
+            rho, _ = _reference_diffuse_v(rho, dv, dt, 1)
+        return np.maximum(rho, 0.0)
+
+    def transport(rho, tau):
+        rho = _reference_sl_advect_x(rho, vs, dx, tau)
+        return _reference_upwind_v(rho, speed, dv, tau) if rate_v > 0 else rho
+
+    delta = T / STRANG_CHUNKS
+    rho = transport(rho, 0.5 * delta)
+    for i in range(STRANG_CHUNKS):
+        rho, _ = _reference_diffuse_v(rho, dv, delta, STRANG_DIFFUSION_SUBSTEPS)
+        rho = transport(rho, delta if i < STRANG_CHUNKS - 1 else 0.5 * delta)
+    return np.maximum(rho, 0.0)
+
+
+class TestEvolveMatchesReferenceLoop:
+    @pytest.mark.parametrize("scheme", ["lie", "strang"])
+    @given(field=grid_fields(), potential=speeds, frac=st.floats(1e-3, 1.0))
+    def test_velocity_major_evolve_is_the_x_major_loop(self, scheme, field, potential, frac):
+        xs, rho = field
+        f = GridField(xs, xs, rho, t=0.2)
+        rate_v = _courant_rates(xs, xs, potential.grad_v(*f.meshes()))[1]
+        # strang's drift must keep its Courant number under 1 at the chunk
+        # size (T / 2): T = frac / rate_v keeps it at most 1/2
+        t1 = 0.2 + (frac / max(rate_v, 1.0) if scheme == "strang" else frac)
+        out, rep = evolve(f, potential, t1, scheme=scheme)
+        _assert_bitwise_equal(out.rho, _reference_evolve(f, potential, t1, scheme))
+        assert rep.ledger_discrepancy < LEDGER_TOL
 
 
 class TestHessianEstimation:
@@ -518,7 +624,7 @@ class TestHarnackVerification:
             rep = verify_matrix_harnack(out, ZeroPotential(), region=region)
         # reference: eigenvalues of the margin matrix at every tested point
         gxx, gxv, gvv, ok = _stencil_arrays(out, ZeroPotential(), FLOOR_FRAC_DEFAULT)
-        ok &= _region_mask(out, region)
+        ok = ok & _region_mask(out, region)
         N = bound_N(curvature_of(ZeroPotential()), out.t).entries
         margins = np.full(ok.shape, np.inf)
         H = np.stack([gxx, gxv, gxv, gvv], axis=-1)[ok].reshape(-1, 2, 2)
@@ -537,6 +643,38 @@ class TestHarnackVerification:
             region=(-2.0, 2.0, -2.0, 2.0), tolerance=0.1,
         )
         assert rep.passed, rep.min_margin
+
+
+class TestStencilSharing:
+    def test_matrix_and_scalar_checks_compute_one_stencil(self, monkeypatch):
+        pot = QuadraticPotential(q_vv=1.0)
+        alone = [check(kernel_field(0.3, extent=4.0, n=64, sigma2=1.0), pot)
+                 for check in (verify_matrix_harnack, verify_scalar_harnack)]
+        calls = []
+        log_field = kinetic_pde._log_field
+        monkeypatch.setattr(kinetic_pde, "_log_field",
+                            lambda *args: calls.append(args) or log_field(*args))
+        f = kernel_field(0.3, extent=4.0, n=64, sigma2=1.0)
+        shared = [check(f, pot) for check in (verify_matrix_harnack, verify_scalar_harnack)]
+        assert shared == alone
+        assert len(calls) == 1
+        assert f._stencil is None  # the second check took the stencil off the field
+
+    def test_a_different_potential_or_floor_recomputes(self):
+        f = kernel_field(0.3, extent=4.0, n=32, sigma2=1.0)
+        pot = ZeroPotential()
+        first = _stencil_arrays(f, pot, FLOOR_FRAC_DEFAULT)
+        assert _stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT) is not first
+        assert _stencil_arrays(f, pot, 1e-3) is not first
+        again = _stencil_arrays(f, pot, FLOOR_FRAC_DEFAULT)
+        assert _stencil_arrays(f, pot, FLOOR_FRAC_DEFAULT) is again
+
+    def test_shared_arrays_and_the_field_are_read_only(self):
+        f = kernel_field(0.3, extent=4.0, n=32, sigma2=1.0)
+        for a in (f.rho, *_stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = a[1, 1]
 
 
 class TestSnapshots:
