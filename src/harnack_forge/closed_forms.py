@@ -23,6 +23,7 @@ discrepancies as errata rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ from .riccati_engine import BlockSym2n, CapError, CurvatureBound, InputError
 from .riccati_engine import S_from_M, fundamental_M
 
 HYP_ARG_CAP = 700.0
+# CASE5's s0 = t^4 overflows from this time on: the fourth root of the largest float
+CASE5_T_CAP = sys.float_info.max ** 0.25
 EQ_TOL_DEFAULT = 1e-12
 # reconcile reports a block whose printed and oracle entries differ by more
 # than this, relative to max(1, |oracle|)
@@ -117,6 +120,9 @@ def classify(k1, k2):
 
 def _check_arg_cap(regime, t):
     """Raise CapError if the closed forms of regime overflow at time t."""
+    if regime.tag == CASE5 and not t < CASE5_T_CAP:
+        raise CapError(f"t={t:.6g} is not below the cap {CASE5_T_CAP:.6g} of "
+                       "regime CASE5, from which s0 = t^4 overflows")
     # the s0' formulas double the fastest rate (cosh(2*rate*t) terms),
     # so the doubled argument is what must stay under the exp cap
     arg = 2.0 * max(regime.params.values(), default=0.0) * t
@@ -197,7 +203,8 @@ def eval_sfuncs(k1, k2, t):
     CapError
         An InputError and an OverflowError: twice the regime's fastest
         rate times t exceeds HYP_ARG_CAP, where the hyperbolic functions
-        would overflow.
+        would overflow, or, in CASE5, t reaches CASE5_T_CAP, where t^4
+        would.
     DomainError
         An InputError: s0 evaluates nonpositive, which only floating-point
         cancellation can cause.

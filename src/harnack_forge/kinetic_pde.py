@@ -437,20 +437,47 @@ def _courant_rates(xs, vs, speed):
     return rate_x, rate_v
 
 
+class _MassLedger:
+    """Running mass of evolve's field, and the worst relative gap between a
+    substep's change of it and the edge flux the substep computed."""
+
+    def __init__(self, rho):
+        self.total, self.worst = rho.sum(), 0.0
+
+    def lost(self, rho, flux=None):
+        """Mass lost by the substep that produced rho: its edge flux,
+        checked against the change, if it computed one; else the change."""
+        before, self.total = self.total, rho.sum()
+        if flux is None:
+            return before - self.total
+        self.worst = max(self.worst, abs((before - self.total) - flux) / max(before, 1.0))
+        return flux
+
+
 def evolve(field, potential, t1, scheme="lie"):
     """Advance a grid field to absolute time t1.
 
-    scheme "lie": per step, upwind x-transport, upwind v-drift, one
-    implicit diffusion solve; dt is CFL_LIMIT times the largest stable
-    step, shortened to divide the interval.  A run whose predicted work,
-    steps times grid cells, exceeds MAX_CELL_STEPS is refused before the
-    first step.
+    A plan, the only part that depends on the scheme, sets n_steps, dt,
+    the transport times and the diffusion solve.  One loop then takes,
+    for each transport time tau, an x-transport over tau, an upwind
+    v-drift over tau (for a nonzero drift) and, after each of the first
+    n_steps transports, the implicit diffusion over dt.
 
-    scheme "strang": telescoped Strang splitting over STRANG_CHUNKS (2)
-    equal chunks, semi-Lagrangian transport, STRANG_DIFFUSION_SUBSTEPS
-    (16) implicit substeps per chunk.  Aimed at the free equation; a
-    nonzero drift is stepped with upwind inside each chunk and must
-    satisfy CFL at the chunk size.
+    scheme "lie": n_steps transports of dt, upwind in x, each followed by
+    one implicit diffusion solve; dt is CFL_LIMIT times the largest
+    stable step, shortened to divide the interval.  A run whose
+    predicted work, steps times grid cells, exceeds MAX_CELL_STEPS is
+    refused before the first step.
+
+    scheme "strang": telescoped Strang splitting over n_steps =
+    STRANG_CHUNKS (2) equal chunks dt, so transports of dt/2, dt, ...,
+    dt/2, semi-Lagrangian in x, with STRANG_DIFFUSION_SUBSTEPS (16)
+    implicit substeps in each diffusion.  Aimed at the free equation; a
+    nonzero drift must satisfy CFL at the chunk size.
+
+    The mass ledger checks the edge flux of each upwind x-transport and
+    diffusion against the change of the field's mass, and books the
+    measured change for a semi-Lagrangian transport or a drift.
 
     The field is transposed once on entry to a velocity-major (nv, nx)
     array, stepped in that layout, and transposed back once into the
@@ -466,7 +493,8 @@ def evolve(field, potential, t1, scheme="lie"):
         chunk size.
     InputError
         If t1 is not finite or does not exceed field.t, the scheme is
-        neither "lie" nor "strang", the lie run's predicted work exceeds
+        neither "lie" nor "strang", a Courant rate is not finite (the
+        drift overflows), the lie run's predicted work exceeds
         MAX_CELL_STEPS, or the diffusion number dt / dv^2 is not a
         positive finite float.
     """
@@ -476,28 +504,13 @@ def evolve(field, potential, t1, scheme="lie"):
         raise InputError(f"unknown scheme {scheme!r}: expected lie or strang")
     T = t1 - field.t
     # velocity-major from here on: row j is the line v = vs[j]
-    speed = potential.grad_v(*np.meshgrid(field.xs, field.vs))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        speed = potential.grad_v(*np.meshgrid(field.xs, field.vs))
     rate_x, rate_v = _courant_rates(field.xs, field.vs, speed)
-    has_drift = rate_v > 0
-    m0 = field.mass()
-    cell = field.dx * field.dv
+    if not (rate_x < np.inf and rate_v < np.inf):
+        raise InputError(f"the Courant rates |v|/dx = {rate_x:.3g} and "
+                         f"|U_v|/dv = {rate_v:.3g} must be finite")
     rho = field.rho.T.copy()
-
-    x_loss = 0.0
-    diff_loss = 0.0
-    drift_src = 0.0
-    worst_ledger = 0.0
-    total = rho.sum()
-
-    def mass_lost(rho, flux=None):
-        """Mass lost by the substep that produced rho; flux, the edge flux
-        the substep computed, must account for it."""
-        nonlocal total, worst_ledger
-        before, total = total, rho.sum()
-        if flux is not None:
-            gap = abs((before - total) - flux)
-            worst_ledger = max(worst_ledger, gap / max(before, 1.0))
-        return before - total
 
     if scheme == "lie":
         steps = np.ceil(T / (CFL_LIMIT / max(rate_x, rate_v)))
@@ -507,63 +520,55 @@ def evolve(field, potential, t1, scheme="lie"):
                              f"over the bound MAX_CELL_STEPS={MAX_CELL_STEPS:.3g}")
         n_steps = max(1, int(steps))
         dt = T / n_steps
-        courant_v = speed * dt / field.dv
-        diffuse = _diffuse_v(rho.shape, field.dv, dt)
-        for _ in range(n_steps):
-            rho, lx = _upwind_x(rho, field.vs, field.dx, dt)
-            mass_lost(rho, lx)
-            x_loss += lx * cell
-            if has_drift:
-                rho = _upwind_v(rho, courant_v)
-                drift_src -= mass_lost(rho) * cell
-            rho, ld = diffuse(rho)
-            mass_lost(rho, ld)
-            diff_loss += ld * cell
-        report_dt = dt
-        cx, cv = rate_x * dt, rate_v * dt
+        taus = repeat(dt, n_steps)
+        nsub = 1
+        transport_x = _upwind_x
+        courant_v = speed * dt / field.dv  # built once: every tau is dt
+        drift_courant = lambda tau: courant_v
     else:
-        delta = T / STRANG_CHUNKS
-        if rate_v * delta > 1.0 + 1e-12:
-            raise CFLError(f"drift CFL {rate_v * delta:.3g} > 1 at chunk size "
-                           f"{delta:.3e}; use scheme lie for this drift")
-        diffuse = _diffuse_v(rho.shape, field.dv, delta,
-                             nsub=STRANG_DIFFUSION_SUBSTEPS)
-
-        def transport(rho, tau):
-            nonlocal x_loss, drift_src
-            rho = _sl_advect_x(rho, field.vs, field.dx, tau)
-            x_loss += mass_lost(rho) * cell
-            if has_drift:
-                rho = _upwind_v(rho, speed * tau / field.dv)
-                drift_src -= mass_lost(rho) * cell
-            return rho
-
-        rho = transport(rho, 0.5 * delta)
-        for i in range(STRANG_CHUNKS):
-            rho, ld = diffuse(rho)
-            mass_lost(rho, ld)
-            diff_loss += ld * cell
-            rho = transport(rho, delta if i < STRANG_CHUNKS - 1 else 0.5 * delta)
         n_steps = STRANG_CHUNKS
-        report_dt = delta
-        cx, cv = rate_x * delta, rate_v * delta
+        dt = T / n_steps
+        if rate_v * dt > 1.0 + 1e-12:
+            raise CFLError(f"drift CFL {rate_v * dt:.3g} > 1 at chunk size "
+                           f"{dt:.3e}; use scheme lie for this drift")
+        taus = [0.5 * dt, *repeat(dt, n_steps - 1), 0.5 * dt]
+        nsub = STRANG_DIFFUSION_SUBSTEPS
+
+        def transport_x(rho, vs, dx, tau):  # no edge flux: the ledger measures the loss
+            return _sl_advect_x(rho, vs, dx, tau), None
+
+        drift_courant = lambda tau: speed * tau / field.dv
+    diffuse = _diffuse_v(rho.shape, field.dv, dt, nsub)
+
+    m0 = field.mass()
+    cell = field.dx * field.dv
+    ledger = _MassLedger(rho)
+    x_loss = diff_loss = drift_src = 0.0
+    for k, tau in enumerate(taus):
+        rho, flux = transport_x(rho, field.vs, field.dx, tau)
+        x_loss += ledger.lost(rho, flux) * cell
+        if rate_v > 0:
+            rho = _upwind_v(rho, drift_courant(tau))
+            drift_src -= ledger.lost(rho) * cell
+        if k < n_steps:
+            rho, flux = diffuse(rho)
+            diff_loss += ledger.lost(rho, flux) * cell
 
     out = GridField(field.xs, field.vs, rho.T, t=t1, t0=field.t0)
     m1 = out.mass()
     # closing identity: every unit of mass change is a recorded flux
     closure = abs((m0 - m1) - (x_loss + diff_loss - drift_src)) / max(m0, 1e-300)
-    worst_ledger = max(worst_ledger, 0.0 if closure <= LEDGER_TOL else closure)
     report = EvolveReport(
         n_steps=n_steps,
-        dt=report_dt,
+        dt=dt,
         mass_initial=m0,
         mass_final=m1,
         x_boundary_loss=x_loss,
         diffusion_loss=diff_loss,
         drift_source=drift_src,
-        ledger_discrepancy=worst_ledger,
-        cfl_x=cx,
-        cfl_v=cv,
+        ledger_discrepancy=max(ledger.worst, 0.0 if closure <= LEDGER_TOL else closure),
+        cfl_x=rate_x * dt,
+        cfl_v=rate_v * dt,
         scheme=scheme,
     )
     if report.ledger_discrepancy > LEDGER_TOL:
@@ -591,25 +596,25 @@ def _window_min(a, w):
     return reduce(np.minimum, [rows[:, s : s + m] for s in range(w)])
 
 
-def _stencil_arrays(field, potential, floor_frac):
+def _stencil_arrays(field, potential):
     """Second differences of g = log rho - U/2 on the 2-cell interior.
 
     Returns (gxx, gxv, gvv, testable) on the (nx-4, nv-4) interior, as
     read-only arrays; a point is testable when the full 5x5 density
-    stencil around it clears the floor floor_frac * peak.
+    stencil around it clears the floor FLOOR_FRAC_DEFAULT * peak.
 
     A call leaves its arrays on the field, and the next call on that
     field takes them off, reusing them if it asks for the same potential
-    object and floor.  So the matrix and scalar checks of one field
-    compute one stencil between them, and no stencil outlives the pair.
+    object.  So the matrix and scalar checks of one field compute one
+    stencil between them, and no stencil outlives the pair.
     """
     held, field._stencil = field._stencil, None
-    if held is not None and held[0] is potential and held[1] == floor_frac:
-        return held[2]
+    if held is not None and held[0] is potential:
+        return held[1]
     nx, nv = field.rho.shape
     if nx < 5 or nv < 5:
         raise ValueError("grid too small for the 5x5 Hessian stencil")
-    floor = floor_frac * float(field.rho.max())
+    floor = FLOOR_FRAC_DEFAULT * float(field.rho.max())
     testable = _window_min(field.rho, 5) >= floor
     g = _log_field(field, potential)
     dx, dv = field.dx, field.dv
@@ -627,7 +632,7 @@ def _stencil_arrays(field, potential, floor_frac):
     arrays = gxx, gxv, gvv, testable
     for a in arrays:
         a.flags.writeable = False
-    field._stencil = (potential, floor_frac, arrays)
+    field._stencil = (potential, arrays)
     return arrays
 
 
@@ -708,7 +713,7 @@ def verify_matrix_harnack(
     if curvature is None:
         curvature = curvature_of(potential)
     N = bound_N(curvature, field.t).entries + bound_shift * np.eye(2)
-    gxx, gxv, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
+    gxx, gxv, gvv, testable = _stencil_arrays(field, potential)
     testable = testable & _region_mask(field, region)
     # smaller eigenvalue of the 2x2 margin matrix, on testable points only
     a = gxx[testable] - N[0, 0]
@@ -739,7 +744,7 @@ def verify_scalar_harnack(
         raise ValueError("scalar check needs a scalar curvature pair")
     sf = eval_sfuncs(curvature.k1, curvature.k2, field.t)
     rhs = -sf.s0dot / (2.0 * sf.s0)  # n = 1 on a planar grid
-    _, _, gvv, testable = _stencil_arrays(field, potential, FLOOR_FRAC_DEFAULT)
+    _, _, gvv, testable = _stencil_arrays(field, potential)
     testable = testable & _region_mask(field, region)
     margin = gvv[testable] - rhs
     return _margin_report("scalar", field, margin, testable, tolerance)

@@ -395,23 +395,29 @@ def _scaled_inverse(S, times, n):
     The raw S has condition number O(t^-2) near zero; the scaled matrix
     is O(1), so the inverse keeps full precision for small t.  One
     condition estimate and one inversion cover the whole stack; the first
-    time, in stack order, whose scaled matrix is singular raises.
+    time, in stack order, whose scaled matrix is singular raises.  A
+    scaled matrix that is not finite, as where t^3 underflows to 0 (t
+    below about 1.7e-108), skips both and has a NaN inverse; the caller
+    ignores the float errors and refuses what is not finite.
     """
     # scalar powers: numpy's vectorized power need not round as pow does
     tsc = np.array([[t**1.5] * n + [t**0.5] * n for t in times])
     outer = tsc[:, :, None] * tsc[:, None, :]
     Shat = S / outer
-    cond = np.linalg.cond(Shat)
+    finite = np.isfinite(Shat).all(axis=(1, 2))
+    cond = np.linalg.cond(Shat[finite])  # one NaN would stop the SVD of all
     bad = np.flatnonzero(~(cond <= 1e12))  # NaN and Inf count as singular
     if bad.size:
-        t, c = times[bad[0]], float(cond[bad[0]])
+        t, c = times[finite][bad[0]], float(cond[bad[0]])
         raise SingularityError(
             f"S(t) numerically singular at t={t:.3g} "
             f"(scaled condition {c:.3e}); conditioning threshold "
             f"T_MIN_DEFAULT={T_MIN_DEFAULT} applies below that time",
             cond=c,
         )
-    return np.linalg.inv(Shat) / outer
+    N = np.full_like(Shat, np.nan)
+    N[finite] = np.linalg.inv(Shat[finite]) / outer[finite]
+    return N
 
 
 def _states_at(trajectory, times):
@@ -461,6 +467,9 @@ def bound_N(K, t, tol=1e-10, trajectory=None):
         `trajectory` lacks a requested time.
     SingularityError
         For the first time, in grid order, whose scaled S(t) is singular.
+    InputError
+        For the first time, in grid order, whose N(t) is not a finite
+        float matrix: below about 4e-103 its t^-3 entries overflow.
     """
     K = _as_curvature(K)
     ts = np.asarray(t, dtype=float)
@@ -480,8 +489,13 @@ def bound_N(K, t, tol=1e-10, trajectory=None):
         if trajectory is None:
             trajectory = integrate_S(K, late.max(), tol=tol, eval_times=late)
         S[~early] = _states_at(trajectory, late)
-    N = _scaled_inverse(S, times, K.n)
-    N = 0.5 * (N + N.transpose(0, 2, 1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        N = _scaled_inverse(S, times, K.n)
+        N = 0.5 * (N + N.transpose(0, 2, 1))
+    if not np.isfinite(N).all():
+        t = times[~np.isfinite(N).all(axis=(1, 2))][0]
+        raise InputError(f"N(t) at t={t:.6g} is not a finite float matrix: "
+                         "its entries grow like t^-3 as t -> 0 and overflow")
     out = [BlockSym2n._wrap(Nk) for Nk in N]
     return out[0] if ts.ndim == 0 else out
 

@@ -336,6 +336,9 @@ def _parse_value(text):
 def _apply_key(params, campaign, key, value):
     if "." in key:
         scope, bare = key.split(".", 1)
+        if scope not in DEFAULTS:
+            raise KeyError(f"{key}={value!r}: scope {scope!r} names no campaign "
+                           f"(expected one of {', '.join(DEFAULTS)})")
         if scope != campaign:
             return  # entry for another campaign in a shared config
         key = bare

@@ -41,6 +41,14 @@ class TestParse:
         with pytest.raises(SystemExit):
             cli.parse_cli(["riccati", "--config", str(path)])
 
+    def test_config_scope_must_name_a_campaign(self, tmp_path, capsys):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"errata.k1": 9.0, "ricati.k1": 3.0}))
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_cli(["riccati", "--config", str(path)])
+        assert exc.value.code == 2
+        assert "ricati.k1=3.0: scope 'ricati' names no campaign" in capsys.readouterr().err
+
     def test_config_file_valid_keys(self, tmp_path):
         path = tmp_path / "conf.json"
         path.write_text(json.dumps({"riccati.t_end": 1.5}))
@@ -123,6 +131,9 @@ class TestParse:
             # drawn costs that are subnormal, or 0, leave no relative gap
             ["control-cost", "--set", "box=1e-160"],
             ["control-cost", "--set", "box=1e-170"],
+            ["pde-harnack", "--set", "t0=1e-300", "--set", "t1=1e-299"],  # N(t) overflows
+            ["harnack-integrated", "--set", "s=1e100", "--set", "t=2e100"],  # t^4 overflows
+            ["riccati", "--set", "ricati.k1=3"],  # a scope that names no campaign
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):

@@ -23,7 +23,7 @@ from harnack_forge.closed_forms import (
     printed_sfuncs,
     reconcile,
 )
-from harnack_forge.riccati_engine import CurvatureBound, S_from_M, fundamental_M
+from harnack_forge.riccati_engine import CapError, CurvatureBound, S_from_M, fundamental_M
 
 # one representative pair per regime
 REGIME_PAIRS = {
@@ -204,6 +204,13 @@ class TestSFuncs:
     def test_overflow_cap(self):
         with pytest.raises(OverflowError, match="cap"):
             eval_sfuncs(0.0, 800.0**2 / 2.0, 50.0)
+
+    def test_case5_time_cap(self):
+        # CASE5 has no rate for the hyperbolic cap; s0 = t^4 overflows instead
+        assert eval_sfuncs(0.0, 0.0, 1e77).s0 == 1e308
+        for sfuncs in (eval_sfuncs, printed_sfuncs):
+            with pytest.raises(CapError, match="t=1e\\+78 is not below the cap"):
+                sfuncs(0.0, 0.0, 1e78)
 
 
 @given(pair=regime_pairs, frac=st.floats(0.0, 1.0))

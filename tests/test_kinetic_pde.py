@@ -17,7 +17,6 @@ from harnack_forge.closed_forms import CASE2, classify
 from harnack_forge.gaussian_kernel import kernel_state, grid_density, propagate
 from harnack_forge.kinetic_pde import (
     CFL_LIMIT,
-    FLOOR_FRAC_DEFAULT,
     LEDGER_TOL,
     MAX_CELL_STEPS,
     MIN_GRID_CELLS,
@@ -285,6 +284,23 @@ class TestEvolve:
         f = kernel_field(0.2, extent=4.0, n=128, sigma2=1.0)
         with pytest.raises(InputError, match=re.escape(f"t1={t1} needs a predicted")):
             evolve(f, QuadraticPotential(q_vv=1.0), t1)
+
+    @pytest.mark.parametrize("scheme", ["lie", "strang"])
+    @pytest.mark.parametrize(
+        "potential",
+        # a drift of inf, and one of inf - inf = NaN where x and v differ in sign
+        [QuadraticPotential(q_vv=1e308), QuadraticPotential(q_xv=1e308, q_vv=1e308)],
+    )
+    def test_overflowing_drift_is_refused_before_any_step(self, monkeypatch, potential,
+                                                          scheme):
+        def no_step(*args):
+            raise AssertionError("a refused run took a step")
+
+        for kernel in ("_upwind_x", "_sl_advect_x", "_upwind_v", "_diffuse_v"):
+            monkeypatch.setattr(kinetic_pde, kernel, no_step)
+        f = kernel_field(0.2, n=16, sigma2=1.0)
+        with pytest.raises(InputError, match="Courant rates .* must be finite"):
+            evolve(f, potential, 0.6, scheme=scheme)
 
     def test_campaign_runs_stay_far_below_the_work_bound(self):
         # the heaviest campaign run: n_grid 256 over the grid mix's span 0.4
@@ -555,22 +571,22 @@ class TestHessianEstimation:
     def test_exact_on_sampled_gaussian(self):
         # centered second differences are exact on quadratic log-density
         f = kernel_field(1.0, extent=6.0, n=128)
-        gxx, gxv, gvv, ok = _stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT)
+        gxx, gxv, gvv, ok = _stencil_arrays(f, ZeroPotential())
         assert ok[62, 62]  # grid index (64, 64)
         H = [[gxx[62, 62], gxv[62, 62]], [gxv[62, 62], gvv[62, 62]]]
         assert np.allclose(H, [[-6.0, 3.0], [3.0, -2.0]], atol=1e-6)
 
     def test_potential_correction_enters(self):
         f = kernel_field(1.0, extent=6.0, n=128)
-        H0 = _stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT)[:3]
-        H1 = _stencil_arrays(f, QuadraticPotential(q_vv=1.0), FLOOR_FRAC_DEFAULT)[:3]
+        H0 = _stencil_arrays(f, ZeroPotential())[:3]
+        H1 = _stencil_arrays(f, QuadraticPotential(q_vv=1.0))[:3]
         # log rho - U/2 shifts the vv entry by -1/2 exactly
         shift = [H1[k][62, 62] - H0[k][62, 62] for k in range(3)]
         assert np.allclose(shift, [0.0, 0.0, -0.5], atol=1e-9)
 
     def test_boundary_and_floor_rejection(self):
         f = kernel_field(0.3, extent=4.0, n=64)
-        *_, ok = _stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT)
+        *_, ok = _stencil_arrays(f, ZeroPotential())
         # points within two cells of the boundary have no mask entry
         assert ok.shape == (60, 60)
         assert ok[30, 30]  # grid index (32, 32), the peak
@@ -623,7 +639,7 @@ class TestHarnackVerification:
             warnings.simplefilter("error")
             rep = verify_matrix_harnack(out, ZeroPotential(), region=region)
         # reference: eigenvalues of the margin matrix at every tested point
-        gxx, gxv, gvv, ok = _stencil_arrays(out, ZeroPotential(), FLOOR_FRAC_DEFAULT)
+        gxx, gxv, gvv, ok = _stencil_arrays(out, ZeroPotential())
         ok = ok & _region_mask(out, region)
         N = bound_N(curvature_of(ZeroPotential()), out.t).entries
         margins = np.full(ok.shape, np.inf)
@@ -660,18 +676,17 @@ class TestStencilSharing:
         assert len(calls) == 1
         assert f._stencil is None  # the second check took the stencil off the field
 
-    def test_a_different_potential_or_floor_recomputes(self):
+    def test_a_different_potential_recomputes(self):
         f = kernel_field(0.3, extent=4.0, n=32, sigma2=1.0)
         pot = ZeroPotential()
-        first = _stencil_arrays(f, pot, FLOOR_FRAC_DEFAULT)
-        assert _stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT) is not first
-        assert _stencil_arrays(f, pot, 1e-3) is not first
-        again = _stencil_arrays(f, pot, FLOOR_FRAC_DEFAULT)
-        assert _stencil_arrays(f, pot, FLOOR_FRAC_DEFAULT) is again
+        first = _stencil_arrays(f, pot)
+        assert _stencil_arrays(f, ZeroPotential()) is not first
+        again = _stencil_arrays(f, pot)
+        assert _stencil_arrays(f, pot) is again
 
     def test_shared_arrays_and_the_field_are_read_only(self):
         f = kernel_field(0.3, extent=4.0, n=32, sigma2=1.0)
-        for a in (f.rho, *_stencil_arrays(f, ZeroPotential(), FLOOR_FRAC_DEFAULT)):
+        for a in (f.rho, *_stencil_arrays(f, ZeroPotential())):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = a[1, 1]

@@ -247,6 +247,18 @@ class TestBoundN:
         got = bound_N(K, t).entries
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
+    def test_times_whose_bound_is_no_float_matrix_are_refused(self):
+        # N_xx ~ -6 / t^3: -4.8e307 at 5e-103, then -inf; below ~1.7e-108
+        # t^3 underflows and the scaled S(t) is 0 / 0
+        K = CurvatureBound(k1=0.0, k2=0.5, n=1)
+        assert np.isfinite(bound_N(K, 5e-103).entries).all()
+        for t in (3.5e-103, 1e-104, 1e-110, 1e-299):
+            with pytest.raises(InputError, match=f"N\\(t\\) at t={t:.6g} is not a finite"):
+                bound_N(K, t)
+        # the first such time in grid order is named; finite ones do not mask it
+        with pytest.raises(InputError, match="at t=1e-110 "):
+            bound_N(K, [0.5, 1e-110, 3.5e-103])
+
     def test_small_time_expansion_matches_integration_at_crossover(self):
         # expansion truncation is O(t^2 K) relative, ~1.4e-5 here
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
