@@ -103,87 +103,7 @@ from .riccati_engine import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockSym2n",
-    "CASE1",
-    "CASE2",
-    "CASE3",
-    "CASE4",
-    "CASE5",
-    "CFLError",
-    "CapError",
-    "ComparisonReport",
-    "ControlPath",
-    "ControlProblem",
-    "CurvatureBound",
-    "DomainError",
-    "ErrataRow",
-    "EvolveReport",
-    "GaussianState",
-    "GridField",
-    "HarnackCheckReport",
-    "InputError",
-    "KernelHarnackReport",
-    "M3SingularityError",
-    "ORACLE_CALIBRATED",
-    "PRINTED",
-    "QuadraticPotential",
-    "Regime",
-    "SFuncs",
-    "S_from_M",
-    "SingularityError",
-    "StepUnderflowError",
-    "StructuralPair",
-    "SymmetryDriftError",
-    "TranscribeResult",
-    "UntestableRegionError",
-    "ZeroPotential",
-    "assemble_bound",
-    "bound_N",
-    "build_structural",
-    "chapman_gap",
-    "classify",
-    "comparison_check",
-    "compute_h",
-    "cost_csv",
-    "cost_identity_gap",
-    "curvature_of",
-    "density",
-    "energy_cost",
-    "errata_csv",
-    "eval_sfuncs",
-    "evolve",
-    "exponential_route_residual",
-    "free_covariance",
-    "fundamental_M",
-    "grid_density",
-    "hamiltonian_matrix",
-    "harnack_rhs",
-    "hermite_control",
-    "integrate_S",
-    "kernel_field",
-    "kernel_state",
-    "load_snapshot",
-    "log_density",
-    "log_harnack_rhs",
-    "log_hessian",
-    "make_grid",
-    "pde_residual",
-    "printed_sfuncs",
-    "propagate",
-    "reconcile",
-    "residual_defect",
-    "save_snapshot",
-    "scalar_sharpness_gap",
-    "sharpness_gap",
-    "small_time_S",
-    "snapshot_csv",
-    "stationary_N",
-    "steer_exact",
-    "trajectory_to_csv",
-    "transcribe_cost",
-    "transport_matrix",
-    "verify_harnack_kernel",
-    "verify_matrix_harnack",
-    "verify_scalar_harnack",
-]
+# The imports above declare each public name once: __all__ lists every name
+# they bind that is neither private nor a submodule.
+from types import ModuleType as _Module
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and type(v) is not _Module)

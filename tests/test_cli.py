@@ -29,11 +29,14 @@ class TestParse:
         assert cfg.params["k1"] == 3.5
         assert cfg.params["n_eval"] == 11
 
-    def test_dotted_keys_scope_by_campaign(self):
-        cfg = cli.parse_cli(
-            ["riccati", "--set", "riccati.k1=2.0", "--set", "errata.k1=9.0"]
-        )
-        assert cfg.params["k1"] == 2.0  # foreign-campaign key ignored
+    def test_dotted_keys_scope_by_campaign(self, capsys):
+        cfg = cli.parse_cli(["riccati", "--set", "riccati.k1=2.0"])
+        assert cfg.params["k1"] == 2.0
+        # a --set reaches only the campaign being run, so a foreign scope is a mistake
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_cli(["riccati", "--set", "riccati.k1=2.0", "--set", "errata.k1=9.0"])
+        assert exc.value.code == 2
+        assert "errata.k1=9.0: scope 'errata' is not the campaign" in capsys.readouterr().err
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "conf.json"
@@ -134,6 +137,8 @@ class TestParse:
             ["pde-harnack", "--set", "t0=1e-300", "--set", "t1=1e-299"],  # N(t) overflows
             ["harnack-integrated", "--set", "s=1e100", "--set", "t=2e100"],  # t^4 overflows
             ["riccati", "--set", "ricati.k1=3"],  # a scope that names no campaign
+            ["riccati", "--set", "n=200"],  # over MAX_RICCATI_N
+            ["riccati", "--set", "errata.t_gird=[1]"],  # a scope that is not the campaign
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
