@@ -15,7 +15,6 @@ import numpy as np
 from harnack_forge import (
     ControlProblem,
     energy_cost,
-    steer_exact,
     transcribe_cost,
     verify_harnack_kernel,
 )
@@ -25,9 +24,9 @@ def main():
     prob = ControlProblem.make(0.0, 1.0, [0.0], [0.0], [1.0], [0.0])
     print(f"unit displacement, tau = 1: cost {energy_cost(prob):.6f} (exactly 3)")
 
-    path = steer_exact(prob, m=16)
+    path = transcribe_cost(prob, m=16).path
     ex, ev = path.endpoint()
-    print(f"steered path endpoint: x={ex[0]:.12f}, v={ev[0]:.12f}")
+    print(f"transcribed path endpoint: x={ex[0]:.12f}, v={ev[0]:.12f}")
     print(f"discrete path energy {path.energy():.6f} >= continuous inf 3")
 
     print("\ntranscription refinement (free running cost, solved exactly):")

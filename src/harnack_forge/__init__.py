@@ -33,12 +33,9 @@ from .control_cost import (
     KernelHarnackReport,
     TranscribeResult,
     cost_csv,
-    cost_identity_gap,
     energy_cost,
     harnack_rhs,
-    hermite_control,
     log_harnack_rhs,
-    steer_exact,
     transcribe_cost,
     verify_harnack_kernel,
 )

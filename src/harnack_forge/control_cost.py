@@ -32,10 +32,8 @@ import numpy as np
 
 from . import _csv
 from .closed_forms import eval_sfuncs
-from .gaussian_kernel import free_covariance, kernel_state, log_density
+from .gaussian_kernel import kernel_state, log_density
 from .riccati_engine import InputError
-
-ENDPOINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,35 +145,6 @@ def energy_cost(problem):
     return float(np.sum(_gramian_costs(p.tau, p.x0, p.v0, p.x1, p.v1)))
 
 
-def cost_identity_gap(tau, n=1):
-    """Max-entry gap of W(tau)^{-1}/4 - Sigma(tau)^{-1}/2 (Sigma = 2 W).
-
-    kron(W, I) has the same (x-block, v-block) layout as the kernel
-    covariance, so the comparison is entrywise.
-    """
-    W2 = np.kron(_gram_matrix(tau), np.eye(n))
-    lhs = 0.25 * np.linalg.inv(W2)
-    rhs = 0.5 * np.linalg.inv(free_covariance(tau, n))
-    return float(np.abs(lhs - rhs).max())
-
-
-def hermite_control(problem, theta):
-    """Energy-optimal continuous control at time theta (h = 0 case).
-
-    The optimal position path is the cubic Hermite interpolant of the
-    endpoints; its acceleration is linear in time.  A (k, 1) array of
-    times gives the (k, n) controls.
-    """
-    tau = problem.tau
-    sig = (theta - problem.s) / tau
-    return (
-        (12 * sig - 6) * problem.x0
-        + (6 * sig - 4) * tau * problem.v0
-        + (-12 * sig + 6) * problem.x1
-        + (6 * sig - 2) * tau * problem.v1
-    ) / tau**2
-
-
 def _correct_last_two(problem, m, controls):
     """Replace the last two controls so the endpoint is hit exactly."""
     h = problem.tau / m
@@ -193,40 +162,15 @@ def _correct_last_two(problem, m, controls):
     return controls
 
 
-def _segment_count(m, what):
+def _segment_count(m):
     """m as an int, or InputError if it is not an integer >= 2."""
     try:
         m = operator.index(m)
     except TypeError:
         raise InputError(f"m must be an integer, got m={m!r}") from None
     if m < 2:
-        raise InputError(f"{what} needs at least 2 segments")
+        raise InputError("transcription needs at least 2 segments")
     return m
-
-
-def steer_exact(problem, m=8):
-    """Piecewise-constant steering path hitting the endpoint exactly.
-
-    Controls sample the energy-optimal continuous control at segment
-    midpoints; the last two segments are then re-solved through the
-    exact endpoint map (a per-dimension 2x2 linear system), which
-    absorbs the sampling error.  Needs an integer m >= 2 (InputError
-    otherwise).
-    """
-    m = _segment_count(m, "steering")
-    h = problem.tau / m
-    midpoints = problem.s + (np.arange(m)[:, None] + 0.5) * h
-    controls = _correct_last_two(problem, m, hermite_control(problem, midpoints))
-    path = ControlPath(problem.x0, problem.v0, np.full(m, h), controls)
-    ex, ev = path.endpoint()
-    err = max(np.abs(ex - problem.x1).max(), np.abs(ev - problem.v1).max())
-    if err > ENDPOINT_TOL:
-        raise RuntimeError(f"endpoint miss {err:.3e} exceeds {ENDPOINT_TOL}")
-    return path
-
-
-# 5-point Gauss-Legendre nodes / weights on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
 
 
 @dataclass
@@ -312,7 +256,7 @@ def transcribe_cost(problem, m=24, h=None):
         If m is not an integer >= 2, or, without h, if the discrete
         Gramian A A^T overflows (tau too large for m segments).
     """
-    m = _segment_count(m, "transcription")
+    m = _segment_count(m)
     n = problem.n
     dt = problem.tau / m
     p = problem
@@ -344,10 +288,11 @@ def transcribe_cost(problem, m=24, h=None):
 
     # quadrature node times and trajectory sensitivities, node q in segment k:
     # dx(theta_q)/du_i = Px[q, i], dv/du_i = Pv[q, i] (identical per dim)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(5)  # 5 nodes, weights on [-1, 1]
     seg_of = np.repeat(np.arange(m), 5)
-    xi = np.tile(0.5 * dt * (_GL_X + 1.0), m)  # local time within segment
+    xi = np.tile(0.5 * dt * (gl_x + 1.0), m)  # local time within segment
     theta = p.s + seg_of * dt + xi
-    wq = np.tile(0.5 * dt * _GL_W, m)
+    wq = np.tile(0.5 * dt * gl_w, m)
     i_idx = np.arange(m)
     after = seg_of[:, None] > i_idx[None, :]
     own = seg_of[:, None] == i_idx[None, :]

@@ -76,8 +76,9 @@ def free_covariance(t, n=1):
         raise InputError(f"t={t!r}: the kernel covariance, with entries up to "
                          "2 t^3 / 3 and inverse entries up to 6 / t^3, overflows")
     I = np.eye(n)
+    # divide first: 2 t^3 overflows for t^3 in [max / 2, max)
     return np.block(
-        [[2.0 * cube / 3.0 * I, t**2 * I], [t**2 * I, 2.0 * t * I]]
+        [[2.0 * (cube / 3.0) * I, t**2 * I], [t**2 * I, 2.0 * t * I]]
     )
 
 

@@ -427,8 +427,11 @@ def _states_at(trajectory, times):
     MERGE_TOL of it, as integrate_S merges a target that close with the
     grid time it has reached; else ValueError.
     """
-    grid = np.array([tg for tg, _ in trajectory])
-    rows = np.abs(grid - times[:, None]).argmin(axis=1)
+    grid = np.array([tg for tg, _ in trajectory])  # increasing
+    # each time's neighbours on the grid; the nearer wins, the earlier on a tie
+    hi = np.clip(np.searchsorted(grid, times), 1, grid.size - 1)
+    lo = hi - 1
+    rows = np.where(np.abs(grid[lo] - times) <= np.abs(grid[hi] - times), lo, hi)
     missing = np.abs(grid[rows] - times) > MERGE_TOL
     if missing.any():
         raise ValueError(f"trajectory has no grid time at t={times[missing][0]!r}")

@@ -94,6 +94,10 @@ FORM_CAP = sys.float_info.max * 2.0**-64
 # as n^2: at the other defaults, on 2 vCPUs, n = 64 takes about 1.6 s and
 # 200 MB, and n = 100 about 6.4 s and 440 MB.
 MAX_RICCATI_N = 64
+# The kernel-sharpness campaign refuses a dimension n above this, by the
+# same budget: at the other defaults, on 2 vCPUs, n = 200 takes about 2.9 s
+# and 240 MB, and n = 250 about 6.9 s and 350 MB.
+MAX_SHARPNESS_N = 200
 
 # The curvature pairs whose printed bounds the errata campaign reconciles.
 ERRATA_PAIRS = ((0.0, 0.0), (0.0, 1.0))
@@ -340,18 +344,22 @@ def _parse_value(text):
 
 
 def _apply_key(params, campaign, key, value, shared=False):
-    """Set key in params; a key scoped to another campaign is skipped when
-    it comes from a shared config file, and refused otherwise."""
+    """Set key in params.  A key scoped to another campaign is refused from
+    --set; from a shared config file it is skipped, if that campaign has
+    the key."""
     if "." in key:
         scope, bare = key.split(".", 1)
         if scope not in DEFAULTS:
             raise KeyError(f"{key}={value!r}: scope {scope!r} names no campaign "
                            f"(expected one of {', '.join(DEFAULTS)})")
         if scope != campaign:
-            if shared:
-                return
-            raise KeyError(f"{key}={value!r}: scope {scope!r} is not the campaign "
-                           f"being run ({campaign!r})")
+            if not shared:
+                raise KeyError(f"{key}={value!r}: scope {scope!r} is not the campaign "
+                               f"being run ({campaign!r})")
+            if bare not in DEFAULTS[scope]:
+                raise KeyError(f"{key}={value!r}: unknown config key {bare!r} for "
+                               f"campaign {scope!r}")
+            return
         key = bare
     if key not in params:
         raise KeyError(f"unknown config key {key!r} for campaign {campaign!r}")
@@ -436,6 +444,8 @@ def _campaign_problem(name, p):
     """
     if name == "riccati" and p["n"] > MAX_RICCATI_N:
         return f"n={p['n']!r}: exceeds the bound MAX_RICCATI_N={MAX_RICCATI_N}"
+    if name == "kernel-sharpness" and p["n"] > MAX_SHARPNESS_N:
+        return f"n={p['n']!r}: exceeds the bound MAX_SHARPNESS_N={MAX_SHARPNESS_N}"
     if "t_lo" in p and not p["t_lo"] <= p["t_hi"]:
         return f"needs t_lo <= t_hi, got t_lo={p['t_lo']!r}, t_hi={p['t_hi']!r}"
     if name == "pde-harnack" and p["potential"] not in POTENTIALS:

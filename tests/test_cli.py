@@ -46,7 +46,7 @@ class TestParse:
 
     def test_config_scope_must_name_a_campaign(self, tmp_path, capsys):
         path = tmp_path / "conf.json"
-        path.write_text(json.dumps({"errata.k1": 9.0, "ricati.k1": 3.0}))
+        path.write_text(json.dumps({"errata.t_grid": [9.0], "ricati.k1": 3.0}))
         with pytest.raises(SystemExit) as exc:
             cli.parse_cli(["riccati", "--config", str(path)])
         assert exc.value.code == 2
@@ -57,6 +57,21 @@ class TestParse:
         path.write_text(json.dumps({"riccati.t_end": 1.5}))
         cfg = cli.parse_cli(["riccati", "--config", str(path)])
         assert cfg.params["t_end"] == 1.5
+
+    def test_config_skips_keys_of_other_campaigns(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"errata.t_grid": [1]}))
+        cfg = cli.parse_cli(["riccati", "--config", str(path)])
+        assert cfg.params == cli.DEFAULTS["riccati"]
+
+    def test_config_typo_under_another_scope_is_usage_error(self, tmp_path, capsys):
+        # the key is checked against the campaign its scope names
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"errata.t_gird": [1]}))
+        out = tmp_path / "out"
+        assert cli.main(["riccati", "--config", str(path), "--out", str(out)]) == 2
+        assert "errata.t_gird=[1]: unknown config key 't_gird'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_campaign_exits(self):
         with pytest.raises(SystemExit):
@@ -139,6 +154,10 @@ class TestParse:
             ["riccati", "--set", "ricati.k1=3"],  # a scope that names no campaign
             ["riccati", "--set", "n=200"],  # over MAX_RICCATI_N
             ["riccati", "--set", "errata.t_gird=[1]"],  # a scope that is not the campaign
+            # t^3 within a factor 2 of the largest float: integrate_S's step floor
+            ["kernel-sharpness", "--set", "t_hi=5e102"],
+            ["harnack-integrated", "--set", "s=1", "--set", "t=5e102"],  # CASE5's cap
+            ["kernel-sharpness", "--set", "n=1000"],  # over MAX_SHARPNESS_N
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -224,6 +243,7 @@ class TestParse:
              "--set", "potential=\"zero\"", "--set", "scheme=strang"],
             ["pde-harnack", "--set", "region=[]", "--set", "n_grid=8"],
             ["pde-harnack", "--set", "n_grid=8", "--set", "scheme=strang"],  # CFL 0.8
+            ["kernel-sharpness", "--set", "n=200"],  # at MAX_SHARPNESS_N
         ],
     )
     def test_valid_values_are_accepted(self, argv):
@@ -415,19 +435,22 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "out" / "report_errata.json").exists()
 
 
-# Prints, as its last line, whether scipy is loaded after `import
+# Prints, as its last line, whether scipy or numpy.polynomial (which only
+# transcribe_cost's running-h branch needs) is loaded after `import
 # harnack_forge`, after importing the CLI, and after each campaign run
 # (one "campaign --set k=v ..." argument per run) with its exit code.
 _SCIPY_PROBE = """
 import json, sys
+def loaded():
+    return any(name in sys.modules for name in ("scipy", "numpy.polynomial"))
 import harnack_forge
-states = ["scipy" in sys.modules]
+states = [loaded()]
 import harnack_forge.verifier_cli as cli
-states.append("scipy" in sys.modules)
+states.append(loaded())
 out, *runs = sys.argv[1:]
 for k, run in enumerate(runs):
     code = cli.main(run.split() + ["--out", f"{out}/{k}"])
-    states.append([code, "scipy" in sys.modules])
+    states.append([code, loaded()])
 print(json.dumps(states))
 """
 

@@ -1,23 +1,23 @@
-"""Control cost tests: closed form, steering, transcription, Harnack sweep."""
+"""Control cost tests: closed form, transcription, Harnack sweep."""
 
 import numpy as np
 import pytest
 
 from harnack_forge.control_cost import (
-    ENDPOINT_TOL,
     ControlPath,
     ControlProblem,
     cost_csv,
-    cost_identity_gap,
     energy_cost,
     harnack_rhs,
-    hermite_control,
     log_harnack_rhs,
-    steer_exact,
     transcribe_cost,
     verify_harnack_kernel,
 )
 from harnack_forge.riccati_engine import InputError
+
+# largest endpoint miss of a transcribed path, which re-solves its last two
+# controls through the exact endpoint map
+ENDPOINT_TOL = 1e-9
 
 
 def problem(s, t, x0, v0, x1, v1):
@@ -63,11 +63,6 @@ class TestEnergyCost:
         with pytest.raises(InputError, match="tau="):
             energy_cost(problem(0.0, t, [0], [0], [1], [0]))
 
-    def test_gramian_vs_kernel_identity(self):
-        for tau in (0.5, 1.0, 2.0):
-            for n in (1, 2):
-                assert cost_identity_gap(tau, n) < 1e-10
-
     def test_problem_validation(self):
         with pytest.raises(ValueError, match="t > s"):
             ControlProblem.make(1.0, 1.0, [0], [0], [1], [1])
@@ -108,45 +103,12 @@ class TestControlPath:
 
 
 class TestSteering:
-    def test_endpoint_exact_and_energy_above_optimum(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            z = rng.uniform(-2, 2, size=4)
-            prob = problem(0.0, 1.0, [z[0]], [z[1]], [z[2]], [z[3]])
-            path = steer_exact(prob, m=8)
-            ex, ev = path.endpoint()
-            assert abs(ex[0] - prob.x1[0]) < 1e-9
-            assert abs(ev[0] - prob.v1[0]) < 1e-9
-            # a feasible discrete path can never beat the continuous inf
-            assert path.energy() >= energy_cost(prob) - 1e-12
-
-    def test_energy_converges_with_refinement(self):
-        # the endpoint correction concentrates the O(h^2) sampling drift
-        # into two segments, so the excess energy decays at first order;
-        # exact feasibility is the contract here, optimality is not
-        prob = problem(0.0, 1.0, [0.0], [0.0], [1.0], [-1.0])
-        opt = energy_cost(prob)
-        e8 = steer_exact(prob, m=8).energy() - opt
-        e32 = steer_exact(prob, m=32).energy() - opt
-        assert e8 >= e32 >= -1e-12
-        assert e8 / e32 > 3.0
-        assert e32 < 0.01 * max(1.0, opt)
-
-    def test_hermite_control_is_linear_and_optimal(self):
-        # the optimal control is linear in time; its path energy equals
-        # the closed form when integrated exactly (2-segment midpoint
-        # sampling is exact for linear u only after endpoint correction)
-        prob = problem(0.0, 1.0, [0.2], [-0.1], [0.5], [0.3])
-        u0 = hermite_control(prob, 0.0)
-        u1 = hermite_control(prob, 1.0)
-        umid = hermite_control(prob, 0.5)
-        assert umid[0] == pytest.approx(0.5 * (u0[0] + u1[0]))
-
     def test_rejects_single_segment(self):
-        with pytest.raises(ValueError, match="2 segments"):
-            steer_exact(problem(0, 1, [0], [0], [1], [1]), m=1)
+        # an InputError, so the CLI maps it to a usage error
+        with pytest.raises(InputError, match="^transcription needs at least 2 segments"):
+            transcribe_cost(problem(0, 1, [0], [0], [1], [1]), m=1)
 
-    @pytest.mark.parametrize("route", [steer_exact, transcribe_cost])
+    @pytest.mark.parametrize("route", [transcribe_cost])
     @pytest.mark.parametrize("m", [2.5, 8.0, "8", None])
     def test_rejects_non_integer_m(self, route, m):
         with pytest.raises(ValueError, match="m must be an integer"):

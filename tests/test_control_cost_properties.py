@@ -6,17 +6,19 @@ from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
 from harnack_forge.control_cost import (
-    ENDPOINT_TOL,
     ControlProblem,
     _correct_last_two,
     _gramian_costs,
     energy_cost,
-    hermite_control,
     log_harnack_rhs,
     transcribe_cost,
     verify_harnack_kernel,
 )
 from harnack_forge.gaussian_kernel import kernel_state, log_density
+
+# largest endpoint miss of a transcribed path, which re-solves its last two
+# controls through the exact endpoint map
+ENDPOINT_TOL = 1e-9
 
 coord = st.floats(-2.0, 2.0)
 
@@ -39,6 +41,23 @@ def concave_quadratics(draw, n):
     M = np.array(draw(st.lists(entry, min_size=4 * n * n, max_size=4 * n * n)))
     P = M.reshape(2 * n, 2 * n) @ M.reshape(2 * n, 2 * n).T
     return c, g, -(P + P.T) / 2  # exactly symmetric, as transcribe_cost requires
+
+
+def _hermite_control(prob, theta):
+    """Energy-optimal continuous control of the h = 0 problem at times theta.
+
+    The optimal position path is the cubic Hermite interpolant of the
+    endpoints, so its acceleration is linear in time; a (k, 1) array of
+    times gives the (k, n) controls.
+    """
+    tau = prob.tau
+    sig = (theta - prob.s) / tau
+    return (
+        (12 * sig - 6) * prob.x0
+        + (6 * sig - 4) * tau * prob.v0
+        + (-12 * sig + 6) * prob.x1
+        + (6 * sig - 2) * tau * prob.v1
+    ) / tau**2
 
 
 def _reference_lbfgsb_cost(prob, m, c, g, H):
@@ -87,7 +106,7 @@ def _reference_lbfgsb_cost(prob, m, c, g, H):
     midpoints = prob.s + (np.arange(m - 2)[:, None] + 0.5) * h
     res = minimize(
         cost_and_grad,
-        hermite_control(prob, midpoints).ravel(),
+        _hermite_control(prob, midpoints).ravel(),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},

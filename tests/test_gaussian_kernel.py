@@ -31,6 +31,11 @@ class TestMoments:
             kernel_state([0.0], [0.0], t)
         assert np.isfinite(np.linalg.inv(free_covariance(1e-102))).all()
 
+    def test_largest_representable_cube_stays_finite(self):
+        # 2 t^3 overflows for t^3 in [max / 2, max); t^3 / 3 first does not
+        for t in (4.5e102, 5e102, 5.6e102):
+            assert np.isfinite(free_covariance(t)).all()
+
     def test_free_covariance_blocks(self):
         t = 0.7
         S = free_covariance(t, n=2)

@@ -1,14 +1,18 @@
 """Tests for the Riccati engine against closed-form and dual-route oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from harnack_forge.riccati_engine import (
+    MERGE_TOL,
     BlockSym2n,
     CurvatureBound,
     InputError,
     SingularityError,
     S_from_M,
+    _states_at,
     bound_N,
     build_structural,
     comparison_check,
@@ -287,6 +291,27 @@ class TestBoundCurve:
             bound_N(K, [0.5], trajectory=traj)
         with pytest.raises(ValueError, match="empty"):
             bound_N(K, [])
+
+    def test_grid_lookup_reads_the_nearest_row_without_a_dense_matrix(self):
+        K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+        times = np.linspace(2.0 / 5000, 2.0, 5000)
+        traj = integrate_S(K, 2.0, eval_times=times)
+        tracemalloc.start()
+        try:
+            states = _states_at(traj, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6  # a times x grid distance matrix alone takes 400 MB
+        at = {t: S.entries for t, S in traj}
+        assert np.array_equal(states, [at[t] for t in times])
+        # times up to MERGE_TOL off the grid read the rows that a search
+        # over all grid times reads
+        grid = np.array(list(at))
+        off = grid[1::25]
+        off = off + np.random.default_rng(5).uniform(-MERGE_TOL, MERGE_TOL, off.size)
+        rows = np.abs(grid - off[:, None]).argmin(axis=1)
+        assert np.array_equal(_states_at(traj, off), [traj[r][1].entries for r in rows])
 
     @pytest.mark.parametrize("k1, k2", [(1.0, 2.0), (2.0, 1.0), (1.0, 0.5)])
     def test_large_time_meets_stationary_limit(self, k1, k2):
