@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csv
-from .riccati_engine import BlockSym2n, CapError, CurvatureBound, InputError
+from .riccati_engine import EXP_ARG_CAP, BlockSym2n, CapError, CurvatureBound, InputError
 from .riccati_engine import S_from_M, fundamental_M
 
-HYP_ARG_CAP = 700.0
 # CASE5's s0 = t^4 overflows from this time on: the fourth root of the largest float
 CASE5_T_CAP = sys.float_info.max ** 0.25
 EQ_TOL_DEFAULT = 1e-12
@@ -126,8 +125,8 @@ def _check_arg_cap(regime, t):
     # the s0' formulas double the fastest rate (cosh(2*rate*t) terms),
     # so the doubled argument is what must stay under the exp cap
     arg = 2.0 * max(regime.params.values(), default=0.0) * t
-    if arg > HYP_ARG_CAP:
-        raise CapError(f"hyperbolic argument {arg:.3g} exceeds cap {HYP_ARG_CAP:g} "
+    if arg > EXP_ARG_CAP:
+        raise CapError(f"hyperbolic argument {arg:.3g} exceeds cap {EXP_ARG_CAP:g} "
                        f"for regime {regime.tag} at t={t:.6g}")
 
 
@@ -202,7 +201,7 @@ def eval_sfuncs(k1, k2, t):
         nonnegative.
     CapError
         An InputError and an OverflowError: twice the regime's fastest
-        rate times t exceeds HYP_ARG_CAP, where the hyperbolic functions
+        rate times t exceeds EXP_ARG_CAP, where the hyperbolic functions
         would overflow, or, in CASE5, t reaches CASE5_T_CAP, where t^4
         would.
     DomainError

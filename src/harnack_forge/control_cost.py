@@ -33,7 +33,7 @@ import numpy as np
 from . import _csv
 from .closed_forms import eval_sfuncs
 from .gaussian_kernel import kernel_state, log_density
-from .riccati_engine import InputError
+from .riccati_engine import EXP_ARG_CAP, InputError
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,7 @@ def harnack_rhs(s, t, cost, n=1, k1=0.0, k2=0.0, U_start=0.0, U_end=0.0):
     degrade to 0 or inf gracefully rather than overflowing midway.
     """
     lg = log_harnack_rhs(s, t, cost, n=n, k1=k1, k2=k2, U_start=U_start, U_end=U_end)
-    return float(np.exp(min(lg, 700.0)))
+    return float(np.exp(min(lg, EXP_ARG_CAP)))
 
 
 def log_harnack_rhs(s, t, cost, n=1, k1=0.0, k2=0.0, U_start=0.0, U_end=0.0):
@@ -408,7 +408,7 @@ def verify_harnack_kernel(s, t, n_pairs=1000, seed=0, box=3.0):
         - log_harnack_rhs(s, t, energy_cost(prob0), n=1)
     )
     return KernelHarnackReport(
-        s=s, t=t, n_pairs=n_pairs, min_ratio=float(np.exp(min(gaps[worst], 700.0))),
+        s=s, t=t, n_pairs=n_pairs, min_ratio=float(np.exp(min(gaps[worst], EXP_ARG_CAP))),
         min_pair=tuple(pts[worst].tolist()), equality_gap=abs(float(np.expm1(gap0))),
     )
 

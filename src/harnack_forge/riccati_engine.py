@@ -26,8 +26,7 @@ from . import _csv
 SYMMETRY_TOL = 1e-12
 SYMMETRY_ABORT = 1e-9
 PSD_TOL = 1e-12
-# bound_N takes the small-time expansion below this time
-T_MIN_DEFAULT = 1e-3
+# the largest argument of exp the package takes: exp(700) ~ 1e304 is below overflow
 EXP_ARG_CAP = 700.0
 # integrate_S takes no step shorter than STEP_FLOOR * max(t_end, 1)
 STEP_FLOOR = 1e-14
@@ -410,9 +409,7 @@ def _scaled_inverse(S, times, n):
     if bad.size:
         t, c = times[finite][bad[0]], float(cond[bad[0]])
         raise SingularityError(
-            f"S(t) numerically singular at t={t:.3g} "
-            f"(scaled condition {c:.3e}); conditioning threshold "
-            f"T_MIN_DEFAULT={T_MIN_DEFAULT} applies below that time",
+            f"S(t) numerically singular at t={t:.3g} (scaled condition {c:.3e})",
             cond=c,
         )
     N = np.full_like(Shat, np.nan)
@@ -434,17 +431,18 @@ def _states_at(trajectory, times):
     rows = np.where(np.abs(grid[lo] - times) <= np.abs(grid[hi] - times), lo, hi)
     missing = np.abs(grid[rows] - times) > MERGE_TOL
     if missing.any():
-        raise ValueError(f"trajectory has no grid time at t={times[missing][0]!r}")
+        raise ValueError(f"trajectory has no grid time at t={float(times[missing][0])!r}")
     return np.array([trajectory[row][1].entries for row in rows])
 
 
 def bound_N(K, t, tol=1e-10, trajectory=None):
     """Sharp bound matrix N(t) = S(t)^{-1}, at one time or on a time grid.
 
-    One integration of S to the largest requested time supplies every
-    N(t); times below T_MIN_DEFAULT use the analytic small-time expansion
-    instead (inversion there would lose ~3 digits per decade).  The
-    scaled inversions of the whole grid run as one stack.
+    One integration of S to the largest requested time T supplies every
+    N(t) from its reach STEP_FLOOR * max(T, 10) up: integrate_S's step
+    floor, but no less than the ten floors T's first step T / 10 needs.
+    Below the reach the analytic small-time expansion, at rounding there,
+    answers instead.  The scaled inversions of the grid run as one stack.
 
     Parameters
     ----------
@@ -456,7 +454,7 @@ def bound_N(K, t, tol=1e-10, trajectory=None):
         Local error tolerance of the integration.
     trajectory : list of (t, BlockSym2n), optional
         An integrate_S trajectory of K whose grid already contains every
-        requested time >= T_MIN_DEFAULT; it replaces the integration.
+        requested time at or above the reach; it replaces the integration.
 
     Returns
     -------
@@ -484,7 +482,7 @@ def bound_N(K, t, tol=1e-10, trajectory=None):
     if not (times > 0).all():
         raise ValueError(f"times must be positive, got {times[~(times > 0)][0]}")
     S = np.empty((times.size, 2 * K.n, 2 * K.n))
-    early = times < T_MIN_DEFAULT
+    early = times < STEP_FLOOR * max(times.max(), 10.0)
     for k in np.flatnonzero(early):
         S[k] = small_time_S(K, times[k]).entries
     late = times[~early]

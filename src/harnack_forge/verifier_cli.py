@@ -94,6 +94,11 @@ FORM_CAP = sys.float_info.max * 2.0**-64
 # as n^2: at the other defaults, on 2 vCPUs, n = 64 takes about 1.6 s and
 # 200 MB, and n = 100 about 6.4 s and 440 MB.
 MAX_RICCATI_N = 64
+# The riccati campaign refuses an n_eval above this, by the same budget: each
+# eval time costs one integrator step, one exponential and one inversion, so
+# at the other defaults, on 2 vCPUs, n_eval = 10000 takes about 1.6 s and
+# 49 MB, and n_eval = 20000 about 3.2 s and 65 MB.
+MAX_RICCATI_N_EVAL = 10000
 # The kernel-sharpness campaign refuses a dimension n above this, by the
 # same budget: at the other defaults, on 2 vCPUs, n = 200 takes about 2.9 s
 # and 240 MB, and n = 250 about 6.9 s and 350 MB.
@@ -350,19 +355,19 @@ def _apply_key(params, campaign, key, value, shared=False):
     if "." in key:
         scope, bare = key.split(".", 1)
         if scope not in DEFAULTS:
-            raise KeyError(f"{key}={value!r}: scope {scope!r} names no campaign "
-                           f"(expected one of {', '.join(DEFAULTS)})")
+            raise ValueError(f"{key}={value!r}: scope {scope!r} names no campaign "
+                             f"(expected one of {', '.join(DEFAULTS)})")
         if scope != campaign:
             if not shared:
-                raise KeyError(f"{key}={value!r}: scope {scope!r} is not the campaign "
-                               f"being run ({campaign!r})")
+                raise ValueError(f"{key}={value!r}: scope {scope!r} is not the campaign "
+                                 f"being run ({campaign!r})")
             if bare not in DEFAULTS[scope]:
-                raise KeyError(f"{key}={value!r}: unknown config key {bare!r} for "
-                               f"campaign {scope!r}")
+                raise ValueError(f"{key}={value!r}: unknown config key {bare!r} for "
+                                 f"campaign {scope!r}")
             return
         key = bare
     if key not in params:
-        raise KeyError(f"unknown config key {key!r} for campaign {campaign!r}")
+        raise ValueError(f"unknown config key {key!r} for campaign {campaign!r}")
     params[key] = value
 
 
@@ -444,6 +449,9 @@ def _campaign_problem(name, p):
     """
     if name == "riccati" and p["n"] > MAX_RICCATI_N:
         return f"n={p['n']!r}: exceeds the bound MAX_RICCATI_N={MAX_RICCATI_N}"
+    if name == "riccati" and p["n_eval"] > MAX_RICCATI_N_EVAL:
+        return (f"n_eval={p['n_eval']!r}: exceeds the bound "
+                f"MAX_RICCATI_N_EVAL={MAX_RICCATI_N_EVAL}")
     if name == "kernel-sharpness" and p["n"] > MAX_SHARPNESS_N:
         return f"n={p['n']!r}: exceeds the bound MAX_SHARPNESS_N={MAX_SHARPNESS_N}"
     if "t_lo" in p and not p["t_lo"] <= p["t_hi"]:
@@ -498,7 +506,7 @@ def parse_cli(argv):
         for key, value in loaded.items():
             try:
                 _apply_key(params, args.campaign, key, value, shared=True)
-            except KeyError as exc:
+            except ValueError as exc:
                 PARSER.error(str(exc))
     for item in args.set:
         if "=" not in item:
@@ -506,7 +514,7 @@ def parse_cli(argv):
         key, value = item.split("=", 1)
         try:
             _apply_key(params, args.campaign, key, _parse_value(value))
-        except KeyError as exc:
+        except ValueError as exc:
             PARSER.error(str(exc))
     for key, value in params.items():
         problem = _value_problem(key, value, DEFAULTS[args.campaign][key])

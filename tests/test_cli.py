@@ -36,7 +36,9 @@ class TestParse:
         with pytest.raises(SystemExit) as exc:
             cli.parse_cli(["riccati", "--set", "riccati.k1=2.0", "--set", "errata.k1=9.0"])
         assert exc.value.code == 2
-        assert "errata.k1=9.0: scope 'errata' is not the campaign" in capsys.readouterr().err
+        # the message follows "error: " as it is, with no quotes around it
+        err = capsys.readouterr().err
+        assert "error: errata.k1=9.0: scope 'errata' is not the campaign" in err
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "conf.json"
@@ -50,7 +52,7 @@ class TestParse:
         with pytest.raises(SystemExit) as exc:
             cli.parse_cli(["riccati", "--config", str(path)])
         assert exc.value.code == 2
-        assert "ricati.k1=3.0: scope 'ricati' names no campaign" in capsys.readouterr().err
+        assert "error: ricati.k1=3.0: scope 'ricati' names no campaign" in capsys.readouterr().err
 
     def test_config_file_valid_keys(self, tmp_path):
         path = tmp_path / "conf.json"
@@ -158,6 +160,7 @@ class TestParse:
             ["kernel-sharpness", "--set", "t_hi=5e102"],
             ["harnack-integrated", "--set", "s=1", "--set", "t=5e102"],  # CASE5's cap
             ["kernel-sharpness", "--set", "n=1000"],  # over MAX_SHARPNESS_N
+            ["riccati", "--set", "n_eval=100000"],  # over MAX_RICCATI_N_EVAL
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -244,6 +247,7 @@ class TestParse:
             ["pde-harnack", "--set", "region=[]", "--set", "n_grid=8"],
             ["pde-harnack", "--set", "n_grid=8", "--set", "scheme=strang"],  # CFL 0.8
             ["kernel-sharpness", "--set", "n=200"],  # at MAX_SHARPNESS_N
+            ["riccati", "--set", "n_eval=10000"],  # at MAX_RICCATI_N_EVAL
         ],
     )
     def test_valid_values_are_accepted(self, argv):

@@ -7,6 +7,7 @@ import pytest
 
 from harnack_forge.riccati_engine import (
     MERGE_TOL,
+    STEP_FLOOR,
     BlockSym2n,
     CurvatureBound,
     InputError,
@@ -243,11 +244,11 @@ class TestBoundN:
             assert np.abs(bound_N(K, t).entries - want).max() < 1e-7 * 1 / t**3
 
     def test_small_time_expansion_path(self):
-        # below T_MIN_DEFAULT the expansion replaces integration; at K = 0 the
-        # expansion is the exact solution, so the inverse is exact too
+        # below the integration's reach, 1e-13 here, the expansion answers;
+        # at K = 0 it is the exact solution, so the inverse is exact too
         K = CurvatureBound(k1=0.0, k2=0.0, n=1)
-        t = 5e-4
-        want = np.linalg.inv(free_S(t))
+        t = 1e-14
+        want = np.array([[-6 / t**3, 3 / t**2], [3 / t**2, -2 / t]])
         got = bound_N(K, t).entries
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
@@ -264,12 +265,15 @@ class TestBoundN:
             bound_N(K, [0.5, 1e-110, 3.5e-103])
 
     def test_small_time_expansion_matches_integration_at_crossover(self):
-        # expansion truncation is O(t^2 K) relative, ~1.4e-5 here
+        # just above the reach set by the largest time T, bound_N integrates;
+        # the expansion's O(t^2 K) truncation is far under rounding there
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
-        t = 2e-3
-        via_exp = np.linalg.inv(small_time_S(K, t).entries)
-        via_int = bound_N(K, t).entries
-        assert np.abs(via_exp - via_int).max() / np.abs(via_int).max() < 5e-5
+        for T in (1.0, 2.0, 1000.0):
+            t = 1.5 * STEP_FLOOR * max(T, 10.0)
+            via_exp = np.linalg.inv(small_time_S(K, t).entries)
+            via_int = bound_N(K, [t, T])[0].entries
+            tsc = np.array([t**1.5, t**0.5])
+            assert np.abs((via_exp - via_int) * np.outer(tsc, tsc)).max() < 1e-14
 
     def test_negative_definite(self):
         rng = np.random.default_rng(3)
@@ -283,11 +287,11 @@ class TestBoundCurve:
     def test_trajectory_reuse_and_validation(self):
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
         times = [1.2, 5e-4, 0.4, 1.2]
-        traj = integrate_S(K, 1.2, eval_times=[0.4, 1.2])
+        traj = integrate_S(K, 1.2, eval_times=[5e-4, 0.4, 1.2])
         reused = bound_N(K, times, trajectory=traj)
         for got, want in zip(reused, bound_N(K, times)):
             assert np.array_equal(got.entries, want.entries)
-        with pytest.raises(ValueError, match="grid time"):
+        with pytest.raises(ValueError, match=r"grid time at t=0\.5$"):
             bound_N(K, [0.5], trajectory=traj)
         with pytest.raises(ValueError, match="empty"):
             bound_N(K, [])

@@ -10,8 +10,8 @@ from harnack_forge.riccati_engine import (
     _DP_E,
     _expm,
     EXP_ARG_CAP,
+    STEP_FLOOR,
     SYMMETRY_ABORT,
-    T_MIN_DEFAULT,
     BlockSym2n,
     CurvatureBound,
     S_from_M,
@@ -45,11 +45,11 @@ def curvatures(draw):
 
 @st.composite
 def time_sets(draw):
-    """Unsorted times in [1e-4, 2.5], with duplicates and some below T_MIN_DEFAULT."""
+    """Unsorted times in [1e-4, 2.5], with duplicates and some in [1e-5, 1e-3)."""
     times = draw(st.lists(st.floats(1e-4, 2.5), min_size=1, max_size=5))
     times += draw(st.lists(st.sampled_from(times), max_size=2))
-    below_t_min = st.floats(1e-5, T_MIN_DEFAULT, exclude_max=True)
-    times += draw(st.lists(below_t_min, max_size=2))
+    small = st.floats(1e-5, 1e-3, exclude_max=True)
+    times += draw(st.lists(small, max_size=2))
     return draw(st.permutations(times))
 
 
@@ -66,10 +66,7 @@ def test_bound_curve_matches_bound_N_per_time(K, times):
 
 @given(K=curvatures(), times=time_sets())
 def test_S_negative_semidefinite_at_every_requested_time(K, times):
-    late = [t for t in times if t >= T_MIN_DEFAULT]
-    if not late:
-        return
-    for t, S in integrate_S(K, max(late), eval_times=late):
+    for t, S in integrate_S(K, max(times), eval_times=times):
         assert S.max_eigenvalue() <= 1e-12 * (1.0 + np.abs(S.entries).max())
 
 
@@ -88,19 +85,28 @@ def test_S_non_increasing_in_loewner_order(K, times):
     # P = dS/dt obeys P' = A P + P A^T with A = -C + S K, so P(t) is
     # congruent to P(0) = -D <= 0: S never increases, and N = S^{-1} < 0
     # never decreases (checked on the exponential route as well).
-    late = sorted(t for t in times if t >= T_MIN_DEFAULT)
-    if not late:
-        return
-    trajectory = [S.entries for _, S in integrate_S(K, late[-1], tol=TOL, eval_times=late)]
+    times = sorted(times)
+    trajectory = [S.entries for _, S in integrate_S(K, times[-1], tol=TOL, eval_times=times)]
     for earlier, later in zip(trajectory[:-1], trajectory[1:]):
         step = np.linalg.eigvalsh(later - earlier)[-1]
         assert step <= 1e-10 * (1.0 + np.abs(later).max())
-    curve = [N.entries for N in bound_N(K, late, tol=TOL)]
-    exact = [S_from_M(fundamental_M(K, t)).entries for t in late]
+    curve = [N.entries for N in bound_N(K, times, tol=TOL)]
+    exact = [S_from_M(fundamental_M(K, t)).entries for t in times]
     for Ns in (curve, exact):
         for earlier, later in zip(Ns[:-1], Ns[1:]):
             step = np.linalg.eigvalsh(later - earlier)[0]
             assert step >= -1e-8 * np.abs(earlier).max()
+
+
+@given(K=curvatures(), t=st.floats(1e-6, 1e-3, exclude_max=True))
+def test_bound_N_at_small_times_matches_the_exponential_route(K, t):
+    # bound_N integrates down to its reach, so no leading-order truncation
+    # (5e-6 at t = 9e-4 for unit curvatures) shows; compared in the
+    # diag(t^{3/2}, t^{1/2}) scaling, where N(t) is O(1)
+    tsc = np.array([t**1.5, t**0.5])
+    got = bound_N(K, t).entries
+    want = S_from_M(fundamental_M(K, t)).entries
+    assert np.abs((got - want) * np.outer(tsc, tsc)).max() <= 1e-12
 
 
 @st.composite
@@ -238,9 +244,10 @@ def _reference_scaled_inverse(S, t, n):
 
 def _reference_bound_N(K, times, trajectory):
     grid = np.array([t for t, _ in trajectory])
+    reach = STEP_FLOOR * max(max(times), 10.0)
     out = []
     for t in np.asarray(times, dtype=float):
-        if t < T_MIN_DEFAULT:
+        if t < reach:
             S = small_time_S(K, t).entries
         else:
             S = trajectory[int(np.abs(grid - t).argmin())][1].entries
@@ -342,8 +349,7 @@ class TestBatchedRoutesMatchPerTimeLoops:
 
     @given(K=st.one_of(zero_curvatures, any_curvatures()), times=time_sets())
     def test_bound_N_grid(self, K, times):
-        late = [t for t in times if t >= T_MIN_DEFAULT]
-        trajectory = integrate_S(K, max(late), eval_times=late) if late else []
+        trajectory = integrate_S(K, max(times), eval_times=times)
         got = bound_N(K, times)
         assert len(got) == len(times)
         for N, want in zip(got, _reference_bound_N(K, times, trajectory)):
