@@ -5,9 +5,11 @@ literal that reads back exactly; numpy scalars never reach repr).
 Both functions work through batches of BATCH values or rows, so a writer
 holds at most its finished text, the text's parts and one batch: building
 a text of L characters peaks near 2 L, not the 4 L that formatting every
-value and every row before one join would take.  verifier_cli._write
-then writes the text in slices of WRITE_SLICE characters, so writing
-adds no copy of it.
+value and every row before one join would take.  Every CSV artifact but
+final_field.csv is built this way; kinetic_pde.snapshot_csv builds that
+one, in the same format, one x-row at a time, with the same peak.
+verifier_cli._write then writes the text in slices of WRITE_SLICE
+characters, so writing adds no copy of it.
 """
 
 from itertools import chain, islice

@@ -26,11 +26,15 @@ non-negative fields the solver carries; the solver needs numpy alone.
 GridField.rho is x-major, shape (nx, nv).  Inside evolve the field is
 velocity-major, a C-ordered (nv, nx) array whose row j is the line
 v = vs[j]: evolve transposes it once on entry and once on return, and
-every kernel (_upwind_x, _upwind_v, _diffuse_v, _sl_advect_x) takes and
-returns that layout.  Each kernel does the same float operations on
-the same operands as its x-major form, so the field is the same bit for
-bit; the mass ledger's sums run over the velocity-major array, in its
-memory order.
+every kernel (_upwind_x, _upwind_v, _diffuse_v, _sl_advect_x) takes
+that layout and writes its result into an array of it that evolve owns.
+evolve owns two: the field, in which the diffusion solves in place, and
+a work array that each x-transport writes into; the drift writes back
+into the field.  So a substep allocates no new field, and the returned
+GridField is a copy that shares no memory with either.  Each kernel
+does the same float operations on the same operands as its x-major
+form, so the field is the same bit for bit; the mass ledger's sums run
+over the velocity-major array, in its memory order.
 
 Verification compares the estimated Hessian of log rho - U/2 on the
 grid against the Riccati bound N evaluated at the absolute snapshot
@@ -45,7 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -282,45 +286,55 @@ class EvolveReport:
     scheme: str
 
 
-def _upwind_x(rho, vs, dx, dt):
+def _upwind_x(rho, vs, dx, dt, out):
     """First-order upwind transport in x with speed v (rowwise).
 
-    rho is velocity-major, (nv, nx).  Returns (new_rho, boundary_loss)
-    where the loss is the exact telescoped edge flux; zero Dirichlet
-    inflow.  vs must be increasing (GridField guarantees it): the rows
-    with negative and positive Courant numbers are then two slices, and
-    zero-speed rows between them are left as they are.
+    rho is velocity-major, (nv, nx); the transported field is written into
+    out, a C-ordered array of rho's shape that does not overlap it.
+    Returns (out, boundary_loss) where the loss is the exact telescoped
+    edge flux; zero Dirichlet inflow.  vs must be increasing (GridField
+    guarantees it): the rows with negative and positive Courant numbers
+    are then two slices, and zero-speed rows between them are left as
+    they are.
     """
     c = vs * dt / dx  # per-row Courant number
-    neg = slice(None, int(np.searchsorted(c, 0.0, "left")))
-    pos = slice(int(np.searchsorted(c, 0.0, "right")), None)
-    new = rho.copy()
-    # differences toward the upwind cell, computed in place; the empty
-    # inflow cell leaves rho[:, 0] (already copied) and 0 - rho[:, -1]
-    p, q = new[pos], new[neg]
-    np.subtract(rho[pos, 1:], rho[pos, :-1], out=p[:, 1:])
-    np.subtract(rho[neg, 1:], rho[neg, :-1], out=q[:, :-1])
+    lo, hi = int(np.searchsorted(c, 0.0, "left")), int(np.searchsorted(c, 0.0, "right"))
+    neg, pos = slice(None, lo), slice(hi, None)
+    out[lo:hi] = rho[lo:hi]
+    # differences toward the upwind cell, each block of rows taken as one
+    # flat line; the cells whose difference crosses a row end are then
+    # the empty inflow cells, rho[:, 0] - 0 and 0 - rho[:, -1]
+    p, q = out[pos], out[neg]
+    line = rho[pos].ravel()
+    np.subtract(line[1:], line[:-1], out=p.reshape(-1)[1:])
+    p[:, 0] = rho[pos, 0]
+    line = rho[neg].ravel()
+    np.subtract(line[1:], line[:-1], out=q.reshape(-1)[:-1])
     np.subtract(0.0, rho[neg, -1], out=q[:, -1])
     for rows, diff in ((pos, p), (neg, q)):
         diff *= c[rows, None]
         np.subtract(rho[rows], diff, out=diff)
     loss = float(np.sum(c[pos] * rho[pos, -1]) + np.sum(-c[neg] * rho[neg, 0]))
-    return new, loss
+    return out, loss
 
 
-def _upwind_v(rho, cv):
+def _upwind_v(rho, cv, out):
     """First-order upwind drift in v with pointwise Courant numbers cv.
 
-    rho and cv are velocity-major, (nv, nx).
+    rho and cv are velocity-major, (nv, nx); the drifted field is written
+    into out, an array of rho's shape that does not overlap it, and
+    returned.
     """
-    # d[j] = rho[j] - rho[j - 1], with empty rows beyond both edges
-    d = np.empty((rho.shape[0] + 1, rho.shape[1]))
-    d[0] = rho[0]
-    np.subtract(rho[1:], rho[:-1], out=d[1:-1])
-    np.subtract(0.0, rho[-1], out=d[-1])
-    step = np.where(cv > 0, d[:-1], d[1:])
-    step *= cv
-    return np.subtract(rho, step, out=step)
+    # out[j] = rho[j] - rho[j - 1] where cv > 0, else rho[j + 1] - rho[j],
+    # with empty rows beyond both edges
+    up = cv > 0
+    down = ~up
+    np.subtract(rho[1:], rho[:-1], out=out[1:], where=up[1:])
+    np.subtract(rho[1:], rho[:-1], out=out[:-1], where=down[:-1])
+    np.copyto(out[0], rho[0], where=up[0])
+    np.subtract(0.0, rho[-1], out=out[-1], where=down[-1])
+    out *= cv
+    return np.subtract(rho, out, out=out)
 
 
 def _tridiag_lu(nv, r):
@@ -340,16 +354,19 @@ def _tridiag_lu(nv, r):
     return d, l
 
 
-def _diffuse_v(shape, dv, dt, nsub=1):
+def _diffuse_v(out, dv, dt, nsub=1):
     """Implicit backward-Euler velocity diffusion, zero Dirichlet.
 
-    Factors the tridiagonal matrix once (_tridiag_lu); the returned
-    step(rho) -> (new_rho, boundary_loss) takes a velocity-major field of
-    the given (nv, nx) shape, makes nsub solves of step dt / nsub on a
-    copy of it, and returns that copy; the loss is the exact telescoped
-    edge flux of the solves.  Each solve is the Thomas algorithm (Golub &
-    Van Loan, Matrix Computations, section 4.3) swept over the rows of
-    the copy, one row operation for every x value at once:
+    Sets up once what every solve shares: the factors of the tridiagonal
+    matrix (_tridiag_lu), and the row views of out, a C-ordered
+    velocity-major (nv, nx) array, zipped with them.  The returned
+    step(rho) -> (out, boundary_loss) copies rho into out (rho may be out
+    itself, which copies nothing; it is never written otherwise), makes
+    nsub solves of step dt / nsub on out in place, and returns out; the
+    loss is the exact telescoped edge flux of the solves.  Each solve is
+    the Thomas algorithm (Golub & Van Loan, Matrix Computations, section
+    4.3) swept over the rows of out, one row operation for every x value
+    at once:
 
         forward  b_{i+1} = b_{i+1} - l_i b_i
         back     b_i = (b_i - du_i b_{i+1}) / d_i,   du_i = -r
@@ -365,7 +382,7 @@ def _diffuse_v(shape, dv, dt, nsub=1):
     Raises InputError when the diffusion number r = (dt / nsub) / dv^2 is
     not a positive finite float (dv^2 overflows or underflows).
     """
-    nv, nx = shape
+    nx = out.shape[1]
     try:
         r = (dt / nsub) / dv**2
     except ArithmeticError:  # Python floats raise where numpy gives inf
@@ -373,23 +390,20 @@ def _diffuse_v(shape, dv, dt, nsub=1):
     if not 0.0 < r < np.inf:
         raise InputError(f"the diffusion number dt / dv^2 at dt={dt / nsub:.3g}, "
                          f"dv={dv:.3g} is not a positive finite float")
-    d, l = _tridiag_lu(nv, r)
-    # 0-d coefficient arrays are built once and row views once per call:
-    # with them and a positional out, each ufunc call of the sweep is
-    # cheapest.
+    d, l = _tridiag_lu(out.shape[0], r)
+    # 0-d coefficient arrays and row views, built once: with them and a
+    # positional out, each ufunc call of the sweep is cheapest.
     tmp = np.empty(nx)
     du = np.array(-r)
-    ls = list(map(np.array, l))
-    ds = list(map(np.array, d[-2::-1]))
+    rows = list(out)  # row i is the line v = vs[i]
+    forward = list(zip(map(np.array, l), rows[:-1], rows[1:]))
+    back = list(zip(map(np.array, d[-2::-1]), rows[-2::-1], rows[:0:-1]))
+    first, last = rows[0], rows[-1]
     d_last = np.array(d[-1])
     mul, sub, div = np.multiply, np.subtract, np.divide
 
     def step(rho):
-        out = rho.copy()
-        rows = list(out)  # row i is the line v = vs[i]
-        forward = list(zip(ls, rows[:-1], rows[1:]))
-        back = list(zip(ds, rows[-2::-1], rows[:0:-1]))
-        last = rows[-1]
+        np.copyto(out, rho)
         loss = 0.0
         for _ in range(nsub):
             for li, bi, bj in forward:
@@ -400,33 +414,52 @@ def _diffuse_v(shape, dv, dt, nsub=1):
                 mul(du, bj, tmp)
                 sub(bi, tmp, bi)
                 div(bi, di, bi)
-            loss += r * float(out[0].sum() + out[-1].sum())
+            loss += r * float(first.sum() + last.sum())
         return out, loss
 
     return step
 
 
-def _sl_advect_x(rho, vs, dx, tau):
+def _shift_rows(rho, k, out):
+    """out[:, i] = rho[:, i - k], zero where i - k lies outside the row."""
+    nx = rho.shape[1]
+    lo = min(max(k, 0), nx)
+    hi = max(min(nx + k, nx), lo)
+    out[:, :lo] = 0.0
+    out[:, hi:] = 0.0
+    out[:, lo:hi] = rho[:, lo - k:hi - k]
+
+
+def _sl_advect_x(rho, vs, dx, tau, out):
     """Semi-Lagrangian x-transport: integer shift + fractional upwind.
 
     Exact for the integer part of the Courant number, first-order
     diffusive only in the fractional remainder; stable for any tau.
     rho is velocity-major, (nv, nx): row j is shifted k_j = floor(c_j)
     cells toward +x and blended with its shift by k_j + 1 (zero fill, no
-    wraparound).
+    wraparound).  The result is written into out, an array of rho's
+    shape that does not overlap it, and returned: each run of rows with
+    one shift (shifts past the edge clipped to nx + 1 cells) is shifted
+    as one block, and its blend is built in place.
     """
-    nv, nx = rho.shape
+    nx = rho.shape[1]
     c = vs * tau / dx
     k = np.floor(c)
     a = (c - k)[:, None]
-    # columns 0 and nx + 1 of padded are the empty cells beyond the edges
-    padded = np.zeros((nv, nx + 2))
-    padded[:, 1:-1] = rho
-    src = np.arange(1, nx + 1) - np.clip(k, -nx - 1, nx + 1).astype(int)[:, None]
-    rows = np.arange(nv)[:, None]
-    shifted = padded[rows, np.clip(src, 0, nx + 1)]  # x_i - k_j
-    blend = padded[rows, np.clip(src - 1, 0, nx + 1)]  # x_i - k_j - 1
-    return np.where(a > 0.0, (1.0 - a) * shifted + a * blend, shifted)
+    blended = a > 0.0
+    shift = np.clip(k, -nx - 1, nx + 1)
+    cuts = [0, *(np.flatnonzero(np.diff(shift)) + 1), shift.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        block, rows, s = out[lo:hi], rho[lo:hi], int(shift[lo])
+        _shift_rows(rows, s, block)
+        w = blended[lo:hi]
+        if w.any():
+            blend = np.empty_like(block)
+            _shift_rows(rows, s + 1, blend)
+            blend *= a[lo:hi]
+            np.multiply(1.0 - a[lo:hi], block, out=block, where=w)
+            np.add(block, blend, out=block, where=w)
+    return out
 
 
 def _courant_rates(xs, vs, speed):
@@ -481,8 +514,11 @@ def evolve(field, potential, t1, scheme="lie"):
 
     The field is transposed once on entry to a velocity-major (nv, nx)
     array, stepped in that layout, and transposed back once into the
-    returned x-major GridField.  The ledger's per-substep sums run over
-    the velocity-major array, in its memory order.
+    returned x-major GridField.  Each transport reads that array and
+    writes a work array; the drift, when there is one, writes back into
+    the field array, and the diffusion, set up once per call, solves in
+    it in place.  The ledger's per-substep sums run over the
+    velocity-major array, in its memory order.
 
     Returns (GridField at t1, EvolveReport).
 
@@ -505,12 +541,14 @@ def evolve(field, potential, t1, scheme="lie"):
     T = t1 - field.t
     # velocity-major from here on: row j is the line v = vs[j]
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        speed = potential.grad_v(*np.meshgrid(field.xs, field.vs))
+        speed = potential.grad_v(field.xs, field.vs[:, None])
     rate_x, rate_v = _courant_rates(field.xs, field.vs, speed)
     if not (rate_x < np.inf and rate_v < np.inf):
         raise InputError(f"the Courant rates |v|/dx = {rate_x:.3g} and "
                          f"|U_v|/dv = {rate_v:.3g} must be finite")
+    # the field, velocity-major; the diffusion solves in it in place
     rho = field.rho.T.copy()
+    work = np.empty_like(rho)  # the x-transport writes here
 
     if scheme == "lie":
         steps = np.ceil(T / (CFL_LIMIT / max(rate_x, rate_v)))
@@ -523,8 +561,10 @@ def evolve(field, potential, t1, scheme="lie"):
         taus = repeat(dt, n_steps)
         nsub = 1
         transport_x = _upwind_x
-        courant_v = speed * dt / field.dv  # built once: every tau is dt
-        drift_courant = lambda tau: courant_v
+        # the drift's Courant numbers, built once in speed's place: every tau is dt
+        speed *= dt
+        speed /= field.dv
+        drift_courant = lambda tau: speed
     else:
         n_steps = STRANG_CHUNKS
         dt = T / n_steps
@@ -534,27 +574,29 @@ def evolve(field, potential, t1, scheme="lie"):
         taus = [0.5 * dt, *repeat(dt, n_steps - 1), 0.5 * dt]
         nsub = STRANG_DIFFUSION_SUBSTEPS
 
-        def transport_x(rho, vs, dx, tau):  # no edge flux: the ledger measures the loss
-            return _sl_advect_x(rho, vs, dx, tau), None
+        def transport_x(*args):  # no edge flux: the ledger measures the loss
+            return _sl_advect_x(*args), None
 
         drift_courant = lambda tau: speed * tau / field.dv
-    diffuse = _diffuse_v(rho.shape, field.dv, dt, nsub)
+    diffuse = _diffuse_v(rho, field.dv, dt, nsub)
 
     m0 = field.mass()
     cell = field.dx * field.dv
     ledger = _MassLedger(rho)
     x_loss = diff_loss = drift_src = 0.0
+    # every transport but the last is followed by a diffusion, which
+    # leaves the field in rho: so each transport reads rho
     for k, tau in enumerate(taus):
-        rho, flux = transport_x(rho, field.vs, field.dx, tau)
-        x_loss += ledger.lost(rho, flux) * cell
+        new, flux = transport_x(rho, field.vs, field.dx, tau, work)
+        x_loss += ledger.lost(new, flux) * cell
         if rate_v > 0:
-            rho = _upwind_v(rho, drift_courant(tau))
-            drift_src -= ledger.lost(rho) * cell
+            new = _upwind_v(new, drift_courant(tau), rho)
+            drift_src -= ledger.lost(new) * cell
         if k < n_steps:
-            rho, flux = diffuse(rho)
-            diff_loss += ledger.lost(rho, flux) * cell
+            new, flux = diffuse(new)
+            diff_loss += ledger.lost(new, flux) * cell
 
-    out = GridField(field.xs, field.vs, rho.T, t=t1, t0=field.t0)
+    out = GridField(field.xs, field.vs, new.T, t=t1, t0=field.t0)
     m1 = out.mass()
     # closing identity: every unit of mass change is a recorded flux
     closure = abs((m0 - m1) - (x_loss + diff_loss - drift_src)) / max(m0, 1e-300)
@@ -755,16 +797,35 @@ def verify_scalar_harnack(
 
 
 def snapshot_csv(field):
-    """Serialize a field as CSV rows x,v,rho (row-major, exact float literals)."""
-    nx, nv = field.rho.shape
-    # each distinct x and v is formatted once; the columns are streamed
-    xs = chain.from_iterable(map(repeat, _csv.floats(field.xs), repeat(nv)))
-    vs = chain.from_iterable(repeat(list(_csv.floats(field.vs)), nx))
-    return _csv.csv_text(["x", "v", "rho"], [xs, vs, _csv.floats(field.rho)])
+    """Serialize a field as CSV rows x,v,rho (row-major, exact float literals).
+
+    The text is built one x-row at a time, in _csv's field format: the
+    row's "\\n" + x + "," prefix is made once per row and each v + ","
+    field once per call, and both are interleaved with the repr of the
+    row's rho values by slice assignment into one join per row.  So no
+    line gets a tuple or a join of its own, and the build holds the
+    finished rows and one row's parts, then the text: near twice the
+    text's length.
+    """
+    nv = field.vs.size
+    parts = [None] * (3 * nv)  # one row: prefix, v field, rho literal per line
+    parts[1::3] = [v + "," for v in _csv.floats(field.vs)]
+    rows = ["x,v,rho"]
+    for x, values in zip(_csv.floats(field.xs), field.rho):
+        parts[0::3] = ["\n" + x + ","] * nv
+        parts[2::3] = map(repr, values.tolist())
+        rows.append("".join(parts))
+    rows.append("\n")
+    return "".join(rows)
 
 
 def save_snapshot(field, path_base):
-    """Write <base>.bin (row-major float64) and <base>.json sidecar."""
+    """Write <base>.bin (row-major float64) and <base>.json sidecar.
+
+    The sidecar lists both axes in full, as exact float literals, so
+    load_snapshot returns them bit for bit; their end points and sizes
+    are repeated as x_min, x_max, nx and so on.
+    """
     data = np.ascontiguousarray(field.rho, dtype=np.float64)
     bin_path = f"{path_base}.bin"
     json_path = f"{path_base}.json"
@@ -776,6 +837,8 @@ def save_snapshot(field, path_base):
         "x_max": float(field.xs[-1]),
         "v_min": float(field.vs[0]),
         "v_max": float(field.vs[-1]),
+        "xs": field.xs.tolist(),
+        "vs": field.vs.tolist(),
         "t": field.t,
         "t0": field.t0,
         "layout": "row-major x-major float64",
@@ -786,12 +849,10 @@ def save_snapshot(field, path_base):
 
 
 def load_snapshot(path_base):
-    """Inverse of save_snapshot."""
+    """Inverse of save_snapshot: the same density, axes and times, bit for bit."""
     with open(f"{path_base}.json") as fh:
         meta = json.load(fh)
     rho = np.fromfile(f"{path_base}.bin", dtype=np.float64).reshape(
         meta["nx"], meta["nv"]
     )
-    xs = np.linspace(meta["x_min"], meta["x_max"], meta["nx"])
-    vs = np.linspace(meta["v_min"], meta["v_max"], meta["nv"])
-    return GridField(xs, vs, rho, t=meta["t"], t0=meta["t0"])
+    return GridField(meta["xs"], meta["vs"], rho, t=meta["t"], t0=meta["t0"])

@@ -99,6 +99,13 @@ MAX_RICCATI_N = 64
 # at the other defaults, on 2 vCPUs, n_eval = 10000 takes about 1.6 s and
 # 49 MB, and n_eval = 20000 about 3.2 s and 65 MB.
 MAX_RICCATI_N_EVAL = 10000
+# The riccati campaign refuses an n_eval * n^2 above this, by the same
+# budget: its stack of exponentials grows as n_eval * n^2, so within both
+# bounds above, on 2 vCPUs, 100000 (n = 10 at n_eval = 1000, or n = 5 at
+# 4000) takes about 1.0 to 1.3 s and 155 MB, n = 4 at n_eval = 10000
+# (160000) about 2.2 s and 220 MB, and n = 8 at 10000 about 6.2 s and
+# 736 MB.  n = 64 at the default n_eval (86016) still runs.
+MAX_RICCATI_STACK = 100000
 # The kernel-sharpness campaign refuses a dimension n above this, by the
 # same budget: at the other defaults, on 2 vCPUs, n = 200 takes about 2.9 s
 # and 240 MB, and n = 250 about 6.9 s and 350 MB.
@@ -452,6 +459,9 @@ def _campaign_problem(name, p):
     if name == "riccati" and p["n_eval"] > MAX_RICCATI_N_EVAL:
         return (f"n_eval={p['n_eval']!r}: exceeds the bound "
                 f"MAX_RICCATI_N_EVAL={MAX_RICCATI_N_EVAL}")
+    if name == "riccati" and p["n_eval"] * p["n"] ** 2 > MAX_RICCATI_STACK:
+        return (f"n={p['n']!r}, n_eval={p['n_eval']!r}: n_eval * n^2 exceeds the "
+                f"bound MAX_RICCATI_STACK={MAX_RICCATI_STACK}")
     if name == "kernel-sharpness" and p["n"] > MAX_SHARPNESS_N:
         return f"n={p['n']!r}: exceeds the bound MAX_SHARPNESS_N={MAX_SHARPNESS_N}"
     if "t_lo" in p and not p["t_lo"] <= p["t_hi"]:

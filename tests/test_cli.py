@@ -248,10 +248,24 @@ class TestParse:
             ["pde-harnack", "--set", "n_grid=8", "--set", "scheme=strang"],  # CFL 0.8
             ["kernel-sharpness", "--set", "n=200"],  # at MAX_SHARPNESS_N
             ["riccati", "--set", "n_eval=10000"],  # at MAX_RICCATI_N_EVAL
+            ["riccati", "--set", "n=64"],  # at MAX_RICCATI_N, n_eval * n^2 = 86016
+            ["riccati", "--set", "n=10", "--set", "n_eval=1000"],  # at MAX_RICCATI_STACK
         ],
     )
     def test_valid_values_are_accepted(self, argv):
         assert cli.parse_cli(argv).name == argv[0]
+
+    @pytest.mark.parametrize("n, n_eval", [(10, 1001), (4, 10000), (8, 10000), (64, 25)])
+    def test_riccati_stack_over_its_bound_is_refused_at_parse_time(self, n, n_eval,
+                                                                   tmp_path, capsys):
+        # each of n and n_eval is within its own bound; their product is not
+        out = tmp_path / "out"
+        argv = ["riccati", "--set", f"n={n}", "--set", f"n_eval={n_eval}", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"n={n}, n_eval={n_eval}: n_eval * n^2 exceeds" in err
+        assert f"MAX_RICCATI_STACK={cli.MAX_RICCATI_STACK}" in err
+        assert not out.exists()
 
 
 class TestMain:

@@ -1,18 +1,21 @@
 """Grid PDE tests: potentials, evolution ledger, Hessian checks."""
 
+import os
 import re
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack, solve_banded
 
-from harnack_forge import kinetic_pde
+from harnack_forge import _csv, kinetic_pde
 from harnack_forge.closed_forms import CASE2, classify
 from harnack_forge.gaussian_kernel import kernel_state, grid_density, propagate
 from harnack_forge.kinetic_pde import (
@@ -310,13 +313,15 @@ class TestEvolve:
 
     @pytest.mark.parametrize(
         "scheme, potential, bound",
-        [("lie", QuadraticPotential(q_vv=1.0), 5.5), ("strang", ZeroPotential(), 8.5)],
+        [("lie", QuadraticPotential(q_vv=1.0), 4.5), ("strang", ZeroPotential(), 4.5)],
     )
     def test_peak_memory_in_field_sizes(self, scheme, potential, bound):
         # in fields of 256^2 doubles: the x-major solver, with a transposing
         # copy in and out of each diffusion solve, peaked at 6.56 (lie) and
-        # 9.33 (strang); the velocity-major one peaks at 5.25 and 8.27, and
-        # the bound leaves no room for one more copy of the field
+        # 9.33 (strang); the velocity-major one, with a new field from every
+        # kernel, at 5.25 and 8.27.  Writing into the two arrays evolve owns,
+        # it peaks at 4.37 and 4.31 (drift, field, work array and the
+        # returned copy), and the bound leaves no room for one more field
         f = kernel_field(0.2, extent=4.0, n=256, sigma2=1.0)
         tracemalloc.start()
         try:
@@ -325,6 +330,36 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak <= bound * f.rho.nbytes, peak / f.rho.nbytes
+
+    @pytest.mark.parametrize(
+        "scheme, potential",
+        [("lie", ZeroPotential()), ("lie", QuadraticPotential(q_xv=1.0)),
+         ("strang", ZeroPotential()), ("strang", QuadraticPotential(q_vv=0.1))],
+    )
+    def test_repeated_runs_match_and_share_no_memory_with_the_solver(
+            self, monkeypatch, scheme, potential):
+        written = []  # every array a kernel writes into, and the diffusion's
+
+        def recording(kernel, position):
+            def record(*args):
+                written.append(args[position])
+                return kernel(*args)
+            return record
+
+        for name, position in (("_upwind_x", -1), ("_upwind_v", -1),
+                               ("_sl_advect_x", -1), ("_diffuse_v", 0)):
+            monkeypatch.setattr(kinetic_pde, name,
+                                recording(getattr(kinetic_pde, name), position))
+        f = kernel_field(0.2, extent=4.0, n=32, sigma2=1.0)
+        first, _ = evolve(f, potential, 0.4, scheme=scheme)
+        kept = first.rho.copy()
+        second, _ = evolve(f, potential, 0.4, scheme=scheme)
+        _assert_bitwise_equal(second.rho, first.rho)
+        _assert_bitwise_equal(first.rho, kept)  # the second run left the first's alone
+        assert written
+        for buffer in written:
+            for out in (first, second):
+                assert not np.shares_memory(out.rho, buffer)
 
     @pytest.mark.parametrize("scheme", ["lie", "strang"])
     def test_report_cfl_numbers_are_cfl_rates_times_dt(self, scheme):
@@ -443,7 +478,7 @@ class TestKernelsMatchReferenceFormulas:
     def test_upwind_x(self, field, dt):
         xs, rho = field
         dx = float(xs[1] - xs[0])
-        new, loss = _upwind_x(_vmajor(rho), xs, dx, dt)
+        new, loss = _upwind_x(_vmajor(rho), xs, dx, dt, np.empty(rho.T.shape))
         want, want_loss = _reference_upwind_x(rho, xs, dx, dt)
         _assert_bitwise_equal(new.T, want)
         assert loss == want_loss
@@ -456,7 +491,7 @@ class TestKernelsMatchReferenceFormulas:
         dv = float(xs[1] - xs[0])
         speed = potential.grad_v(*np.meshgrid(xs, xs, indexing="ij"))
         _assert_bitwise_equal(
-            _upwind_v(_vmajor(rho), _vmajor(speed * dt / dv)).T,
+            _upwind_v(_vmajor(rho), _vmajor(speed * dt / dv), np.empty(rho.T.shape)).T,
             _reference_upwind_v(rho, speed, dv, dt),
         )
 
@@ -466,7 +501,7 @@ class TestKernelsMatchReferenceFormulas:
         xs, rho = field
         dv = float(xs[1] - xs[0])
         vm = _vmajor(rho)
-        new, loss = _diffuse_v(vm.shape, dv, dt, nsub)(vm)
+        new, loss = _diffuse_v(np.empty_like(vm), dv, dt, nsub)(vm)
         want, want_loss = _reference_diffuse_v(rho, dv, dt, nsub)
         _assert_bitwise_equal(new.T, want)
         assert loss == want_loss
@@ -478,7 +513,7 @@ class TestKernelsMatchReferenceFormulas:
         field = kernel_field(0.2, extent=4.0, n=256, sigma2=1.0)
         out, rep = evolve(field, QuadraticPotential(q_vv=1.0), 0.6, scheme="lie")
         for rho, dt, nsub in ((field.rho, rep.dt, 1), (out.rho, (0.6 - 0.2) / 2, 16)):
-            new, loss = _diffuse_v(rho.T.shape, field.dv, dt, nsub)(_vmajor(rho))
+            new, loss = _diffuse_v(np.empty(rho.T.shape), field.dv, dt, nsub)(_vmajor(rho))
             want, want_loss = _reference_diffuse_v(rho, field.dv, dt, nsub)
             _assert_bitwise_equal(new.T, want)
             assert loss == want_loss
@@ -500,7 +535,7 @@ class TestKernelsMatchReferenceFormulas:
         xs, rho = field
         dx = float(xs[1] - xs[0])
         _assert_bitwise_equal(
-            _sl_advect_x(_vmajor(rho), xs, dx, tau).T,
+            _sl_advect_x(_vmajor(rho), xs, dx, tau, np.empty(rho.T.shape)).T,
             _reference_sl_advect_x(rho, xs, dx, tau),
         )
 
@@ -511,7 +546,7 @@ class TestKernelsMatchReferenceFormulas:
         rho = np.random.default_rng(3).uniform(0.0, 1.0, (n, vs.size))
         for tau in (1.0, 0.999, 1.001):
             _assert_bitwise_equal(
-                _sl_advect_x(_vmajor(rho), vs, 1.0, tau).T,
+                _sl_advect_x(_vmajor(rho), vs, 1.0, tau, np.empty(rho.T.shape)).T,
                 _reference_sl_advect_x(rho, vs, 1.0, tau),
             )
 
@@ -521,6 +556,47 @@ class TestKernelsMatchReferenceFormulas:
         _assert_bitwise_equal(
             _window_min(rho, 5), sliding_window_view(rho, (5, 5)).min(axis=(2, 3))
         )
+
+
+class TestKernelsWriteIntoTheirOut:
+    @pytest.mark.parametrize("nsub", [1, 16])
+    @given(n=st.integers(8, 21), extent=st.floats(0.5, 8.0), dt=steps, seed=st.integers(0, 9))
+    def test_one_diffuse_v_step_on_many_fields_is_a_fresh_step_each_time(
+            self, nsub, n, extent, dt, seed):
+        xs = make_grid(extent, n)
+        dv = float(xs[1] - xs[0])
+        out = np.empty((n, n))
+        step = _diffuse_v(out, dv, dt, nsub)
+        rng = np.random.default_rng(seed)
+        fields = [rng.uniform(0.0, 1e3, (n, n)), np.zeros((n, n)),
+                  rng.exponential(1.0, (n, n)), rng.uniform(0.0, 1.0, (n, n))]
+        for rho in fields:
+            kept = rho.copy()
+            new, loss = step(rho)
+            want, want_loss = _diffuse_v(np.empty((n, n)), dv, dt, nsub)(kept)
+            _assert_bitwise_equal(new, want)
+            assert loss == want_loss
+            _assert_bitwise_equal(rho, kept)  # the caller's input is never written
+        # a field already in the step's own array is solved in place
+        np.copyto(out, fields[0])
+        new, loss = step(out)
+        want, want_loss = _diffuse_v(np.empty((n, n)), dv, dt, nsub)(fields[0])
+        _assert_bitwise_equal(new, want)
+        assert loss == want_loss
+
+    def test_sl_advect_x_leaves_unblended_rows_exact(self):
+        # half-integer Courant numbers put a row of integer c (no blend) and
+        # a blended row in each block of one shift; on signed values with
+        # -0.0 entries the unblended rows must still be the shift, bit for bit
+        n = 7
+        vs = np.arange(-6, 7) * 0.5
+        rho = np.random.default_rng(4).uniform(-1.0, 1.0, (n, vs.size))
+        rho[::2, ::3] = -0.0
+        for tau in (1.0, 3.0):
+            _assert_bitwise_equal(
+                _sl_advect_x(_vmajor(rho), vs, 1.0, tau, np.empty(rho.T.shape)).T,
+                _reference_sl_advect_x(rho, vs, 1.0, tau),
+            )
 
 
 def _reference_evolve(field, potential, t1, scheme):
@@ -692,6 +768,54 @@ class TestStencilSharing:
                 a[0, 0] = a[1, 1]
 
 
+def _column_snapshot_csv(field):
+    """The column form of snapshot_csv, the oracle of the row-wise writer:
+    streamed x, v and rho columns zipped into lines by _csv.csv_text."""
+    nx, nv = field.rho.shape
+    xs = chain.from_iterable(map(repeat, _csv.floats(field.xs), repeat(nv)))
+    vs = chain.from_iterable(repeat(list(_csv.floats(field.vs)), nx))
+    return _csv.csv_text(["x", "v", "rho"], [xs, vs, _csv.floats(field.rho)])
+
+
+def _assert_same_text(got, want):
+    """got == want, reporting the first line that differs (pytest's diff
+    of two texts of megabytes takes minutes)."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    diff = next((i for i, pair in enumerate(zip(got_lines, want_lines))
+                 if pair[0] != pair[1]), min(len(got_lines), len(want_lines)))
+    pytest.fail(f"line {diff}: {got_lines[diff:diff + 1]} != {want_lines[diff:diff + 1]}")
+
+
+# literals of every shape: zero, the least subnormal, near the largest
+# float, an integer and an exponent form
+WRITER_VALUES = [0.0, 5e-324, 1e308, 2.0, 1e-05]
+
+
+def _writer_values(nx, nv):
+    """An nx x nv field that holds every WRITER_VALUES entry it has room for,
+    1e308 only once (two of them would overflow GridField's mass sums)."""
+    rho = np.resize([v for v in WRITER_VALUES if v != 1e308], (nx, nv))
+    rho[-1, -1] = 1e308
+    return rho
+
+
+@st.composite
+def writer_fields(draw):
+    """(xs, vs, rho) on an nx x nv grid, square or not, odd or even sizes,
+    with values drawn from WRITER_VALUES and the floats, one 1e308 at most."""
+    nx, nv = draw(st.integers(2, 17)), draw(st.integers(2, 17))
+    axes = [np.linspace(-e, e, n) for n, e in
+            ((nx, draw(st.sampled_from([1e-05, 2.0]) | st.floats(1e-3, 1e3))),
+             (nv, draw(st.sampled_from([1e-05, 2.0]) | st.floats(1e-3, 1e3))))]
+    values = st.sampled_from([v for v in WRITER_VALUES if v != 1e308]) | st.floats(0.0, 1e6)
+    rho = draw(hnp.arrays(np.float64, (nx, nv), elements=values))
+    if draw(st.booleans()):
+        rho[draw(st.integers(0, nx - 1)), draw(st.integers(0, nv - 1))] = 1e308
+    return (*axes, rho)
+
+
 class TestSnapshots:
     def test_csv_header(self):
         f = kernel_field(0.3, extent=2.0, n=16)
@@ -708,6 +832,20 @@ class TestSnapshots:
         assert np.array_equal(values[:, 1], V.ravel())
         assert np.array_equal(values[:, 2], f.rho.ravel())
 
+    @pytest.mark.parametrize("nx, nv", [(2, 3), (3, 2), (8, 5), (9, 16), (256, 256)])
+    def test_csv_equals_the_column_form_at_fixed_sizes(self, nx, nv):
+        f = GridField(np.linspace(-1e-05, 1e-05, nx), make_grid(2.0, max(nv, 8))[:nv],
+                      _writer_values(nx, nv), t=0.5)
+        _assert_same_text(snapshot_csv(f), _column_snapshot_csv(f))
+
+    @given(field=writer_fields())
+    @example(field=(np.linspace(-2.0, 2.0, 3), make_grid(1.0, 8), _writer_values(3, 8)))
+    @example(field=(make_grid(4.0, 10), np.linspace(-1e-05, 1e-05, 7), _writer_values(10, 7)))
+    def test_csv_equals_the_column_form(self, field):
+        xs, vs, rho = field
+        f = GridField(xs, vs, rho, t=0.5)
+        _assert_same_text(snapshot_csv(f), _column_snapshot_csv(f))
+
     def test_save_load_roundtrip(self, tmp_path):
         f = kernel_field(0.3, extent=2.0, n=16)
         base = str(tmp_path / "snap")
@@ -716,6 +854,20 @@ class TestSnapshots:
         assert np.array_equal(g.rho, f.rho)
         assert np.array_equal(g.xs, f.xs)
         assert g.t == f.t and g.t0 == f.t0
+
+    @given(nx=st.integers(MIN_GRID_CELLS, 599), nv=st.integers(MIN_GRID_CELLS, 599),
+           extent=st.sampled_from([0.7, 1.0, 2.0, 3.0, 4.0, 5.5, 8.0]) | st.floats(1e-3, 1e3))
+    @example(nx=100, nv=100, extent=4.0)  # pde-harnack --set n_grid=100
+    def test_load_returns_make_grid_axes_bit_for_bit(self, nx, nv, extent):
+        f = GridField(make_grid(extent, nx), make_grid(extent, nv), np.ones((nx, nv)),
+                      t=0.6, t0=0.2)
+        with tempfile.TemporaryDirectory() as tmp:
+            base = os.path.join(tmp, "snap")
+            save_snapshot(f, base)
+            g = load_snapshot(base)
+        for got, want in ((g.xs, f.xs), (g.vs, f.vs), (g.rho, f.rho)):
+            _assert_bitwise_equal(got, want)
+        assert (g.t, g.t0) == (f.t, f.t0)
 
     def test_csv_build_peaks_near_twice_its_text(self):
         # the writer holds its text, the text's parts and one batch; formatting
