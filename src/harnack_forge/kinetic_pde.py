@@ -191,7 +191,9 @@ class GridField:
     cell-centered coordinates xs, vs of at least 2 points each (else
     ValueError); t is the absolute time of the snapshot and t0 the
     birth time of the run.  rho is stored as a read-only C-ordered
-    (x-major) copy, so a field never changes after construction.
+    (x-major) copy, so a field never changes after construction.  A
+    density with non-finite or negative entries, or whose sum overflows,
+    is refused with ValueError.
     boundary_warning is set when more than BOUNDARY_LEAK_WARN of the
     mass sits in the outermost cell ring (the Dirichlet boundary is then
     visibly truncating the solution).
@@ -223,13 +225,17 @@ class GridField:
         self._stencil = None  # see _stencil_arrays
         self.t = float(t)
         self.t0 = float(t0) if t0 is not None else float(t)
+        with np.errstate(over="ignore"):  # refused below, not warned about
+            total = self.rho.sum()
+        if not np.isfinite(total):
+            raise ValueError("density sum overflows: its finite entries "
+                             f"add up past {np.finfo(float).max:.6g}")
         edge = (
             self.rho[0, :].sum()
             + self.rho[-1, :].sum()
             + self.rho[1:-1, 0].sum()
             + self.rho[1:-1, -1].sum()
         )
-        total = self.rho.sum()
         self.boundary_fraction = float(edge / total) if total > 0 else 0.0
         self.boundary_warning = self.boundary_fraction > BOUNDARY_LEAK_WARN
 
@@ -824,12 +830,11 @@ def save_snapshot(field, path_base):
 
     The sidecar lists both axes in full, as exact float literals, so
     load_snapshot returns them bit for bit; their end points and sizes
-    are repeated as x_min, x_max, nx and so on.
+    are repeated as x_min, x_max, nx and so on.  Both files go through
+    _csv.write_artifact: the .bin straight from field.rho's buffer, and
+    each as a new file that replaces whatever was at its path, so a link
+    to an older snapshot keeps that snapshot.  Returns the two paths.
     """
-    data = np.ascontiguousarray(field.rho, dtype=np.float64)
-    bin_path = f"{path_base}.bin"
-    json_path = f"{path_base}.json"
-    data.tofile(bin_path)
     meta = {
         "nx": int(field.xs.size),
         "nv": int(field.vs.size),
@@ -843,9 +848,9 @@ def save_snapshot(field, path_base):
         "t0": field.t0,
         "layout": "row-major x-major float64",
     }
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-    return bin_path, json_path
+    return (_csv.write_artifact(f"{path_base}.bin", field.rho),
+            _csv.write_artifact(f"{path_base}.json",
+                                json.dumps(meta, indent=1, sort_keys=True)))
 
 
 def load_snapshot(path_base):

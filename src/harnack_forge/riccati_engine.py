@@ -471,6 +471,13 @@ def bound_N(K, t, tol=1e-10, trajectory=None):
     InputError
         For the first time, in grid order, whose N(t) is not a finite
         float matrix: below about 4e-103 its t^-3 entries overflow.
+        Also, from integrate_S, for two requested times at or above the
+        reach that lie closer than its step floor but more than
+        MERGE_TOL apart, e.g. [0.5, 0.5 + 5e-15]; the message names
+        both.  The whole grid is refused, although the two bounds agree
+        far below rounding.  With T <= 10 the reach is 1e-13, so this
+        holds in [1e-13, 1e-3) as well, where the small-time expansion
+        would also be at rounding.
     """
     K = _as_curvature(K)
     ts = np.asarray(t, dtype=float)

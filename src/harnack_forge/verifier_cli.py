@@ -121,18 +121,9 @@ POTENTIALS = {
 }
 
 
-# _write hands its text to the encoder this many characters at a time, so
-# writing holds one slice's encoding, not a second copy of the text.
-WRITE_SLICE = 1 << 16
-
-
 def _write(cfg, name, text):
     os.makedirs(cfg.out_dir, exist_ok=True)  # here, so a refused run makes none
-    path = os.path.join(cfg.out_dir, name)
-    with open(path, "w") as fh:
-        for start in range(0, len(text), WRITE_SLICE):
-            fh.write(text[start:start + WRITE_SLICE])
-    return path
+    return _csv.write_artifact(os.path.join(cfg.out_dir, name), text)
 
 
 @contextmanager

@@ -14,7 +14,7 @@ import harnack_forge.riccati_engine as ric
 import harnack_forge.verifier_cli as cli
 from harnack_forge import closed_forms
 from harnack_forge.control_cost import ControlProblem, cost_csv, energy_cost, transcribe_cost
-from harnack_forge.kinetic_pde import kernel_field, snapshot_csv
+from harnack_forge.kinetic_pde import kernel_field, load_snapshot, save_snapshot, snapshot_csv
 
 
 class TestParse:
@@ -431,6 +431,88 @@ class TestMain:
         csv_a = (tmp_path / "a" / "errata.csv").read_bytes()
         csv_b = (tmp_path / "b" / "errata.csv").read_bytes()
         assert csv_a == csv_b
+
+
+RERUNS = [["control-cost"], ["pde-harnack", "--set", "n_grid=16"]]
+
+
+def _run(tmp_path, argv, seed=0):
+    """Run argv into tmp_path/out; returns {artifact name: bytes}."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out), "--seed", str(seed)]) in (0, 1)
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+class TestRerun:
+    """A rerun into the same --out replaces each artifact with a new file."""
+
+    @pytest.mark.parametrize("argv", RERUNS, ids=lambda a: a[0])
+    def test_rerun_writes_the_same_bytes_to_new_files(self, tmp_path, argv):
+        first = _run(tmp_path, argv)
+        # an open handle keeps each first-run inode from being reused
+        handles = {name: open(tmp_path / "out" / name, "rb") for name in first}
+        try:
+            second = _run(tmp_path, argv)
+            for name, fh in handles.items():
+                old = os.fstat(fh.fileno())
+                assert old.st_nlink == 0, name  # unlinked, not truncated
+                assert os.stat(tmp_path / "out" / name).st_ino != old.st_ino, name
+                assert fh.read() == first[name], name
+        finally:
+            for fh in handles.values():
+                fh.close()
+        assert second.keys() == first.keys()
+        for name in first:
+            if name.startswith("report_"):
+                a, b = json.loads(first[name]), json.loads(second[name])
+                a.pop("timestamp")
+                b.pop("timestamp")
+                assert a == b
+            else:
+                assert second[name] == first[name], name
+
+    def test_hard_link_keeps_the_first_runs_bytes(self, tmp_path):
+        first = _run(tmp_path, ["control-cost"])
+        path = tmp_path / "out" / "control_costs.csv"
+        os.link(path, tmp_path / "kept.csv")
+        second = _run(tmp_path, ["control-cost"], seed=1)  # other pairs, other bytes
+        assert second["control_costs.csv"] != first["control_costs.csv"]
+        assert (tmp_path / "kept.csv").read_bytes() == first["control_costs.csv"]
+        assert os.stat(path).st_nlink == 1
+
+    @pytest.mark.parametrize("argv", RERUNS, ids=lambda a: a[0])
+    def test_longer_stale_file_leaves_no_trailing_bytes(self, tmp_path, argv):
+        first = _run(tmp_path, argv)
+        for name, data in first.items():
+            stale = tmp_path / "out" / name
+            stale.write_bytes(data + b"stale" * 1000)
+            stale.chmod(0o444)  # a read-only file is replaced too
+        second = _run(tmp_path, argv)
+        for name in first:
+            if not name.startswith("report_"):
+                assert second[name] == first[name], name
+
+    def test_symlink_is_replaced_and_its_target_untouched(self, tmp_path):
+        first = _run(tmp_path, RERUNS[1])
+        target = tmp_path / "target.bin"
+        target.write_bytes(b"target")
+        link = tmp_path / "out" / "final_field.bin"
+        link.unlink()
+        link.symlink_to(target)
+        second = _run(tmp_path, RERUNS[1])
+        assert not link.is_symlink()
+        assert second["final_field.bin"] == first["final_field.bin"]
+        assert target.read_bytes() == b"target"
+
+    def test_snapshot_over_an_existing_one_round_trips(self, tmp_path):
+        base = str(tmp_path / "snap")
+        save_snapshot(kernel_field(0.3, extent=2.0, n=32), base)
+        field = kernel_field(0.5, extent=3.0, n=16, sigma2=0.5)
+        save_snapshot(field, base)
+        got = load_snapshot(base)
+        for a, b in ((got.rho, field.rho), (got.xs, field.xs), (got.vs, field.vs)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (got.t, got.t0) == (field.t, field.t0)
 
 
 def _fresh_python(*args):

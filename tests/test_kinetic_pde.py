@@ -189,6 +189,18 @@ class TestGridField:
             with pytest.raises(ValueError, match="non-finite"):
                 GridField(xs, xs, rho, t=0.1)
 
+    def test_density_whose_sum_overflows_is_refused(self):
+        # finite entries whose sum overflows gave boundary_fraction 0 and mass inf
+        xs = make_grid(1.0, 8)
+        rho = np.zeros((8, 8))
+        rho[3, 3] = rho[4, 4] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="density sum overflows"):
+                GridField(xs, xs, rho, t=1.0)
+            rho[4, 4] = 0.0
+            assert GridField(xs, xs, rho, t=1.0).mass() == 1e308 * 0.25 ** 2
+
     def test_boundary_warning(self):
         xs = make_grid(2.0, 16)
         rho = np.zeros((16, 16))

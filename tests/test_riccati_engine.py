@@ -264,6 +264,15 @@ class TestBoundN:
         with pytest.raises(InputError, match="at t=1e-110 "):
             bound_N(K, [0.5, 1e-110, 3.5e-103])
 
+    @pytest.mark.parametrize("t", [0.5, 1e-4, 1e-12])
+    def test_times_closer_than_the_step_floor_are_refused(self, t):
+        # 5e-15 apart: under the floor 1e-14, over MERGE_TOL; the refusal
+        # holds in [1e-13, 1e-3) too, where both times are integrated
+        K = CurvatureBound(k1=1.0, k2=1.0, n=1)
+        with pytest.raises(InputError, match=f"t={t!r} and t={t + 5e-15!r} cannot both"):
+            bound_N(K, [t, t + 5e-15])
+        assert len(bound_N(K, [t, t + 5e-16])) == 2  # within MERGE_TOL: merged
+
     def test_small_time_expansion_matches_integration_at_crossover(self):
         # just above the reach set by the largest time T, bound_N integrates;
         # the expansion's O(t^2 K) truncation is far under rounding there
