@@ -268,10 +268,13 @@ def assemble_bound(sf, n=1, normalization=ORACLE_CALIBRATED):
     cxx = cxv = cvv = 0.5
     if normalization == ORACLE_CALIBRATED and sf.regime.tag == CASE5:
         cxx, cxv = 1.0, 1.0
-    I = np.eye(n)
-    top = np.hstack([cxx * (-sf.s1 / sf.s0) * I, cxv * (sf.s2 / sf.s0) * I])
-    bot = np.hstack([cxv * (sf.s2 / sf.s0) * I, cvv * (-sf.s0dot / sf.s0) * I])
-    return BlockSym2n(np.vstack([top, bot]))
+    xv = cxv * (sf.s2 / sf.s0)
+    blocks = np.array([[cxx * (-sf.s1 / sf.s0), xv], [xv, cvv * (-sf.s0dot / sf.s0)]])
+    if n > 1:
+        # block (i, j) is blocks[i, j] * eye(n): the products of np.kron(blocks,
+        # eye(n)), with the signs of the zeros, in one broadcast multiply
+        blocks = (blocks[:, None, :, None] * np.eye(n)[:, None, :]).reshape(2 * n, 2 * n)
+    return BlockSym2n._wrap(blocks)  # symmetric by construction
 
 
 @dataclass(frozen=True)

@@ -248,7 +248,18 @@ class GridField:
         return float(self.vs[1] - self.vs[0])
 
     def mass(self):
-        return float(self.rho.sum() * self.dx * self.dv)
+        """Total mass: the density's sum times the cell area dx * dv.
+
+        Raises ValueError if the product is not finite.  The sum itself is
+        finite (__init__ refuses one that overflows), but axes wide enough,
+        e.g. make_grid(1e300, 512) for both, make it overflow.
+        """
+        with np.errstate(over="ignore"):  # refused below, not warned about
+            mass = self.rho.sum() * self.dx * self.dv
+        if not np.isfinite(mass):
+            raise ValueError(f"mass overflows: the density sums to {self.rho.sum():.6g} "
+                             f"over cells of {self.dx:.6g} x {self.dv:.6g}")
+        return float(mass)
 
     def meshes(self):
         return np.meshgrid(self.xs, self.vs, indexing="ij")

@@ -93,8 +93,9 @@ class BlockSym2n:
     entries : (2n, 2n) array_like
         Symmetric matrix; symmetry is enforced to 1e-12 at construction.
     symmetrize : bool
-        If True, project onto the symmetric part instead of raising when
-        the asymmetry is within the abort threshold.
+        If True, store the symmetric part 0.5 (A + A^T) whatever the
+        asymmetry; no asymmetry scan runs.  If False, raise ValueError when
+        max|A - A^T| exceeds SYMMETRY_TOL.
     """
 
     __slots__ = ("n", "entries")
@@ -103,11 +104,12 @@ class BlockSym2n:
         A = np.array(entries, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
             raise ValueError(f"expected square 2n x 2n matrix, got {A.shape}")
-        drift = float(np.abs(A - A.T).max()) if A.size else 0.0
         if symmetrize:
             A = 0.5 * (A + A.T)
-        elif drift > SYMMETRY_TOL:
-            raise ValueError(f"matrix not symmetric: max|A - A^T| = {drift:.3e}")
+        else:
+            drift = float(np.abs(A - A.T).max()) if A.size else 0.0
+            if drift > SYMMETRY_TOL:
+                raise ValueError(f"matrix not symmetric: max|A - A^T| = {drift:.3e}")
         self.n = A.shape[0] // 2
         self.entries = A
 
@@ -248,9 +250,23 @@ def _as_curvature(K):
     return K
 
 
-def _riccati_rhs(S, negC, CT, D, K):
-    """-C S - S C^T - D + S K S, given -C and C^T built once by the caller."""
-    return negC @ S - S @ CT - D + S @ K @ S
+def _riccati_rhs(S, negC, CT, D, K, out, work):
+    """Write -C S - S C^T - D + S K S into out, given -C and C^T built once
+    by the caller.
+
+    The operations are those of ((-C S) - (S C^T)) - D + (S K) S, each on
+    the same operands, so out holds the bits of that expression.  S may be
+    one matrix or a stack; out and the two arrays of work have the shape
+    of the result and must not overlap S or each other.
+    """
+    a, b = work
+    np.matmul(S, K, out=b)
+    np.matmul(b, S, out=out)
+    np.matmul(negC, S, out=a)
+    np.matmul(S, CT, out=b)
+    np.subtract(a, b, out=a)
+    np.subtract(a, D, out=a)
+    np.add(a, out, out=out)
 
 
 # Dormand-Prince 5(4) tableau, zero-padded to 7 x 7; row 7 doubles as the
@@ -279,6 +295,17 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     max(t_end, 1); a step is cut short to land exactly on the next
     target (an eval time or t_end); a target within MERGE_TOL of the
     time reached merges with it.
+
+    The step runs in a workspace allocated once per call: the stage
+    state, its increment, the error vector and the right-hand side's
+    temporaries are written in place, and only each accepted S is a
+    fresh array.  The last stage is evaluated at the 5th-order solution
+    S5, so its derivative doubles as the next step's first stage (FSAL)
+    when the projection S = 0.5 (S5 + S5^T) leaves every bit of S5 as it
+    was (compared byte for byte, so -0.0 turned to +0.0 counts as a
+    change); otherwise the first stage is evaluated at S afresh.  Each
+    operation, operand and order is that of the plain per-step
+    expressions, so the trajectory has the same bits.
 
     Parameters
     ----------
@@ -345,9 +372,18 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     out = [(0.0, BlockSym2n._wrap(S))]
     ks = np.empty((7, dim, dim))  # stage derivatives; ks[0] is the FSAL slot
     flat = ks.reshape(7, dim * dim)  # view: tableau rows contract it in one matmul
+    # the workspace, written in place at every step: the stage state, its
+    # increment, the error vector, a scratch matrix for the norm and the
+    # drift, and the right-hand side's two temporaries
+    stage = np.empty((dim, dim))
+    inc = np.empty(dim * dim)
+    inc_2d = inc.reshape(dim, dim)
+    errv = np.empty(dim * dim)
+    sq = np.empty((dim, dim))
+    work = (np.empty((dim, dim)), np.empty((dim, dim)))
     # stage i contracts tableau row i with the i stages before it
-    stages = [(i, _DP_A[i, :i], flat[:i]) for i in range(1, 7)]
-    ks[0] = _riccati_rhs(S, negC, CT, D, Km)
+    stages = [(ks[i], _DP_A[i, :i], flat[:i]) for i in range(1, 7)]
+    _riccati_rhs(S, negC, CT, D, Km, ks[0], work)
     ti = 0  # next target index
 
     while ti < len(targets):
@@ -366,22 +402,30 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
             h = t_next - t
         if h < floor:
             raise StepUnderflowError(t)
-        for i, row, done in stages:
-            stage = S + h * (row @ done).reshape(dim, dim)
-            ks[i] = _riccati_rhs(stage, negC, CT, D, Km)
+        for k, row, done in stages:  # stage = S + h * (row @ done), then k = rhs(stage)
+            np.matmul(row, done, out=inc)
+            np.multiply(h, inc, out=inc)
+            np.add(S, inc_2d, out=stage)
+            _riccati_rhs(stage, negC, CT, D, Km, k, work)
         S5 = stage  # the last stage is taken at the 5th-order solution (FSAL)
-        scale = tol * (1.0 + np.abs(S5).max())
-        err = float(h * np.abs(_DP_E @ flat).max() / scale)
+        scale = tol * (1.0 + np.abs(S5, out=sq).max())
+        np.matmul(_DP_E, flat, out=errv)
+        err = float(h * np.abs(errv, out=errv).max() / scale)
         if err <= 1.0:
             # land on the target exactly: t + (t_next - t) can miss it by an ulp
             t = t_next if hits_target else t + h
-            drift = float(np.abs(S5 - S5.T).max())
+            np.subtract(S5, S5.T, out=sq)
+            drift = float(np.abs(sq, out=sq).max())
             if drift > SYMMETRY_ABORT:
                 raise SymmetryDriftError(
                     f"symmetry drift {drift:.3e} at t={t:.6g} exceeds {SYMMETRY_ABORT}"
                 )
-            S = 0.5 * (S5 + S5.T)
-            ks[0] = _riccati_rhs(S, negC, CT, D, Km)  # refresh FSAL after projection
+            S = np.add(S5, S5.T)
+            np.multiply(0.5, S, out=S)
+            if S.tobytes() == S5.tobytes():  # ks[6] = rhs(S5) is then rhs(S) (FSAL)
+                ks[0] = ks[6]
+            else:  # the projection moved a bit: refresh the first stage
+                _riccati_rhs(S, negC, CT, D, Km, ks[0], work)
             out.append((t, BlockSym2n._wrap(S)))
         h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
 
@@ -697,7 +741,10 @@ def S_from_M(M):
     -------
     BlockSym2n, or a list of m of them for a stack
         The same object bound_N produces (named S in the block-ratio
-        formula; it is the N-normalized solution).
+        formula; it is the N-normalized solution).  The stack is
+        symmetrized once, 0.5 (N + N^T) over all slices, and each
+        BlockSym2n wraps its slice, with the bits of symmetrizing the
+        slices one by one.
 
     Raises
     ------
@@ -715,9 +762,10 @@ def S_from_M(M):
     M3 = M[..., dim:, :dim]
     _check_m3(M)
     N = M1 @ np.linalg.inv(M3)
+    N = 0.5 * (N + np.swapaxes(N, -1, -2))  # the whole stack at once
     if N.ndim == 2:
-        return BlockSym2n(N, symmetrize=True)
-    return [BlockSym2n(Nt, symmetrize=True) for Nt in N]
+        return BlockSym2n._wrap(N)
+    return [BlockSym2n._wrap(Nt) for Nt in N]
 
 
 @dataclass
@@ -791,11 +839,12 @@ def residual_defect(K, trajectory):
     snaps = np.array([S.entries for _, S in trajectory])
     S, S1 = snaps[:-1], snaps[1:]
     h = ((ts[1:] - ts[:-1]) / 8.0)[:, None, None]
+    k1, k2, k3, k4, *work = np.empty((6,) + S.shape)
     for _ in range(8):
-        k1 = _riccati_rhs(S, negC, CT, D, Km)
-        k2 = _riccati_rhs(S + 0.5 * h * k1, negC, CT, D, Km)
-        k3 = _riccati_rhs(S + 0.5 * h * k2, negC, CT, D, Km)
-        k4 = _riccati_rhs(S + h * k3, negC, CT, D, Km)
+        _riccati_rhs(S, negC, CT, D, Km, k1, work)
+        _riccati_rhs(S + 0.5 * h * k1, negC, CT, D, Km, k2, work)
+        _riccati_rhs(S + 0.5 * h * k2, negC, CT, D, Km, k3, work)
+        _riccati_rhs(S + h * k3, negC, CT, D, Km, k4, work)
         S = S + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     scale = 1.0 + np.abs(S1).max(axis=(1, 2))
     return _worst(np.abs(S - S1).max(axis=(1, 2)) / scale)

@@ -152,6 +152,35 @@ class TestAgainstExponentialOracle:
         assert np.allclose(B3[:3, 3:], B1[0, 1] * np.eye(3))
         assert np.allclose(B3[3:, 3:], B1[1, 1] * np.eye(3))
 
+    @given(
+        pair=regime_pairs,
+        frac=st.floats(0.0, 1.0),
+        n=st.integers(1, 3),
+        normalization=st.sampled_from((PRINTED, ORACLE_CALIBRATED)),
+        sfuncs=st.sampled_from((eval_sfuncs, printed_sfuncs)),
+    )
+    def test_assembly_matches_the_stacked_blocks_bit_for_bit(
+        self, pair, frac, n, normalization, sfuncs
+    ):
+        # the stacked form: each factor times eye(n), so a negative entry
+        # leaves -0.0 off the diagonal of its block
+        k1, k2 = pair
+        fastest = max(classify(k1, k2).params.values(), default=0.0)
+        t = 1e-2 + frac * ((min(20.0, 300.0 / fastest) if fastest > 0 else 20.0) - 1e-2)
+        sf = sfuncs(k1, k2, t)
+        cxx = cxv = cvv = 0.5
+        if normalization == ORACLE_CALIBRATED and sf.regime.tag == CASE5:
+            cxx, cxv = 1.0, 1.0
+        I = np.eye(n)
+        want = np.vstack([
+            np.hstack([cxx * (-sf.s1 / sf.s0) * I, cxv * (sf.s2 / sf.s0) * I]),
+            np.hstack([cxv * (sf.s2 / sf.s0) * I, cvv * (-sf.s0dot / sf.s0) * I]),
+        ])
+        got = assemble_bound(sf, n=n, normalization=normalization)
+        assert got.n == n
+        assert got.entries.shape == want.shape
+        assert got.entries.tobytes() == want.tobytes()
+
 
 class TestSFuncs:
     def test_free_case_polynomials(self):

@@ -201,6 +201,19 @@ class TestGridField:
             rho[4, 4] = 0.0
             assert GridField(xs, xs, rho, t=1.0).mass() == 1e308 * 0.25 ** 2
 
+    def test_mass_that_overflows_is_refused(self):
+        # a finite sum over cells whose area overflows gave mass inf
+        xs = make_grid(1e300, 512)
+        field = GridField(xs, xs, np.ones((512, 512)), t=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mass overflows"):
+                field.mass()
+            xs = make_grid(1e150, 512)
+            rho = np.zeros((512, 512))
+            rho[3, 3] = 1.0
+            assert GridField(xs, xs, rho, t=1.0).mass() == (xs[1] - xs[0]) ** 2
+
     def test_boundary_warning(self):
         xs = make_grid(2.0, 16)
         rho = np.zeros((16, 16))

@@ -49,12 +49,15 @@ class TestBlockSym2n:
         assert np.array_equal(B.A_vv, A[2:, 2:])
 
     def test_asymmetry_rejected(self):
-        A = np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
-        with pytest.raises(ValueError, match="not symmetric"):
-            BlockSym2n(A)
-        # same matrix is accepted when projection is requested
-        B = BlockSym2n(A, symmetrize=True)
-        assert B.entries[0, 1] == B.entries[1, 0]
+        for A in (np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]),
+                  np.array([[1.0, 2.0, 0.0, -3.0], [2.0, 1.0, 5.0, 0.0],
+                            [0.0, 4.0, 1.0, 0.0], [-3.0, 0.0, 0.0, 1.0]])):
+            with pytest.raises(ValueError, match="not symmetric"):
+                BlockSym2n(A)
+            # same matrix is accepted when projection is requested, whatever
+            # its asymmetry
+            B = BlockSym2n(A, symmetrize=True)
+            assert B.entries.tobytes() == (0.5 * (A + A.T)).tobytes()
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):

@@ -143,9 +143,11 @@ def test_comparison_principle_on_ordered_pairs(pair, times):
 # the bound inversions: np.block assembly, one package _expm per time (its
 # accuracy is checked against scipy's expm separately), a Python
 # loop over times and over trajectory intervals, one scaled inversion per
-# time; and the DOPRI step loop that builds -C, C^T and the tableau row
-# views in every stage.  The code in riccati_engine must reproduce them
-# bit for bit.
+# time; and the DOPRI step loop as it was before it stepped in a
+# workspace: a fresh array for every intermediate, -C, C^T and the tableau
+# row views built in every stage, and the first stage re-evaluated after
+# every accepted step.  The code in riccati_engine must reproduce them bit
+# for bit.
 
 
 def _reference_structural(n):
@@ -173,7 +175,8 @@ def _reference_S_from_M(M):
     cond = float(np.linalg.cond(M3))
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularityError("singular", cond=cond)
-    return BlockSym2n(M1 @ np.linalg.inv(M3), symmetrize=True)
+    A = M1 @ np.linalg.inv(M3)
+    return 0.5 * (A + A.T)
 
 
 def _reference_exponential_route_residual(K, t_grid):
@@ -197,7 +200,9 @@ def _reference_rhs(S, C, D, K):
     return -C @ S - S @ C.T - D + S @ K @ S
 
 
-def _reference_integrate_S(K, t_end, tol, eval_times):
+def _reference_integrate_S(K, t_end, tol, eval_times, kept=None):
+    """The step loop; appends to the list kept, per accepted step, whether
+    the projection kept every bit of the 5th-order solution."""
     C, D = _reference_structural(K.n)
     targets = sorted({float(t_end)} | {float(t) for t in eval_times})
     dim = 2 * K.n
@@ -227,6 +232,8 @@ def _reference_integrate_S(K, t_end, tol, eval_times):
             t = t_next if hits_target else t + h
             assert float(np.abs(S5 - S5.T).max()) <= SYMMETRY_ABORT
             S = 0.5 * (S5 + S5.T)
+            if kept is not None:
+                kept.append(S.tobytes() == S5.tobytes())
             ks[0] = _reference_rhs(S, C, D, K.K)
             out.append((t, BlockSym2n(S.copy())))
         h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
@@ -279,9 +286,9 @@ def _assert_bitwise_equal(got, want):
 
 
 @st.composite
-def any_curvatures(draw):
-    """Scalar pairs (n = 1 or 2) or general PSD matrices (n = 1 or 2)."""
-    n = draw(st.sampled_from((1, 2)))
+def any_curvatures(draw, dims=(1, 2)):
+    """Scalar pairs or general PSD matrices, with n drawn from dims."""
+    n = draw(st.sampled_from(dims))
     if draw(st.booleans()):
         return CurvatureBound(k1=draw(st.floats(0.0, 3.0)), k2=draw(st.floats(0.0, 3.0)), n=n)
     size = 4 * n * n
@@ -293,6 +300,20 @@ def any_curvatures(draw):
 
 positive_grids = st.lists(st.floats(0.05, 2.5), min_size=1, max_size=6)
 zero_curvatures = st.sampled_from((1, 2)).map(lambda n: CurvatureBound(k1=0, k2=0, n=n))
+
+
+@st.composite
+def step_loop_cases(draw):
+    """(K, t_end, tol, eval_times): K zero, scalar or a general PSD matrix
+    with n in {1, 2, 3}; eval times on a 1/64 lattice of (0, t_end], so two
+    of them either coincide or lie far above the step floor apart."""
+    dims = (1, 2, 3)
+    zero = st.sampled_from(dims).map(lambda n: CurvatureBound(k1=0, k2=0, n=n))
+    K = draw(st.one_of(zero, any_curvatures(dims)))
+    t_end = draw(st.floats(0.05, 2.5))
+    tol = 10.0 ** draw(st.floats(-12.0, -4.0))
+    times = [k * t_end / 64 for k in draw(st.lists(st.integers(1, 64), max_size=5))]
+    return K, t_end, tol, times
 
 
 class TestBatchedRoutesMatchPerTimeLoops:
@@ -326,8 +347,9 @@ class TestBatchedRoutesMatchPerTimeLoops:
         Ns = S_from_M(fundamental_M(K, times))
         assert len(Ns) == len(times)
         for t, N in zip(times, Ns):
-            want = _reference_S_from_M(_reference_fundamental_M(K, t)).entries
+            want = _reference_S_from_M(_reference_fundamental_M(K, t))
             _assert_bitwise_equal(N.entries, want)
+            _assert_bitwise_equal(S_from_M(fundamental_M(K, t)).entries, want)
 
     @given(K=any_curvatures(), times=positive_grids)
     def test_exponential_route_residual(self, K, times):
@@ -339,10 +361,29 @@ class TestBatchedRoutesMatchPerTimeLoops:
         trajectory = integrate_S(K, max(times), eval_times=times)[::stride]
         assert residual_defect(K, trajectory) == _reference_residual_defect(K, trajectory)
 
-    @given(K=st.one_of(zero_curvatures, any_curvatures()), times=positive_grids)
-    def test_integrate_S_step_loop(self, K, times):
-        got = integrate_S(K, max(times), eval_times=times)
-        want = _reference_integrate_S(K, max(times), 1e-10, times)
+    @given(case=step_loop_cases())
+    def test_integrate_S_step_loop(self, case):
+        K, t_end, tol, times = case
+        got = integrate_S(K, t_end, tol=tol, eval_times=times)
+        want = _reference_integrate_S(K, t_end, tol, times)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, S), (_, S_ref) in zip(got, want):
+            _assert_bitwise_equal(S.entries, S_ref.entries)
+
+    @pytest.mark.parametrize("K", [
+        CurvatureBound(k1=1.7, k2=0.4, n=1),
+        CurvatureBound(matrix=[[2.0, 0.3, 0.5, 0.1], [0.3, 1.0, 0.2, 0.4],
+                               [0.5, 0.2, 1.5, 0.6], [0.1, 0.4, 0.6, 1.2]]),
+        CurvatureBound(matrix=np.diag([1.0, 2.0, 0.5, 1.5, 0.8, 1.1]) + 0.1),
+    ], ids=["scalar-n1", "matrix-n2", "matrix-n3"])
+    def test_integrate_S_reaches_both_fsal_branches(self, K):
+        # the projection keeps every bit of some accepted steps, where
+        # integrate_S reuses the last stage, and moves a bit in others, where
+        # it re-evaluates the first (in 0 of 89 steps at k1 = 1, k2 = 2)
+        kept = []
+        want = _reference_integrate_S(K, 2.0, 1e-10, [0.5, 1.0], kept)
+        got = integrate_S(K, 2.0, eval_times=[0.5, 1.0])
+        assert any(kept) and not all(kept)
         assert [t for t, _ in got] == [t for t, _ in want]
         for (_, S), (_, S_ref) in zip(got, want):
             _assert_bitwise_equal(S.entries, S_ref.entries)
