@@ -192,7 +192,8 @@ def eval_sfuncs(k1, k2, t):
         CASE5  s0 = t^4
 
     The formulas cancel catastrophically as t -> 0, or as the rates
-    vanish; below t ~ 1e-3 use the Riccati expansion path instead.
+    vanish; there use bound_N, which integrates the Riccati equation down
+    to its reach (1e-13 for t <= 10) and expands below it.
 
     Raises
     ------

@@ -52,9 +52,13 @@ class GaussianState:
             raise ValueError("mean and cov must be finite")
         if np.abs(cov - cov.T).max() > SPD_TOL:
             raise ValueError("cov must be symmetric")
-        lo = float(np.linalg.eigvalsh(cov)[0])
-        if lo <= 0:
-            raise ValueError(f"cov must be positive definite; min eig {lo:.3e}")
+        # Cholesky, not the smallest eigenvalue: eigvalsh's error is absolute,
+        # and it reads free_covariance(t, n >= 2) as indefinite below t ~ 1e-8
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            lo = float(np.linalg.eigvalsh(cov)[0])
+            raise ValueError(f"cov must be positive definite; min eig {lo:.3e}") from None
         return GaussianState(mean=mean, cov=0.5 * (cov + cov.T), t=float(t),
                              n=mean.size // 2)
 

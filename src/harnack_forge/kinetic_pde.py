@@ -14,9 +14,10 @@ Two schemes are provided.  "lie" is the plain first-order splitting:
 upwind x-transport, upwind v-drift, implicit backward-Euler velocity
 diffusion, under a CFL restriction.  "strang" is a telescoped Strang
 splitting whose transport substep is semi-Lagrangian (integer cell
-shift plus fractional upwind), unconditionally stable and roughly
-second order in practice; it exists because the plain scheme's
-numerical diffusion converges too slowly for tight error targets.
+shift plus fractional upwind), unconditionally stable.  It is not second
+order: its STRANG_CHUNKS chunks are fixed whatever the grid, so its
+splitting error is a floor that refining the grid does not lower (at
+n_grid 256 the zero potential's matrix margin comes out about 0.04 low).
 
 Both schemes solve the implicit diffusion with the Thomas algorithm,
 swept in numpy (_diffuse_v).  It performs the operations of LAPACK's
@@ -69,9 +70,13 @@ STRANG_CHUNKS = 2
 STRANG_DIFFUSION_SUBSTEPS = 16
 CURVATURE_FEAS_TOL = 1e-10
 MIN_GRID_CELLS = 8
-# the lie scheme refuses a run of more steps times grid cells than this;
-# a cell-step costs about 15 to 20 ns, so the bound is some 15 to 20 s
+# the lie scheme refuses a run whose steps times (grid cells plus
+# STEP_OVERHEAD_CELLS) exceed this.  A step costs its cells plus a fixed
+# overhead worth about 4096 cells, which dominates small grids: on 2 vCPUs,
+# at n_grid 8 to 128, a lie step took 53 to 690 us, some 13 to 36 ns per
+# charged cell-step, so a run at the bound takes some 13 to 36 s.
 MAX_CELL_STEPS = 1e9
+STEP_OVERHEAD_CELLS = 4096
 
 
 class CFLError(RuntimeError, InputError):
@@ -516,8 +521,9 @@ def evolve(field, potential, t1, scheme="lie"):
     scheme "lie": n_steps transports of dt, upwind in x, each followed by
     one implicit diffusion solve; dt is CFL_LIMIT times the largest
     stable step, shortened to divide the interval.  A run whose
-    predicted work, steps times grid cells, exceeds MAX_CELL_STEPS is
-    refused before the first step.
+    predicted work, steps times (grid cells plus STEP_OVERHEAD_CELLS, a
+    step's fixed cost), exceeds MAX_CELL_STEPS is refused before the
+    first step.
 
     scheme "strang": telescoped Strang splitting over n_steps =
     STRANG_CHUNKS (2) equal chunks dt, so transports of dt/2, dt, ...,
@@ -569,9 +575,11 @@ def evolve(field, potential, t1, scheme="lie"):
 
     if scheme == "lie":
         steps = np.ceil(T / (CFL_LIMIT / max(rate_x, rate_v)))
-        if not steps * rho.size <= MAX_CELL_STEPS:
-            raise InputError(f"t1={t1} needs a predicted {steps * rho.size:.3g} "
-                             f"cell-steps ({steps:.3g} steps of {rho.size} cells), "
+        cell_steps = steps * (rho.size + STEP_OVERHEAD_CELLS)
+        if not cell_steps <= MAX_CELL_STEPS:
+            raise InputError(f"t1={t1} needs a predicted {cell_steps:.3g} cell-steps "
+                             f"({steps:.3g} steps of {rho.size} cells plus "
+                             f"STEP_OVERHEAD_CELLS={STEP_OVERHEAD_CELLS}), "
                              f"over the bound MAX_CELL_STEPS={MAX_CELL_STEPS:.3g}")
         n_steps = max(1, int(steps))
         dt = T / n_steps

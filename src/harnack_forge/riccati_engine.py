@@ -663,7 +663,8 @@ def fundamental_M(K, t):
     if bad.size:
         raise ValueError(f"t must be finite, got {bad[0]}")
     H = hamiltonian_matrix(K)
-    spread = np.abs(ts) * float(np.linalg.norm(H, 2))
+    with np.errstate(over="ignore"):  # an overflowing spread is inf, refused below
+        spread = np.abs(ts) * float(np.linalg.norm(H, 2))
     over = spread[spread > EXP_ARG_CAP]
     if over.size:
         raise CapError(

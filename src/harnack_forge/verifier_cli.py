@@ -5,6 +5,9 @@ report plus full-precision CSV artifacts into the output directory.
 Reports are deterministic for a fixed seed and configuration modulo the
 timestamp field.
 
+One record per campaign, in CAMPAIGNS, holds its keys with their
+defaults, the rule its values must meet together, and its runner.
+
 Exit codes: 0 all checks passed, 1 a numeric check failed, 2 usage
 error (values of the wrong type, out of range or inconsistent with each
 other, found while parsing, and values that a library routine refuses
@@ -21,6 +24,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -40,42 +44,20 @@ class CampaignConfig:
     seed: int
 
 
-DEFAULTS = {
-    "riccati": {
-        "k1": 1.0,
-        "k2": 2.0,
-        "n": 1,
-        "t_end": 2.0,
-        "tol": 1e-10,
-        "n_eval": 21,
-    },
-    "closed-form": {
-        "pairs": [[1.0, 2.0], [2.0, 2.0], [1.0, 0.5], [0.0, 1.0], [0.0, 0.0]],
-        "t_lo": 0.1,
-        "t_hi": 2.0,
-        "n_t": 20,
-        "rel_tol": 1e-6,
-    },
-    "kernel-sharpness": {"n": 1, "t_lo": 0.1, "t_hi": 2.0, "n_t": 20, "tol": 1e-8},
-    "pde-harnack": {
-        "potential": "quadratic_v",
-        "t0": 0.2,
-        "t1": 0.6,
-        "n_grid": 128,
-        "extent": 4.0,
-        "sigma2": 1.0,
-        "scheme": "lie",
-        "tolerance": 0.1,
-        "region": [-2.0, 2.0, -2.0, 2.0],
-    },
-    # m = 32 keeps the piecewise-constant optimum within rel_tol of the
-    # continuous energy: the discretization excess is O(1/m^2) and crosses
-    # 1e-3 between m = 24 and m = 32.
-    "control-cost": {"s": 0.0, "t": 1.0, "n_pairs": 20, "m": 32, "box": 2.0,
-                     "rel_tol": 1e-3},
-    "harnack-integrated": {"s": 1.0, "t": 2.0, "n_pairs": 1000, "box": 3.0},
-    "errata": {"t_grid": [0.5, 1.0, 2.0]},
-}
+@dataclass(frozen=True)
+class _Campaign:
+    """One campaign: its rule, its runner and its keys with their defaults.
+
+    problem(params) says why values that passed the type and sign checks
+    do not fit together (None if they do); rules that a library routine
+    applies before any costly work (t1 > t0, n_grid, scheme, m) are left
+    to it.  run(cfg) returns (metrics, artifact paths, passed).
+    """
+
+    problem: Callable[[dict], str | None]
+    run: Callable[[CampaignConfig], tuple]
+    defaults: dict
+
 
 # Counts, times and scales (s and the curvatures k1, k2 may be 0).
 POSITIVE_KEYS = {"n", "n_eval", "n_t", "n_grid", "n_pairs", "m", "t_end", "t_lo",
@@ -88,37 +70,6 @@ NON_NEGATIVE_KEYS = {"k1", "k2"}
 # FORM_CAP, which leaves a factor 2^64 under the largest float for the
 # sums of forms and the transcription's sums of squared controls.
 FORM_CAP = sys.float_info.max * 2.0**-64
-
-# The riccati campaign refuses a dimension n above this.  It takes 4n x 4n
-# exponentials at every eval time, so its time grows as n^3 and its memory
-# as n^2: at the other defaults, on 2 vCPUs, n = 64 takes about 1.6 s and
-# 200 MB, and n = 100 about 6.4 s and 440 MB.
-MAX_RICCATI_N = 64
-# The riccati campaign refuses an n_eval above this, by the same budget: each
-# eval time costs one integrator step, one exponential and one inversion, so
-# at the other defaults, on 2 vCPUs, n_eval = 10000 takes about 1.6 s and
-# 49 MB, and n_eval = 20000 about 3.2 s and 65 MB.
-MAX_RICCATI_N_EVAL = 10000
-# The riccati campaign refuses an n_eval * n^2 above this, by the same
-# budget: its stack of exponentials grows as n_eval * n^2, so within both
-# bounds above, on 2 vCPUs, 100000 (n = 10 at n_eval = 1000, or n = 5 at
-# 4000) takes about 1.0 to 1.3 s and 155 MB, n = 4 at n_eval = 10000
-# (160000) about 2.2 s and 220 MB, and n = 8 at 10000 about 6.2 s and
-# 736 MB.  n = 64 at the default n_eval (86016) still runs.
-MAX_RICCATI_STACK = 100000
-# The kernel-sharpness campaign refuses a dimension n above this, by the
-# same budget: at the other defaults, on 2 vCPUs, n = 200 takes about 2.9 s
-# and 240 MB, and n = 250 about 6.9 s and 350 MB.
-MAX_SHARPNESS_N = 200
-
-# The curvature pairs whose printed bounds the errata campaign reconciles.
-ERRATA_PAIRS = ((0.0, 0.0), (0.0, 1.0))
-
-POTENTIALS = {
-    "zero": kinetic_pde.ZeroPotential,
-    "quadratic_v": lambda: kinetic_pde.QuadraticPotential(q_vv=1.0),
-    "bilinear": lambda: kinetic_pde.QuadraticPotential(q_xv=1.0),
-}
 
 
 def _write(cfg, name, text):
@@ -140,6 +91,84 @@ def _refused(p, keys, pair=None, times=None):
         if isinstance(exc, ric.M3SingularityError) and times is not None:
             where += f" at t={float(times[exc.index]):.6g}"
         raise ric.InputError(f"{where}: {exc}") from exc
+
+
+def _finite(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _time_order_problem(p):
+    """The t_lo <= t_hi rule of closed-form and kernel-sharpness."""
+    if not p["t_lo"] <= p["t_hi"]:
+        return f"needs t_lo <= t_hi, got t_lo={p['t_lo']!r}, t_hi={p['t_hi']!r}"
+    return None
+
+
+def _form_scale(tau, ax, av):
+    """Bound on |d^T W(tau)^{-1} d| over |d_x| <= ax, |d_v| <= av.
+
+    W(tau)^{-1} = [[12/tau^3, -6/tau^2], [-6/tau^2, 4/tau]], summed by
+    entry magnitude; r = ax / tau keeps a large tau from giving inf / inf.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tau = np.float64(tau)
+        r = ax / tau
+        return float((12.0 * r * r + 12.0 * r * av + 4.0 * av * av) / tau)
+
+
+def _box_limit(p, kernel_times=()):
+    """Largest box whose costs and log-densities stay under FORM_CAP.
+
+    Over draws from [-box, box]^4 the cost deficit d = (x1 - x0 - tau v0,
+    v1 - v0) has |d_x| <= (2 + tau) box and |d_v| <= 2 box, and the cost is
+    d^T W(tau)^{-1} d / 4.  The log-densities of the kernels at each u of
+    kernel_times (harnack-integrated's s and t) are forms d^T Sigma(u)^{-1}
+    d / 2 with Sigma(u) = 2 W(u) and |d_x|, |d_v| <= box.
+    """
+    tau = p["t"] - p["s"]
+    scale = max([_form_scale(tau, 2.0 + tau, 2.0),
+                 *(_form_scale(u, 1.0, 1.0) for u in kernel_times)])
+    return math.sqrt(FORM_CAP / scale) if scale > 0 else 0.0
+
+
+def _box_problem(p, kernel_times=()):
+    """The box rule of control-cost and harnack-integrated, checked after
+    their s < t rule: the limit needs tau = t - s > 0."""
+    if not p["box"] <= (limit := _box_limit(p, kernel_times)):
+        return (f"box={p['box']!r}: exceeds {limit:.3g}, the largest box whose "
+                "drawn costs and log-densities stay finite with a 2^64 safety factor")
+    return None
+
+
+# The riccati campaign refuses a dimension n above this.  It takes 4n x 4n
+# exponentials at every eval time, so its time grows as n^3 and its memory
+# as n^2: at the other defaults, on 2 vCPUs, n = 64 takes about 1.6 s and
+# 200 MB, and n = 100 about 6.4 s and 440 MB.
+MAX_RICCATI_N = 64
+# The riccati campaign refuses an n_eval above this, by the same budget: each
+# eval time costs one integrator step, one exponential and one inversion, so
+# at the other defaults, on 2 vCPUs, n_eval = 10000 takes about 1.6 s and
+# 49 MB, and n_eval = 20000 about 3.2 s and 65 MB.
+MAX_RICCATI_N_EVAL = 10000
+# The riccati campaign refuses an n_eval * n^2 above this, by the same
+# budget: its stack of exponentials grows as n_eval * n^2, so within both
+# bounds above, on 2 vCPUs, 100000 (n = 10 at n_eval = 1000, or n = 5 at
+# 4000) takes about 1.0 to 1.3 s and 155 MB, n = 4 at n_eval = 10000
+# (160000) about 2.2 s and 220 MB, and n = 8 at 10000 about 6.2 s and
+# 736 MB.  n = 64 at the default n_eval (86016) still runs.
+MAX_RICCATI_STACK = 100000
+
+
+def _riccati_problem(p):
+    if p["n"] > MAX_RICCATI_N:
+        return f"n={p['n']!r}: exceeds the bound MAX_RICCATI_N={MAX_RICCATI_N}"
+    if p["n_eval"] > MAX_RICCATI_N_EVAL:
+        return (f"n_eval={p['n_eval']!r}: exceeds the bound "
+                f"MAX_RICCATI_N_EVAL={MAX_RICCATI_N_EVAL}")
+    if p["n_eval"] * p["n"] ** 2 > MAX_RICCATI_STACK:
+        return (f"n={p['n']!r}, n_eval={p['n_eval']!r}: n_eval * n^2 exceeds the "
+                f"bound MAX_RICCATI_STACK={MAX_RICCATI_STACK}")
+    return None
 
 
 def _campaign_riccati(cfg):
@@ -171,6 +200,18 @@ def _campaign_riccati(cfg):
     return metrics, [csv_path], passed
 
 
+def _closed_form_problem(p):
+    pairs = p["pairs"]
+    if not pairs:
+        return f"pairs={pairs!r}: expected a non-empty list"
+    if not all(
+        isinstance(k, list) and len(k) == 2 and all(_finite(x) and x >= 0 for x in k)
+        for k in pairs
+    ):
+        return f"pairs={pairs!r}: expected pairs [k1, k2] of finite non-negative numbers"
+    return _time_order_problem(p)
+
+
 def _campaign_closed_form(cfg):
     p = cfg.params
     times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
@@ -198,6 +239,18 @@ def _campaign_closed_form(cfg):
     return {"worst_relative_error": worst}, [csv_path], worst <= p["rel_tol"]
 
 
+# The kernel-sharpness campaign refuses a dimension n above this, by the
+# same budget: at the other defaults, on 2 vCPUs, n = 200 takes about 2.9 s
+# and 240 MB, and n = 250 about 6.9 s and 350 MB.
+MAX_SHARPNESS_N = 200
+
+
+def _kernel_sharpness_problem(p):
+    if p["n"] > MAX_SHARPNESS_N:
+        return f"n={p['n']!r}: exceeds the bound MAX_SHARPNESS_N={MAX_SHARPNESS_N}"
+    return _time_order_problem(p)
+
+
 def _campaign_kernel_sharpness(cfg):
     p = cfg.params
     times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
@@ -213,6 +266,25 @@ def _campaign_kernel_sharpness(cfg):
     csv_path = _write(cfg, "kernel_sharpness.csv", text)
     worst = max(gaps)
     return {"worst_gap": worst}, [csv_path], worst <= p["tol"]
+
+
+POTENTIALS = {
+    "zero": kinetic_pde.ZeroPotential,
+    "quadratic_v": lambda: kinetic_pde.QuadraticPotential(q_vv=1.0),
+    "bilinear": lambda: kinetic_pde.QuadraticPotential(q_xv=1.0),
+}
+
+
+def _pde_harnack_problem(p):
+    region = p["region"]  # an empty region is the whole grid
+    if region and not (
+        len(region) == 4 and all(map(_finite, region))
+        and region[0] < region[1] and region[2] < region[3]
+    ):
+        return f"region={region!r}: expected [x_lo, x_hi, v_lo, v_hi], finite with lo < hi"
+    if p["potential"] not in POTENTIALS:
+        return f"potential={p['potential']!r}: expected one of {', '.join(POTENTIALS)}"
+    return None
 
 
 def _campaign_pde_harnack(cfg):
@@ -251,6 +323,12 @@ def _campaign_pde_harnack(cfg):
     return metrics, files, mrep.passed and srep.passed
 
 
+def _control_cost_problem(p):
+    if not p["s"] < p["t"]:
+        return f"needs s < t, got s={p['s']!r}, t={p['t']!r}"
+    return _box_problem(p)
+
+
 def _campaign_control_cost(cfg):
     p = cfg.params
     s, t = p["s"], p["t"]
@@ -281,6 +359,12 @@ def _campaign_control_cost(cfg):
     return {"worst_relative_gap": worst}, [csv_path], worst <= p["rel_tol"]
 
 
+def _harnack_integrated_problem(p):
+    if not 0 < p["s"] < p["t"]:
+        return f"needs 0 < s < t, got s={p['s']!r}, t={p['t']!r}"
+    return _box_problem(p, (p["s"], p["t"]))
+
+
 def _campaign_harnack_integrated(cfg):
     p = cfg.params
     with _refused(p, ("s", "t")):
@@ -294,6 +378,19 @@ def _campaign_harnack_integrated(cfg):
     }
     passed = rep.min_ratio >= 1.0 - 1e-6 and rep.equality_gap <= 1e-10
     return metrics, [], passed
+
+
+# The curvature pairs whose printed bounds the errata campaign reconciles.
+ERRATA_PAIRS = ((0.0, 0.0), (0.0, 1.0))
+
+
+def _errata_problem(p):
+    t_grid = p["t_grid"]
+    if not t_grid:
+        return f"t_grid={t_grid!r}: expected a non-empty list"
+    if not all(_finite(t) and t > 0 for t in t_grid):
+        return f"t_grid={t_grid!r}: expected positive finite times"
+    return None
 
 
 def _campaign_errata(cfg):
@@ -310,21 +407,56 @@ def _campaign_errata(cfg):
     return {"n_rows": len(rows), "case5_half_ratio": ok}, [csv_path], ok
 
 
-RUNNERS = {
-    "riccati": _campaign_riccati,
-    "closed-form": _campaign_closed_form,
-    "kernel-sharpness": _campaign_kernel_sharpness,
-    "pde-harnack": _campaign_pde_harnack,
-    "control-cost": _campaign_control_cost,
-    "harnack-integrated": _campaign_harnack_integrated,
-    "errata": _campaign_errata,
+CAMPAIGNS = {
+    "riccati": _Campaign(_riccati_problem, _campaign_riccati, {
+        "k1": 1.0,
+        "k2": 2.0,
+        "n": 1,
+        "t_end": 2.0,
+        "tol": 1e-10,
+        "n_eval": 21,
+    }),
+    "closed-form": _Campaign(_closed_form_problem, _campaign_closed_form, {
+        "pairs": [[1.0, 2.0], [2.0, 2.0], [1.0, 0.5], [0.0, 1.0], [0.0, 0.0]],
+        "t_lo": 0.1,
+        "t_hi": 2.0,
+        "n_t": 20,
+        "rel_tol": 1e-6,
+    }),
+    "kernel-sharpness": _Campaign(
+        _kernel_sharpness_problem, _campaign_kernel_sharpness,
+        {"n": 1, "t_lo": 0.1, "t_hi": 2.0, "n_t": 20, "tol": 1e-8},
+    ),
+    "pde-harnack": _Campaign(_pde_harnack_problem, _campaign_pde_harnack, {
+        "potential": "quadratic_v",
+        "t0": 0.2,
+        "t1": 0.6,
+        "n_grid": 128,
+        "extent": 4.0,
+        "sigma2": 1.0,
+        "scheme": "lie",
+        "tolerance": 0.1,
+        "region": [-2.0, 2.0, -2.0, 2.0],
+    }),
+    # m = 32 keeps the piecewise-constant optimum within rel_tol of the
+    # continuous energy: the discretization excess is O(1/m^2) and crosses
+    # 1e-3 between m = 24 and m = 32.
+    "control-cost": _Campaign(
+        _control_cost_problem, _campaign_control_cost,
+        {"s": 0.0, "t": 1.0, "n_pairs": 20, "m": 32, "box": 2.0, "rel_tol": 1e-3},
+    ),
+    "harnack-integrated": _Campaign(
+        _harnack_integrated_problem, _campaign_harnack_integrated,
+        {"s": 1.0, "t": 2.0, "n_pairs": 1000, "box": 3.0},
+    ),
+    "errata": _Campaign(_errata_problem, _campaign_errata, {"t_grid": [0.5, 1.0, 2.0]}),
 }
-CAMPAIGNS = tuple(RUNNERS)
+DEFAULTS = {name: campaign.defaults for name, campaign in CAMPAIGNS.items()}
 
 
 def run_campaign(cfg):
     """Run one campaign; returns the report dict (also written to disk)."""
-    metrics, files, passed = RUNNERS[cfg.name](cfg)
+    metrics, files, passed = CAMPAIGNS[cfg.name].run(cfg)
     report = {
         "campaign": cfg.name,
         "params": cfg.params,
@@ -369,35 +501,12 @@ def _apply_key(params, campaign, key, value, shared=False):
     params[key] = value
 
 
-def _finite(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _list_problem(key, value):
-    """Why the entries of a list value do not fit key (None if they do)."""
-    if key in ("pairs", "t_grid") and not value:  # an empty region is the whole grid
-        return "expected a non-empty list"
-    if key == "region" and value and not (
-        len(value) == 4 and all(map(_finite, value))
-        and value[0] < value[1] and value[2] < value[3]
-    ):
-        return "expected [x_lo, x_hi, v_lo, v_hi], finite with lo < hi"
-    if key == "pairs" and not all(
-        isinstance(p, list) and len(p) == 2 and all(_finite(k) and k >= 0 for k in p)
-        for p in value
-    ):
-        return "expected pairs [k1, k2] of finite non-negative numbers"
-    if key == "t_grid" and not all(_finite(t) and t > 0 for t in value):
-        return "expected positive finite times"
-    return None
-
-
 def _value_problem(key, value, default):
     """Why value cannot replace the default of key (None if it can)."""
     if isinstance(default, (list, str)):
         if not isinstance(value, type(default)):
             return f"expected a {type(default).__name__}"
-        return _list_problem(key, value) if isinstance(value, list) else None
+        return None
     want = int if isinstance(default, int) else (int, float)
     if isinstance(value, bool) or not isinstance(value, want):
         return "expected an int" if want is int else "expected a number"
@@ -407,65 +516,6 @@ def _value_problem(key, value, default):
         return "expected a positive value"
     if key in NON_NEGATIVE_KEYS and value < 0:
         return "expected a non-negative value"
-    return None
-
-
-def _form_scale(tau, ax, av):
-    """Bound on |d^T W(tau)^{-1} d| over |d_x| <= ax, |d_v| <= av.
-
-    W(tau)^{-1} = [[12/tau^3, -6/tau^2], [-6/tau^2, 4/tau]], summed by
-    entry magnitude; r = ax / tau keeps a large tau from giving inf / inf.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tau = np.float64(tau)
-        r = ax / tau
-        return float((12.0 * r * r + 12.0 * r * av + 4.0 * av * av) / tau)
-
-
-def _box_limit(name, p):
-    """Largest box whose costs and log-densities stay under FORM_CAP.
-
-    Over draws from [-box, box]^4 the cost deficit d = (x1 - x0 - tau v0,
-    v1 - v0) has |d_x| <= (2 + tau) box and |d_v| <= 2 box, and the cost is
-    d^T W(tau)^{-1} d / 4.  harnack-integrated also takes log-densities of
-    the kernels at s and t, whose forms are d^T Sigma(u)^{-1} d / 2 with
-    Sigma(u) = 2 W(u) and |d_x|, |d_v| <= box.
-    """
-    tau = p["t"] - p["s"]
-    scale = _form_scale(tau, 2.0 + tau, 2.0)
-    if name == "harnack-integrated":
-        scale = max(scale, *(_form_scale(u, 1.0, 1.0) for u in (p["s"], p["t"])))
-    return math.sqrt(FORM_CAP / scale) if scale > 0 else 0.0
-
-
-def _campaign_problem(name, p):
-    """Why the values of one campaign do not fit together (None if they do).
-
-    The rules that a library routine applies before any costly work (t1 >
-    t0, n_grid, scheme, m) are left to that routine.  The s < t rules stay
-    here because _box_limit, which runs first, needs tau = t - s > 0.
-    """
-    if name == "riccati" and p["n"] > MAX_RICCATI_N:
-        return f"n={p['n']!r}: exceeds the bound MAX_RICCATI_N={MAX_RICCATI_N}"
-    if name == "riccati" and p["n_eval"] > MAX_RICCATI_N_EVAL:
-        return (f"n_eval={p['n_eval']!r}: exceeds the bound "
-                f"MAX_RICCATI_N_EVAL={MAX_RICCATI_N_EVAL}")
-    if name == "riccati" and p["n_eval"] * p["n"] ** 2 > MAX_RICCATI_STACK:
-        return (f"n={p['n']!r}, n_eval={p['n_eval']!r}: n_eval * n^2 exceeds the "
-                f"bound MAX_RICCATI_STACK={MAX_RICCATI_STACK}")
-    if name == "kernel-sharpness" and p["n"] > MAX_SHARPNESS_N:
-        return f"n={p['n']!r}: exceeds the bound MAX_SHARPNESS_N={MAX_SHARPNESS_N}"
-    if "t_lo" in p and not p["t_lo"] <= p["t_hi"]:
-        return f"needs t_lo <= t_hi, got t_lo={p['t_lo']!r}, t_hi={p['t_hi']!r}"
-    if name == "pde-harnack" and p["potential"] not in POTENTIALS:
-        return f"potential={p['potential']!r}: expected one of {', '.join(POTENTIALS)}"
-    if name == "control-cost" and not p["s"] < p["t"]:
-        return f"needs s < t, got s={p['s']!r}, t={p['t']!r}"
-    if name == "harnack-integrated" and not 0 < p["s"] < p["t"]:
-        return f"needs 0 < s < t, got s={p['s']!r}, t={p['t']!r}"
-    if "box" in p and not p["box"] <= (limit := _box_limit(name, p)):
-        return (f"box={p['box']!r}: exceeds {limit:.3g}, the largest box whose "
-                "drawn costs and log-densities stay finite with a 2^64 safety factor")
     return None
 
 
@@ -495,7 +545,8 @@ def parse_cli(argv):
     if args.seed < 0:
         PARSER.error(f"--seed={args.seed}: expected a non-negative integer")
 
-    params = dict(DEFAULTS[args.campaign])
+    campaign = CAMPAIGNS[args.campaign]
+    params = dict(campaign.defaults)
     if args.config:
         try:
             with open(args.config) as fh:
@@ -518,10 +569,10 @@ def parse_cli(argv):
         except ValueError as exc:
             PARSER.error(str(exc))
     for key, value in params.items():
-        problem = _value_problem(key, value, DEFAULTS[args.campaign][key])
+        problem = _value_problem(key, value, campaign.defaults[key])
         if problem:
             PARSER.error(f"{key}={value!r}: {problem}")
-    problem = _campaign_problem(args.campaign, params)
+    problem = campaign.problem(params)
     if problem:
         PARSER.error(problem)
     return CampaignConfig(

@@ -1,6 +1,7 @@
 """CLI parsing, exit codes, artifacts, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -194,7 +195,7 @@ class TestParse:
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
-    # at n_grid 128: about 1.2e10 and 1.2e306 cell-steps of the lie scheme
+    # at n_grid 128: about 1.4e10 and 1.4e306 cell-steps of the lie scheme
     @pytest.mark.parametrize("t1", ["1e4", "1e300"])
     def test_runs_past_the_work_bound_exit_before_any_step(self, t1, tmp_path, capsys):
         out = tmp_path / "out"
@@ -202,6 +203,21 @@ class TestParse:
         err = capsys.readouterr().err
         assert f"t1={float(t1)!r}" in err
         assert "cell-steps" in err and "MAX_CELL_STEPS" in err
+        assert not out.exists()
+
+    # charged by cells alone: 2.7e8 cell-steps that ran past 20 s, and 8.7e8
+    # that would run for some 12 minutes
+    @pytest.mark.parametrize(
+        "sets",
+        [["n_grid=29", "t0=0.0037", "t1=20829"], ["n_grid=8", 'potential="zero"', "t1=3.5e6"]],
+    )
+    def test_small_grid_runs_are_charged_each_steps_fixed_cost(self, sets, tmp_path,
+                                                               capsys):
+        out = tmp_path / "out"
+        argv = ["pde-harnack", *(arg for s in sets for arg in ("--set", s))]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "STEP_OVERHEAD_CELLS=4096" in err and "MAX_CELL_STEPS" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -352,7 +368,9 @@ class TestMain:
     @pytest.mark.parametrize("campaign", ["control-cost", "harnack-integrated"])
     def test_largest_accepted_box_stays_finite(self, tmp_path, campaign):
         params = dict(cli.DEFAULTS[campaign])
-        box = cli._box_limit(campaign, params)
+        # harnack-integrated also bounds the log-densities of its kernels at s and t
+        kernel_times = (params["s"], params["t"]) if campaign == "harnack-integrated" else ()
+        box = cli._box_limit(params, kernel_times)
         assert params["box"] < box < 1e300
         argv = [campaign, "--out", str(tmp_path), "--set", f"box={box!r}"]
         assert cli.main(argv) in (0, 1)
@@ -408,7 +426,8 @@ class TestMain:
         def boom(cfg):
             raise RuntimeError("synthetic")
 
-        monkeypatch.setitem(cli.RUNNERS, "errata", boom)
+        errata = dataclasses.replace(cli.CAMPAIGNS["errata"], run=boom)
+        monkeypatch.setitem(cli.CAMPAIGNS, "errata", errata)
         assert cli.main(["errata", "--out", str(tmp_path / "out")]) == 3
 
     def test_singular_riccati_state_is_internal(self, tmp_path, monkeypatch, capsys):
@@ -416,7 +435,8 @@ class TestMain:
         def singular(cfg):
             raise ric.SingularityError("S(t) numerically singular", cond=1e13)
 
-        monkeypatch.setitem(cli.RUNNERS, "riccati", singular)
+        riccati = dataclasses.replace(cli.CAMPAIGNS["riccati"], run=singular)
+        monkeypatch.setitem(cli.CAMPAIGNS, "riccati", riccati)
         assert cli.main(["riccati", "--out", str(tmp_path / "out")]) == 3
         assert "internal error" in capsys.readouterr().err
 

@@ -31,6 +31,14 @@ class TestMoments:
             kernel_state([0.0], [0.0], t)
         assert np.isfinite(np.linalg.inv(free_covariance(1e-102))).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t", [3.5e-9, 1e-30, 1e-100])
+    def test_kernel_at_tiny_times_is_positive_definite(self, n, t):
+        # the smallest eigvalsh eigenvalue of free_covariance(3.5e-9, 2) is
+        # -2.1e-26, so a test by eigenvalue refused this kernel
+        st = kernel_state(np.zeros(n), np.zeros(n), t)
+        assert (st.n, st.t) == (n, t)
+
     def test_largest_representable_cube_stays_finite(self):
         # 2 t^3 overflows for t^3 in [max / 2, max); t^3 / 3 first does not
         for t in (4.5e102, 5e102, 5.6e102):
@@ -130,6 +138,9 @@ class TestDensity:
             GaussianState.make(np.zeros(2), -np.eye(2), 1.0)
         with pytest.raises(ValueError):
             GaussianState.make(np.zeros(3), np.eye(3), 1.0)
+        for cov, lo in ((np.diag([1.0, -0.5]), "-5.000e-01"), (np.zeros((2, 2)), "0.000e+00")):
+            with pytest.raises(ValueError, match=re.escape(f"positive definite; min eig {lo}")):
+                GaussianState.make(np.zeros(2), cov, 1.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_moments_rejected(self, value):

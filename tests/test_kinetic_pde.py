@@ -23,6 +23,7 @@ from harnack_forge.kinetic_pde import (
     LEDGER_TOL,
     MAX_CELL_STEPS,
     MIN_GRID_CELLS,
+    STEP_OVERHEAD_CELLS,
     STRANG_CHUNKS,
     STRANG_DIFFUSION_SUBSTEPS,
     CFLError,
@@ -294,7 +295,7 @@ class TestEvolve:
     def test_work_bound_refuses_before_any_step(self, monkeypatch):
         f = kernel_field(0.2, extent=4.0, n=32, sigma2=1.0)
         _, rep = evolve(f, ZeroPotential(), 0.6)
-        work = rep.n_steps * f.rho.size
+        work = rep.n_steps * (f.rho.size + STEP_OVERHEAD_CELLS)
         monkeypatch.setattr(kinetic_pde, "MAX_CELL_STEPS", work)
         evolve(f, ZeroPotential(), 0.6)  # a run of exactly the bound goes ahead
 
@@ -334,7 +335,7 @@ class TestEvolve:
         # the heaviest campaign run: n_grid 256 over the grid mix's span 0.4
         f = kernel_field(0.2, extent=4.0, n=256, sigma2=1.0)
         _, rep = evolve(f, QuadraticPotential(q_vv=1.0), 0.6)
-        assert rep.n_steps * f.rho.size * 100 < MAX_CELL_STEPS
+        assert rep.n_steps * (f.rho.size + STEP_OVERHEAD_CELLS) * 100 < MAX_CELL_STEPS
 
     @pytest.mark.parametrize(
         "scheme, potential, bound",

@@ -371,6 +371,12 @@ class TestHamiltonianRoute:
             JH = J @ H
             assert np.abs(JH - JH.T).max() < 1e-12
 
+    def test_overflowing_spread_is_refused_without_a_warning(self):
+        # |t| ||H|| overflows to inf; a RuntimeWarning here is an error
+        K = CurvatureBound(k1=1e300, k2=2.0, n=1)
+        with pytest.raises(InputError, match="= inf exceeds the exponential cap"):
+            fundamental_M(K, 1e300)
+
     def test_fundamental_free_fixture(self):
         K = CurvatureBound(k1=0.0, k2=0.0, n=1)
         for t in (0.5, 1.0, 2.0):
