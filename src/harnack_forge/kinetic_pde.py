@@ -509,53 +509,16 @@ class _MassLedger:
         return flux
 
 
-def evolve(field, potential, t1, scheme="lie"):
-    """Advance a grid field to absolute time t1.
+def _plan(field, potential, t1, scheme):
+    """Set up evolve's run of field to t1.  Every InputError that evolve
+    raises comes from here, before any step.
 
-    A plan, the only part that depends on the scheme, sets n_steps, dt,
-    the transport times and the diffusion solve.  One loop then takes,
-    for each transport time tau, an x-transport over tau, an upwind
-    v-drift over tau (for a nonzero drift) and, after each of the first
-    n_steps transports, the implicit diffusion over dt.
-
-    scheme "lie": n_steps transports of dt, upwind in x, each followed by
-    one implicit diffusion solve; dt is CFL_LIMIT times the largest
-    stable step, shortened to divide the interval.  A run whose
-    predicted work, steps times (grid cells plus STEP_OVERHEAD_CELLS, a
-    step's fixed cost), exceeds MAX_CELL_STEPS is refused before the
-    first step.
-
-    scheme "strang": telescoped Strang splitting over n_steps =
-    STRANG_CHUNKS (2) equal chunks dt, so transports of dt/2, dt, ...,
-    dt/2, semi-Lagrangian in x, with STRANG_DIFFUSION_SUBSTEPS (16)
-    implicit substeps in each diffusion.  Aimed at the free equation; a
-    nonzero drift must satisfy CFL at the chunk size.
-
-    The mass ledger checks the edge flux of each upwind x-transport and
-    diffusion against the change of the field's mass, and books the
-    measured change for a semi-Lagrangian transport or a drift.
-
-    The field is transposed once on entry to a velocity-major (nv, nx)
-    array, stepped in that layout, and transposed back once into the
-    returned x-major GridField.  Each transport reads that array and
-    writes a work array; the drift, when there is one, writes back into
-    the field array, and the diffusion, set up once per call, solves in
-    it in place.  The ledger's per-substep sums run over the
-    velocity-major array, in its memory order.
-
-    Returns (GridField at t1, EvolveReport).
-
-    Raises
-    ------
-    CFLError
-        An InputError: the strang drift's Courant number exceeds 1 at the
-        chunk size.
-    InputError
-        If t1 is not finite or does not exceed field.t, the scheme is
-        neither "lie" nor "strang", a Courant rate is not finite (the
-        drift overflows), the lie run's predicted work exceeds
-        MAX_CELL_STEPS, or the diffusion number dt / dv^2 is not a
-        positive finite float.
+    Returns (rho, work, n_steps, dt, taus, transport_x, drift_courant,
+    diffuse, rate_x, rate_v): the velocity-major copy of the field that
+    the diffusion solves in place, the x-transport's work array, the
+    step count and step, the transport times, the x-transport, the
+    drift's Courant numbers per transport time, the diffusion step and
+    the two Courant rates.
     """
     if not field.t < t1 < np.inf:
         raise InputError(f"t1={t1} must be finite and exceed the field time {field.t}")
@@ -604,6 +567,60 @@ def evolve(field, potential, t1, scheme="lie"):
 
         drift_courant = lambda tau: speed * tau / field.dv
     diffuse = _diffuse_v(rho, field.dv, dt, nsub)
+    return rho, work, n_steps, dt, taus, transport_x, drift_courant, diffuse, rate_x, rate_v
+
+
+def evolve(field, potential, t1, scheme="lie"):
+    """Advance a grid field to absolute time t1.
+
+    A plan (_plan), the only part that depends on the scheme, makes
+    every refusal below, then sets n_steps, dt, the transport times and
+    the diffusion solve.  One loop then takes,
+    for each transport time tau, an x-transport over tau, an upwind
+    v-drift over tau (for a nonzero drift) and, after each of the first
+    n_steps transports, the implicit diffusion over dt.
+
+    scheme "lie": n_steps transports of dt, upwind in x, each followed by
+    one implicit diffusion solve; dt is CFL_LIMIT times the largest
+    stable step, shortened to divide the interval.  A run whose
+    predicted work, steps times (grid cells plus STEP_OVERHEAD_CELLS, a
+    step's fixed cost), exceeds MAX_CELL_STEPS is refused before the
+    first step.
+
+    scheme "strang": telescoped Strang splitting over n_steps =
+    STRANG_CHUNKS (2) equal chunks dt, so transports of dt/2, dt, ...,
+    dt/2, semi-Lagrangian in x, with STRANG_DIFFUSION_SUBSTEPS (16)
+    implicit substeps in each diffusion.  Aimed at the free equation; a
+    nonzero drift must satisfy CFL at the chunk size.
+
+    The mass ledger checks the edge flux of each upwind x-transport and
+    diffusion against the change of the field's mass, and books the
+    measured change for a semi-Lagrangian transport or a drift.
+
+    The field is transposed once on entry to a velocity-major (nv, nx)
+    array, stepped in that layout, and transposed back once into the
+    returned x-major GridField.  Each transport reads that array and
+    writes a work array; the drift, when there is one, writes back into
+    the field array, and the diffusion, set up once per call, solves in
+    it in place.  The ledger's per-substep sums run over the
+    velocity-major array, in its memory order.
+
+    Returns (GridField at t1, EvolveReport).
+
+    Raises
+    ------
+    CFLError
+        An InputError: the strang drift's Courant number exceeds 1 at the
+        chunk size.
+    InputError
+        If t1 is not finite or does not exceed field.t, the scheme is
+        neither "lie" nor "strang", a Courant rate is not finite (the
+        drift overflows), the lie run's predicted work exceeds
+        MAX_CELL_STEPS, or the diffusion number dt / dv^2 is not a
+        positive finite float.
+    """
+    rho, work, n_steps, dt, taus, transport_x, drift_courant, diffuse, rate_x, rate_v = (
+        _plan(field, potential, t1, scheme))
 
     m0 = field.mass()
     cell = field.dx * field.dv

@@ -17,7 +17,8 @@ M(t) = exp(tH) with S recovered from the block ratio M1 M3^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, fsum, nan
+from operator import mul
 
 import numpy as np
 
@@ -64,7 +65,11 @@ class StepUnderflowError(RuntimeError):
 
 
 class SymmetryDriftError(RuntimeError):
-    """Integration state lost symmetry beyond the abort threshold."""
+    """Integration state lost symmetry beyond the abort threshold.
+
+    Only integrate_S's stepper for a matrix K raises it: the packed
+    state of a scalar pair is symmetric by construction.
+    """
 
 
 class SingularityError(RuntimeError):
@@ -285,27 +290,54 @@ _DP_A = np.array(
 _DP_E = _DP_A[6] - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# the same weights as Python floats, for the packed stepper: (i, the first i
+# weights of row i) for each stage i, and the error weights
+_DP_ROWS = [(i, tuple(_DP_A[i, :i].tolist())) for i in range(1, 7)]
+_DP_E_ROW = tuple(_DP_E.tolist())
 
 
 def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     """Integrate S' = -CS - SC^T - D + SKS from S(0) = 0.
 
-    Adaptive embedded Runge-Kutta 5(4) with per-step symmetry projection.
-    Its grid rule: no step is shorter than the floor STEP_FLOOR *
-    max(t_end, 1); a step is cut short to land exactly on the next
-    target (an eval time or t_end); a target within MERGE_TOL of the
-    time reached merges with it.
+    Adaptive embedded Runge-Kutta 5(4) (Dormand-Prince).  Its grid rule:
+    no step is shorter than the floor STEP_FLOOR * max(t_end, 1); a step
+    is cut short to land exactly on the next target (an eval time or
+    t_end); a target within MERGE_TOL of the time reached merges with
+    it.  The step size follows h *= min(5, max(0.2, 0.9 err^-0.2)), where
+    err is h max|E . k| / (tol (1 + max|S5|)) over the entries of the
+    5th-order solution S5 and of the error weights E contracted with the
+    stages k.
 
-    The step runs in a workspace allocated once per call: the stage
-    state, its increment, the error vector and the right-hand side's
-    temporaries are written in place, and only each accepted S is a
-    fresh array.  The last stage is evaluated at the 5th-order solution
-    S5, so its derivative doubles as the next step's first stage (FSAL)
-    when the projection S = 0.5 (S5 + S5^T) leaves every bit of S5 as it
-    was (compared byte for byte, so -0.0 turned to +0.0 counts as a
-    change); otherwise the first stage is evaluated at S afresh.  Each
-    operation, operand and order is that of the plain per-step
-    expressions, so the trajectory has the same bits.
+    The form of K picks the state the steps carry; one loop holds the
+    grid rule for both:
+
+    - A scalar pair (K.k1 is not None) keeps S = [[a I, b I], [b I, c I]]
+      for every t, so the steps carry the three floats (a, b, c) of the
+      n = 1 block:
+
+          a' = 2b + k1 a^2 + k2 b^2
+          b' = c + k1 ab + k2 bc
+          c' = -2 + k1 b^2 + k2 c^2
+
+      Each stage and error sum is math.fsum over the rounded products of
+      the tableau row with the stages; a step whose sums meet inf - inf
+      or overflow is rejected, as a NaN error would be, and Python floats
+      raise no float warnings on the way.  The state is symmetric by
+      construction, so no projection runs and the last stage is always
+      the next first stage (FSAL).  The trajectory is built once, at the
+      end: each S is a view of one stack, with s (x) I_n on the diagonals
+      of its blocks and +0.0 everywhere else.
+    - A matrix K steps the 2n x 2n S in numpy, in a workspace allocated
+      once per call (the stage state, its increment, the error vector
+      and the right-hand side's temporaries are written in place), and
+      only each accepted S is a fresh array.  Each accepted S5 is
+      projected, S = 0.5 (S5 + S5^T); its last stage's derivative
+      doubles as the next first stage (FSAL) when the projection leaves
+      every bit of S5 as it was (compared byte for byte, so -0.0 turned
+      to +0.0 counts as a change), and otherwise the first stage is
+      evaluated at S afresh.  Each operation, operand and order is that
+      of the plain per-step expressions, so the trajectory has their
+      bits.
 
     Parameters
     ----------
@@ -342,7 +374,8 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
         If the adaptive step size collapses under the floor (stiff
         blow-up).
     SymmetryDriftError
-        If max|S - S^T| exceeds 1e-9 before projection.
+        For a matrix K only: if max|S5 - S5^T| exceeds 1e-9 before
+        projection.
     """
     K = _as_curvature(K)
     t_end = float(t_end)
@@ -350,8 +383,6 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
         raise InputError(f"t_end={t_end!r} must be finite and positive")
     if not (1e-14 < tol < 1e-2):
         raise InputError(f"tol={tol!r} must lie in (1e-14, 1e-2)")
-    sp = build_structural(K.n)
-    negC, CT, D, Km = -sp.C, sp.C.T, sp.D, K.K
 
     extra = [] if eval_times is None else list(np.asarray(eval_times, dtype=float).ravel())
     targets = sorted({t_end} | {float(t) for t in extra})
@@ -366,24 +397,9 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
         raise InputError(f"eval time t={targets[0]!r} cannot be resolved at "
                          f"t_end={t_end!r}: it lies under the step floor {floor:.3g}")
 
-    dim = 2 * K.n
-    S = np.zeros((dim, dim))  # every S below is a fresh array, never written to
+    stepper = _MatrixStepper(K) if K.k1 is None else _PackedStepper(K)
     t = 0.0
-    out = [(0.0, BlockSym2n._wrap(S))]
-    ks = np.empty((7, dim, dim))  # stage derivatives; ks[0] is the FSAL slot
-    flat = ks.reshape(7, dim * dim)  # view: tableau rows contract it in one matmul
-    # the workspace, written in place at every step: the stage state, its
-    # increment, the error vector, a scratch matrix for the norm and the
-    # drift, and the right-hand side's two temporaries
-    stage = np.empty((dim, dim))
-    inc = np.empty(dim * dim)
-    inc_2d = inc.reshape(dim, dim)
-    errv = np.empty(dim * dim)
-    sq = np.empty((dim, dim))
-    work = (np.empty((dim, dim)), np.empty((dim, dim)))
-    # stage i contracts tableau row i with the i stages before it
-    stages = [(ks[i], _DP_A[i, :i], flat[:i]) for i in range(1, 7)]
-    _riccati_rhs(S, negC, CT, D, Km, ks[0], work)
+    times = [t]
     ti = 0  # next target index
 
     while ti < len(targets):
@@ -402,34 +418,127 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
             h = t_next - t
         if h < floor:
             raise StepUnderflowError(t)
-        for k, row, done in stages:  # stage = S + h * (row @ done), then k = rhs(stage)
-            np.matmul(row, done, out=inc)
-            np.multiply(h, inc, out=inc)
-            np.add(S, inc_2d, out=stage)
-            _riccati_rhs(stage, negC, CT, D, Km, k, work)
-        S5 = stage  # the last stage is taken at the 5th-order solution (FSAL)
-        scale = tol * (1.0 + np.abs(S5, out=sq).max())
-        np.matmul(_DP_E, flat, out=errv)
-        err = float(h * np.abs(errv, out=errv).max() / scale)
+        err = stepper.trial(h, tol)
         if err <= 1.0:
             # land on the target exactly: t + (t_next - t) can miss it by an ulp
             t = t_next if hits_target else t + h
-            np.subtract(S5, S5.T, out=sq)
-            drift = float(np.abs(sq, out=sq).max())
-            if drift > SYMMETRY_ABORT:
-                raise SymmetryDriftError(
-                    f"symmetry drift {drift:.3e} at t={t:.6g} exceeds {SYMMETRY_ABORT}"
-                )
-            S = np.add(S5, S5.T)
-            np.multiply(0.5, S, out=S)
-            if S.tobytes() == S5.tobytes():  # ks[6] = rhs(S5) is then rhs(S) (FSAL)
-                ks[0] = ks[6]
-            else:  # the projection moved a bit: refresh the first stage
-                _riccati_rhs(S, negC, CT, D, Km, ks[0], work)
-            out.append((t, BlockSym2n._wrap(S)))
+            stepper.accept(t)
+            times.append(t)
         h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
 
-    return out
+    return stepper.trajectory(times)
+
+
+class _MatrixStepper:
+    """integrate_S's steps for a matrix K: the 2n x 2n state in numpy.
+
+    trial(h, tol) takes one step from the accepted S and returns its
+    scaled error; accept(t) keeps it; trajectory(times) pairs the
+    accepted states with their times.
+    """
+
+    def __init__(self, K):
+        sp = build_structural(K.n)
+        self.rhs_args = (-sp.C, sp.C.T, sp.D, K.K)
+        dim = 2 * K.n
+        self.S = np.zeros((dim, dim))  # every S is a fresh array, never written to
+        self.states = [self.S]
+        self.ks = np.empty((7, dim, dim))  # stage derivatives; ks[0] is the FSAL slot
+        self.flat = self.ks.reshape(7, dim * dim)  # tableau rows contract it in one matmul
+        # the workspace, written in place at every step: the stage state, its
+        # increment, the error vector, a scratch matrix for the norm and the
+        # drift, and the right-hand side's two temporaries
+        self.stage = np.empty((dim, dim))
+        self.inc = np.empty(dim * dim)
+        self.inc_2d = self.inc.reshape(dim, dim)
+        self.errv = np.empty(dim * dim)
+        self.sq = np.empty((dim, dim))
+        self.work = (np.empty((dim, dim)), np.empty((dim, dim)))
+        # stage i contracts tableau row i with the i stages before it
+        self.stages = [(self.ks[i], _DP_A[i, :i], self.flat[:i]) for i in range(1, 7)]
+        _riccati_rhs(self.S, *self.rhs_args, self.ks[0], self.work)
+
+    def trial(self, h, tol):
+        S, stage, inc, inc_2d = self.S, self.stage, self.inc, self.inc_2d
+        for k, row, done in self.stages:  # stage = S + h * (row @ done), then k = rhs(stage)
+            np.matmul(row, done, out=inc)
+            np.multiply(h, inc, out=inc)
+            np.add(S, inc_2d, out=stage)
+            _riccati_rhs(stage, *self.rhs_args, k, self.work)
+        # the last stage is taken at the 5th-order solution S5 (FSAL)
+        scale = tol * (1.0 + np.abs(stage, out=self.sq).max())
+        errv = self.errv
+        np.matmul(_DP_E, self.flat, out=errv)
+        return float(h * np.abs(errv, out=errv).max() / scale)
+
+    def accept(self, t):
+        S5, sq, ks = self.stage, self.sq, self.ks
+        np.subtract(S5, S5.T, out=sq)
+        drift = float(np.abs(sq, out=sq).max())
+        if drift > SYMMETRY_ABORT:
+            raise SymmetryDriftError(
+                f"symmetry drift {drift:.3e} at t={t:.6g} exceeds {SYMMETRY_ABORT}"
+            )
+        S = np.add(S5, S5.T)
+        np.multiply(0.5, S, out=S)
+        if S.tobytes() == S5.tobytes():  # ks[6] = rhs(S5) is then rhs(S) (FSAL)
+            ks[0] = ks[6]
+        else:  # the projection moved a bit: refresh the first stage
+            _riccati_rhs(S, *self.rhs_args, ks[0], self.work)
+        self.S = S
+        self.states.append(S)
+
+    def trajectory(self, times):
+        return [(t, BlockSym2n._wrap(S)) for t, S in zip(times, self.states)]
+
+
+class _PackedStepper:
+    """integrate_S's steps for a scalar pair: the floats (a, b, c) of the
+    n = 1 block of S, with the interface of _MatrixStepper."""
+
+    def __init__(self, K):
+        self.n, self.k1, self.k2 = K.n, K.k1, K.k2
+        self.s = (0.0, 0.0, 0.0)
+        self.states = [self.s]
+        # stage derivatives of a, b and c; slot 0 is the FSAL slot
+        self.ka, self.kb, self.kc = ([d] * 7 for d in self._rhs(*self.s))
+
+    def _rhs(self, a, b, c):
+        k1, k2 = self.k1, self.k2
+        return (2.0 * b + (k1 * a * a + k2 * b * b),
+                c + (k1 * a * b + k2 * b * c),
+                -2.0 + (k1 * b * b + k2 * c * c))
+
+    def trial(self, h, tol):
+        a, b, c = self.s
+        ka, kb, kc = self.ka, self.kb, self.kc
+        try:
+            for i, row in _DP_ROWS:  # y = s + h * fsum(row * k), then k = rhs(y)
+                ya = a + h * fsum(map(mul, row, ka))
+                yb = b + h * fsum(map(mul, row, kb))
+                yc = c + h * fsum(map(mul, row, kc))
+                ka[i], kb[i], kc[i] = self._rhs(ya, yb, yc)
+            ea, eb, ec = (fsum(map(mul, _DP_E_ROW, k)) for k in (ka, kb, kc))
+        except (OverflowError, ValueError):  # fsum met inf - inf or overflowed: reject
+            return nan
+        self.s5 = (ya, yb, yc)  # the last stage is taken at the 5th-order solution
+        scale = tol * (1.0 + max(abs(ya), abs(yb), abs(yc)))
+        return h * max(abs(ea), abs(eb), abs(ec)) / scale
+
+    def accept(self, t):
+        ka, kb, kc = self.ka, self.kb, self.kc
+        ka[0], kb[0], kc[0] = ka[6], kb[6], kc[6]  # rhs(S5), and S5 is the new S (FSAL)
+        self.s = self.s5
+        self.states.append(self.s)
+
+    def trajectory(self, times):
+        n = self.n
+        blocks = np.array(self.states)[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+        stack = np.zeros((len(blocks), 2, n, 2, n))
+        for i in range(n):  # s (x) I_n, with +0.0 off the block diagonals
+            stack[:, :, i, :, i] = blocks
+        stack = stack.reshape(-1, 2 * n, 2 * n)
+        return [(t, BlockSym2n._wrap(S)) for t, S in zip(times, stack)]
 
 
 def _scaled_inverse(S, times, n):
@@ -829,7 +938,10 @@ def residual_defect(K, trajectory):
     pair) and measure the mismatch with the stored later snapshot,
     scaled the same way the step controller scales its local error.
     All intervals advance together as one stack.  Returns the max over
-    the trajectory.
+    the trajectory.  The right-hand side is the numpy matrix form, so
+    for a scalar pair, whose trajectory integrate_S steps as the three
+    floats of its packed state, it also checks that float right-hand
+    side with an independent implementation.
     """
     K = _as_curvature(K)
     if len(trajectory) < 2:

@@ -142,19 +142,19 @@ def _box_problem(p, kernel_times=()):
 
 # The riccati campaign refuses a dimension n above this.  It takes 4n x 4n
 # exponentials at every eval time, so its time grows as n^3 and its memory
-# as n^2: at the other defaults, on 2 vCPUs, n = 64 takes about 1.6 s and
-# 200 MB, and n = 100 about 6.4 s and 440 MB.
+# as n^2: at the other defaults, on 2 vCPUs with OpenBLAS on one thread,
+# n = 64 takes about 1.0 s and 200 MB, and n = 100 about 3.1 s and 440 MB.
 MAX_RICCATI_N = 64
 # The riccati campaign refuses an n_eval above this, by the same budget: each
 # eval time costs one integrator step, one exponential and one inversion, so
-# at the other defaults, on 2 vCPUs, n_eval = 10000 takes about 1.6 s and
-# 49 MB, and n_eval = 20000 about 3.2 s and 65 MB.
+# at the other defaults, measured as above, n_eval = 10000 takes about
+# 0.26 s and 49 MB, and n_eval = 20000 about 0.52 s and 65 MB.
 MAX_RICCATI_N_EVAL = 10000
 # The riccati campaign refuses an n_eval * n^2 above this, by the same
 # budget: its stack of exponentials grows as n_eval * n^2, so within both
-# bounds above, on 2 vCPUs, 100000 (n = 10 at n_eval = 1000, or n = 5 at
-# 4000) takes about 1.0 to 1.3 s and 155 MB, n = 4 at n_eval = 10000
-# (160000) about 2.2 s and 220 MB, and n = 8 at 10000 about 6.2 s and
+# bounds above, measured as above, 100000 (n = 10 at n_eval = 1000, or n = 5
+# at 4000) takes about 0.3 to 0.4 s and 155 MB, n = 4 at n_eval = 10000
+# (160000) about 0.73 s and 220 MB, and n = 8 at 10000 about 2.4 s and
 # 736 MB.  n = 64 at the default n_eval (86016) still runs.
 MAX_RICCATI_STACK = 100000
 
@@ -297,6 +297,14 @@ def _campaign_pde_harnack(cfg):
         field = kinetic_pde.kernel_field(
             p["t0"], extent=p["extent"], n=int(p["n_grid"]), sigma2=p["sigma2"]
         )
+        # the scalar check's closed form has a cap at t1 that depends on K
+        # alone: refuse it before the evolution, but let evolve's own
+        # refusals (work bound, CFL, diffusion number) take precedence
+        try:
+            closed_forms._check_arg_cap(closed_forms.classify(K.k1, K.k2), p["t1"])
+        except ric.CapError:
+            kinetic_pde._plan(field, pot, p["t1"], p["scheme"])
+            raise
         field, evo = kinetic_pde.evolve(field, pot, p["t1"], scheme=p["scheme"])
         mrep = kinetic_pde.verify_matrix_harnack(
             field, pot, curvature=K, tolerance=p["tolerance"], region=region

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -203,6 +204,20 @@ class TestParse:
         err = capsys.readouterr().err
         assert f"t1={float(t1)!r}" in err
         assert "cell-steps" in err and "MAX_CELL_STEPS" in err
+        assert not out.exists()
+
+    def test_a_time_past_the_closed_form_cap_exits_before_the_evolution(self, tmp_path,
+                                                                          capsys):
+        # the scalar check's cap depends on K and t1 alone; checked only after
+        # the evolution, this run would evolve for about 9 s first
+        out = tmp_path / "out"
+        argv = ["pde-harnack", "--set", "n_grid=17", "--set", "t0=42.8", "--set", "t1=11253"]
+        start = time.perf_counter()
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "t1=11253" in err
+        assert "hyperbolic argument 1.13e+04 exceeds cap 700 for regime CASE4 at t=11253" in err
         assert not out.exists()
 
     # charged by cells alone: 2.7e8 cell-steps that ran past 20 s, and 8.7e8

@@ -12,6 +12,7 @@ from harnack_forge.riccati_engine import (
     CurvatureBound,
     InputError,
     SingularityError,
+    StepUnderflowError,
     S_from_M,
     _states_at,
     bound_N,
@@ -224,6 +225,13 @@ class TestIntegrateS:
         K = CurvatureBound(k1=1.0, k2=2.0, n=1)
         grid = [t for t, _ in integrate_S(K, 1e-13, eval_times=[1e-14])]
         assert 1e-14 in grid and grid[-1] == 1e-13
+
+    @pytest.mark.parametrize("k1, k2", [(1e300, 1e300), (1e200, 1e100), (1.0, 1e160)])
+    def test_overflowing_stages_collapse_the_step_size(self, k1, k2):
+        # every trial step overflows its stages to inf - inf, which fsum
+        # refuses: the step is rejected until it falls under the floor
+        with pytest.raises(StepUnderflowError, match="last valid time 0$"):
+            integrate_S(CurvatureBound(k1=k1, k2=k2, n=1), 1.0)
 
     def test_reintegration_defect_small(self):
         K = CurvatureBound(k1=1.0, k2=0.5, n=1)
