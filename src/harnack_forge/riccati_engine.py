@@ -17,7 +17,8 @@ M(t) = exp(tH) with S recovered from the block ratio M1 M3^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial, fsum, nan
+from itertools import product, tee
+from math import factorial, fsum, isfinite, nan
 from operator import mul
 
 import numpy as np
@@ -188,6 +189,7 @@ class CurvatureBound:
             self.n = K.shape[0] // 2
             self.k1 = None
             self.k2 = None
+            lo = float(np.linalg.eigvalsh(K)[0])
         else:
             if k1 is None or k2 is None:
                 raise ValueError("scalar form needs both k1 and k2")
@@ -202,7 +204,7 @@ class CurvatureBound:
             self.n = n
             self.k1 = k1
             self.k2 = k2
-        lo = float(np.linalg.eigvalsh(K)[0])
+            lo = min(k1, k2)  # the eigenvalues of diag(k1 I, k2 I)
         if lo < -PSD_TOL:
             raise ValueError(f"K must be positive semidefinite; min eig {lo:.3e}")
         self.K = K
@@ -337,7 +339,9 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
       to +0.0 counts as a change), and otherwise the first stage is
       evaluated at S afresh.  Each operation, operand and order is that
       of the plain per-step expressions, so the trajectory has their
-      bits.
+      bits.  The stages run with numpy's overflow and invalid warnings
+      off, and a step whose S5 or error is not finite is rejected, so a
+      blow-up ends in StepUnderflowError, as for a scalar pair.
 
     Parameters
     ----------
@@ -460,16 +464,21 @@ class _MatrixStepper:
 
     def trial(self, h, tol):
         S, stage, inc, inc_2d = self.S, self.stage, self.inc, self.inc_2d
-        for k, row, done in self.stages:  # stage = S + h * (row @ done), then k = rhs(stage)
-            np.matmul(row, done, out=inc)
-            np.multiply(h, inc, out=inc)
-            np.add(S, inc_2d, out=stage)
-            _riccati_rhs(stage, *self.rhs_args, k, self.work)
-        # the last stage is taken at the 5th-order solution S5 (FSAL)
-        scale = tol * (1.0 + np.abs(stage, out=self.sq).max())
-        errv = self.errv
-        np.matmul(_DP_E, self.flat, out=errv)
-        return float(h * np.abs(errv, out=errv).max() / scale)
+        # a stage that overflows leaves inf or NaN behind, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, row, done in self.stages:  # stage = S + h * (row @ done), then k = rhs(stage)
+                np.matmul(row, done, out=inc)
+                np.multiply(h, inc, out=inc)
+                np.add(S, inc_2d, out=stage)
+                _riccati_rhs(stage, *self.rhs_args, k, self.work)
+            # the last stage is taken at the 5th-order solution S5 (FSAL)
+            scale = tol * (1.0 + np.abs(stage, out=self.sq).max())
+            errv = self.errv
+            np.matmul(_DP_E, self.flat, out=errv)
+            err = float(h * np.abs(errv, out=errv).max() / scale)
+        # reject a step whose error or S5 is not finite (an S5 with an inf
+        # entry would scale its error to 0)
+        return err if isfinite(err) and isfinite(scale) else nan
 
     def accept(self, t):
         S5, sq, ks = self.stage, self.sq, self.ks
@@ -937,28 +946,40 @@ def residual_defect(K, trajectory):
     with 8 fixed RK4 substeps (an integrator independent of the adaptive
     pair) and measure the mismatch with the stored later snapshot,
     scaled the same way the step controller scales its local error.
-    All intervals advance together as one stack.  Returns the max over
-    the trajectory.  The right-hand side is the numpy matrix form, so
-    for a scalar pair, whose trajectory integrate_S steps as the three
-    floats of its packed state, it also checks that float right-hand
-    side with an independent implementation.
+    All intervals advance together as one stack, in a workspace
+    allocated once per call: each substep writes its stages, stage
+    states and update in place, with the operations, operands and order
+    of the plain expressions S + 0.5 h k1, ..., S + h / 6 (k1 + 2 k2 +
+    2 k3 + k4), so the result has their bits.  Returns the max over the
+    trajectory.  The right-hand side is the numpy matrix form, so for a
+    scalar pair, whose trajectory integrate_S steps as the three floats
+    of its packed state, it also checks that float right-hand side with
+    an independent implementation.
     """
     K = _as_curvature(K)
     if len(trajectory) < 2:
         return 0.0
     sp = build_structural(K.n)
-    negC, CT, D, Km = -sp.C, sp.C.T, sp.D, K.K
+    rhs_args = (-sp.C, sp.C.T, sp.D, K.K)
     ts = np.array([t for t, _ in trajectory])
     snaps = np.array([S.entries for _, S in trajectory])
-    S, S1 = snaps[:-1], snaps[1:]
+    S, S1 = snaps[:-1].copy(), snaps[1:]  # S advances in place
     h = ((ts[1:] - ts[:-1]) / 8.0)[:, None, None]
-    k1, k2, k3, k4, *work = np.empty((6,) + S.shape)
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    k1, k2, k3, k4, y, acc, *work = np.empty((8,) + S.shape)
     for _ in range(8):
-        _riccati_rhs(S, negC, CT, D, Km, k1, work)
-        _riccati_rhs(S + 0.5 * h * k1, negC, CT, D, Km, k2, work)
-        _riccati_rhs(S + 0.5 * h * k2, negC, CT, D, Km, k3, work)
-        _riccati_rhs(S + h * k3, negC, CT, D, Km, k4, work)
-        S = S + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        _riccati_rhs(S, *rhs_args, k1, work)
+        for k, c, nxt in ((k1, half_h, k2), (k2, half_h, k3), (k3, h, k4)):
+            np.multiply(c, k, out=y)  # y = S + c k, then nxt = rhs(y)
+            np.add(S, y, out=y)
+            _riccati_rhs(y, *rhs_args, nxt, work)
+        np.multiply(2, k2, out=acc)  # acc = k1 + 2 k2 + 2 k3 + k4, left to right
+        np.add(k1, acc, out=acc)
+        np.multiply(2, k3, out=y)
+        np.add(acc, y, out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(sixth_h, acc, out=acc)
+        np.add(S, acc, out=S)
     scale = 1.0 + np.abs(S1).max(axis=(1, 2))
     return _worst(np.abs(S - S1).max(axis=(1, 2)) / scale)
 
@@ -1007,9 +1028,26 @@ def _worst(values):
 
 
 def trajectory_to_csv(trajectory):
-    """Serialize a trajectory as CSV: header t,entry_00,entry_01,... row-major."""
+    """Serialize a trajectory as CSV: header t,entry_00,entry_01,... row-major.
+
+    Each column is formatted once.  A column entry_ji below the diagonal
+    whose values equal those of entry_ij bit for bit in every row, as in
+    every state integrate_S returns, takes entry_ij's text; one that
+    differs anywhere, if only in the sign of a zero or within
+    SYMMETRY_TOL, is formatted from its own values.
+    """
     dim = trajectory[0][1].entries.shape[0]
-    header = ["t"] + [f"entry_{i}{j}" for i in range(dim) for j in range(dim)]
+    pairs = list(product(range(dim), repeat=2))
+    header = ["t"] + [f"entry_{i}{j}" for i, j in pairs]
     ts, states = zip(*trajectory)
-    entries = np.array([S.entries.ravel() for S in states])
-    return _csv.csv_text(header, [_csv.floats(ts), *map(_csv.floats, entries.T)])
+    entries = np.array([S.entries for S in states])
+    bits = entries.view(np.uint64)
+    mirrored = (bits == bits.transpose(0, 2, 1)).all(axis=0)
+    columns = {}
+    for i, j in pairs:
+        if (i, j) in columns:
+            continue  # tee'd from its mirror above the diagonal
+        columns[i, j] = _csv.floats(entries[:, i, j])
+        if i < j and mirrored[i, j]:
+            columns[i, j], columns[j, i] = tee(columns[i, j])
+    return _csv.csv_text(header, [_csv.floats(ts), *(columns[ij] for ij in pairs)])

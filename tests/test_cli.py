@@ -14,9 +14,33 @@ import pytest
 
 import harnack_forge.riccati_engine as ric
 import harnack_forge.verifier_cli as cli
-from harnack_forge import closed_forms
+from harnack_forge import _csv, closed_forms
 from harnack_forge.control_cost import ControlProblem, cost_csv, energy_cost, transcribe_cost
 from harnack_forge.kinetic_pde import kernel_field, load_snapshot, save_snapshot, snapshot_csv
+
+
+def _reference_closed_form(p):
+    """closed_form_agreement.csv and its worst error, built row by row."""
+    times = np.linspace(p["t_lo"], p["t_hi"], int(p["n_t"]))
+    rows = []
+    for k1, k2 in p["pairs"]:
+        K = ric.CurvatureBound(k1=k1, k2=k2, n=1)
+        oracles = ric.S_from_M(ric.fundamental_M(K, times))
+        for t, oracle in zip(times, oracles):
+            sf = closed_forms.eval_sfuncs(k1, k2, float(t))
+            N_cf = closed_forms.assemble_bound(sf, n=1).entries
+            N_or = oracle.entries
+            scale = float(np.abs(N_or).max())
+            for lbl, (i, j) in (("xx", (0, 0)), ("xv", (0, 1)), ("vv", (1, 1))):
+                rel = abs(N_cf[i, j] - N_or[i, j]) / scale
+                rows.append((sf.regime.tag, k1, k2, t, lbl, N_cf[i, j], N_or[i, j], rel))
+    tags, k1s, k2s, ts, entries, cfs, ors, rels = zip(*rows)
+    text = _csv.csv_text(
+        ["regime", "k1", "k2", "t", "entry", "closed_form", "oracle", "rel_err"],
+        [tags, *map(_csv.floats, (k1s, k2s, ts)), entries,
+         *map(_csv.floats, (cfs, ors, rels))],
+    )
+    return text, max(rels)
 
 
 class TestParse:
@@ -369,6 +393,24 @@ class TestMain:
             rows.append((*ends, exact, "closed_form", 0, 0.0))
             rows.append((*ends, trans, "transcribe", p["m"], gap))
         assert (tmp_path / "control_costs.csv").read_bytes() == cost_csv(rows).encode()
+
+    @pytest.mark.parametrize("n_t", [1, 7])
+    def test_closed_form_csv_matches_its_per_row_table(self, tmp_path, n_t):
+        # the campaign stacks each pair's entries; its table and worst error
+        # must equal those of the per-row loop, over all five regimes, a
+        # repeated pair and an integer pair
+        pairs = [[1.0, 2.0], [2, 2], [1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [1.0, 2.0]]
+        assert {closed_forms.classify(*k).tag for k in pairs} == {
+            closed_forms.CASE1, closed_forms.CASE2, closed_forms.CASE3,
+            closed_forms.CASE4, closed_forms.CASE5}
+        argv = ["closed-form", "--out", str(tmp_path), "--set", f"pairs={json.dumps(pairs)}",
+                "--set", f"n_t={n_t}"]
+        assert cli.main(argv) == 0
+        p = {**cli.DEFAULTS["closed-form"], "pairs": pairs, "n_t": n_t}
+        text, worst = _reference_closed_form(p)
+        assert (tmp_path / "closed_form_agreement.csv").read_text() == text
+        report = json.loads((tmp_path / "report_closed-form.json").read_text())
+        assert report["metrics"]["worst_relative_error"] == worst
 
     def test_control_cost_gap_is_relative_on_wide_windows(self, tmp_path):
         # every cost of a window of width 2e30 is about 1e-30; a gap floored

@@ -1,6 +1,7 @@
 """Tests for the Riccati engine against closed-form and dual-route oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,20 @@ class TestIntegrateS:
         # refuses: the step is rejected until it falls under the floor
         with pytest.raises(StepUnderflowError, match="last valid time 0$"):
             integrate_S(CurvatureBound(k1=k1, k2=k2, n=1), 1.0)
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1e300, 1e300]), np.diag([1e200, 1e100]), np.diag([1.0, 1e160]),
+        [[1e300, 1e299], [1e299, 1e300]],
+    ], ids=["diag-1e300", "diag-1e200-1e100", "diag-1-1e160", "full"])
+    def test_overflowing_matrix_stages_collapse_the_step_size(self, matrix):
+        # the numpy stages of a matrix K overflow to inf and NaN, and must not
+        # warn (a warning is an error here): each step's error is not finite,
+        # so the step is rejected until it falls under the floor, as in
+        # scalar form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StepUnderflowError, match="last valid time 0$"):
+                integrate_S(CurvatureBound(matrix=matrix), 1.0)
 
     def test_reintegration_defect_small(self):
         K = CurvatureBound(k1=1.0, k2=0.5, n=1)
@@ -492,6 +507,48 @@ def test_strong_curvature_settles_to_stationary_solution():
     rhs = -sp.C @ A - A @ sp.C.T - sp.D + A @ K.K @ A
     assert np.abs(rhs).max() < 1e-6
     assert t_end == 50.0
+
+
+def _plain_trajectory_csv(trajectory):
+    # every field from its own value, row by row
+    dim = trajectory[0][1].entries.shape[0]
+    header = ["t"] + [f"entry_{i}{j}" for i in range(dim) for j in range(dim)]
+    lines = [",".join(header)]
+    for t, S in trajectory:
+        lines.append(",".join(repr(float(x)) for x in [t, *S.entries.ravel().tolist()]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (0.25 + 1e-14, 0.25),  # symmetric within SYMMETRY_TOL, not bit for bit
+    (-0.0, 0.0),
+    (0.0, -0.0),
+    (np.nan, 0.25),
+    (0.25, np.nan),
+], ids=["within-tol", "neg-zero-below", "neg-zero-above", "nan-below", "nan-above"])
+def test_trajectory_csv_formats_a_column_that_differs_from_its_mirror(lower, upper):
+    # one row of entry_10 differs from entry_01; every other row, and the
+    # NaN mirrored pair of the 4 x 4 state, matches bit for bit
+    K = CurvatureBound(k1=1.0, k2=2.0, n=1)
+    traj = integrate_S(K, 1.0, eval_times=[0.5])
+    A = traj[2][1].entries.copy()
+    A[1, 0], A[0, 1] = lower, upper
+    odd = traj[:2] + [(traj[2][0], BlockSym2n._wrap(A))] + traj[3:]
+    assert trajectory_to_csv(odd) == _plain_trajectory_csv(odd)
+    B = np.arange(16.0).reshape(4, 4)
+    B = B + B.T
+    B[3, 1] = B[1, 3] = np.nan
+    B[2, 0], B[0, 2] = lower, upper
+    wide = [(0.5, BlockSym2n._wrap(B + 1.0)), (1.0, BlockSym2n._wrap(B))]
+    assert trajectory_to_csv(wide) == _plain_trajectory_csv(wide)
+
+
+def test_trajectory_csv_matches_plain_formatting():
+    K = CurvatureBound(matrix=[[2.0, 0.3, 0.5, 0.1], [0.3, 1.0, 0.2, 0.4],
+                               [0.5, 0.2, 1.5, 0.6], [0.1, 0.4, 0.6, 1.2]])
+    for traj in (integrate_S(K, 1.0, eval_times=[0.25, 0.5]),
+                 integrate_S(CurvatureBound(k1=1.0, k2=0.5, n=3), 1.0)):
+        assert trajectory_to_csv(traj) == _plain_trajectory_csv(traj)
 
 
 def test_trajectory_csv_roundtrip():
