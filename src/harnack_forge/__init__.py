@@ -83,7 +83,6 @@ from .riccati_engine import (
     SingularityError,
     StepUnderflowError,
     StructuralPair,
-    SymmetryDriftError,
     S_from_M,
     bound_N,
     build_structural,

@@ -26,7 +26,6 @@ import numpy as np
 from . import _csv
 
 SYMMETRY_TOL = 1e-12
-SYMMETRY_ABORT = 1e-9
 PSD_TOL = 1e-12
 # the largest argument of exp the package takes: exp(700) ~ 1e304 is below overflow
 EXP_ARG_CAP = 700.0
@@ -65,14 +64,6 @@ class StepUnderflowError(RuntimeError):
         self.last_valid_time = last_valid_time
 
 
-class SymmetryDriftError(RuntimeError):
-    """Integration state lost symmetry beyond the abort threshold.
-
-    Only integrate_S's stepper for a matrix K raises it: the packed
-    state of a scalar pair is symmetric by construction.
-    """
-
-
 class SingularityError(RuntimeError):
     """A matrix that must be inverted is numerically singular.
 
@@ -96,25 +87,28 @@ class BlockSym2n:
 
     Parameters
     ----------
-    entries : (2n, 2n) array_like
+    entries : (2n, 2n) array_like, n >= 1
         Symmetric matrix; symmetry is enforced to 1e-12 at construction.
     symmetrize : bool
         If True, store the symmetric part 0.5 (A + A^T) whatever the
-        asymmetry; no asymmetry scan runs.  If False, raise ValueError when
-        max|A - A^T| exceeds SYMMETRY_TOL.
+        asymmetry; no asymmetry scan runs.  If False, raise ValueError
+        unless max|A - A^T| is at most SYMMETRY_TOL, so an entry that is
+        NaN or infinite is refused.
     """
 
     __slots__ = ("n", "entries")
 
     def __init__(self, entries, symmetrize=False):
         A = np.array(entries, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-            raise ValueError(f"expected square 2n x 2n matrix, got {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2 or not A.size:
+            raise ValueError(f"entries must be a square 2n x 2n matrix with n >= 1, "
+                             f"got shape {A.shape}")
         if symmetrize:
             A = 0.5 * (A + A.T)
         else:
-            drift = float(np.abs(A - A.T).max()) if A.size else 0.0
-            if drift > SYMMETRY_TOL:
+            with np.errstate(invalid="ignore"):  # inf - inf is a NaN drift, refused
+                drift = float(np.abs(A - A.T).max())
+            if not drift <= SYMMETRY_TOL:
                 raise ValueError(f"matrix not symmetric: max|A - A^T| = {drift:.3e}")
         self.n = A.shape[0] // 2
         self.entries = A
@@ -180,8 +174,8 @@ class CurvatureBound:
             if k1 is not None or k2 is not None:
                 raise ValueError("pass either (k1, k2) or matrix, not both")
             K = np.array(matrix, dtype=float)
-            if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2:
-                raise ValueError(f"K must be square 2n x 2n, got {K.shape}")
+            if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2 or not K.size:
+                raise ValueError(f"K must be square 2n x 2n with n >= 1, got {K.shape}")
             if not np.isfinite(K).all():
                 raise ValueError("K must be finite")
             if np.abs(K - K.T).max() > SYMMETRY_TOL:
@@ -240,9 +234,12 @@ def small_time_S(K, t):
     """Leading small-time expansion of S(t).
 
     S ~ [[-2t^3/3 I, -t^2 I], [-t^2 I, -2t I + 4t^3/3 K_vv]]; the K
-    coupling enters the (v,v) block first, at third order.
+    coupling enters the (v,v) block first, at third order.  t must be
+    finite and >= 0 (S(0) = 0), else InputError.
     """
     K = _as_curvature(K)
+    if not 0 <= float(t) < np.inf:
+        raise InputError(f"t={t!r} must be finite and >= 0")
     n = K.n
     I = np.eye(n)
     Kvv = K.K[n:, n:]
@@ -324,24 +321,22 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
       Each stage and error sum is math.fsum over the rounded products of
       the tableau row with the stages; a step whose sums meet inf - inf
       or overflow is rejected, as a NaN error would be, and Python floats
-      raise no float warnings on the way.  The state is symmetric by
-      construction, so no projection runs and the last stage is always
-      the next first stage (FSAL).  The trajectory is built once, at the
-      end: each S is a view of one stack, with s (x) I_n on the diagonals
-      of its blocks and +0.0 everywhere else.
+      raise no float warnings on the way.  The trajectory is built once,
+      at the end: each S is a view of one stack, with s (x) I_n on the
+      diagonals of its blocks and +0.0 everywhere else.
     - A matrix K steps the 2n x 2n S in numpy, in a workspace allocated
       once per call (the stage state, its increment, the error vector
       and the right-hand side's temporaries are written in place), and
-      only each accepted S is a fresh array.  Each accepted S5 is
-      projected, S = 0.5 (S5 + S5^T); its last stage's derivative
-      doubles as the next first stage (FSAL) when the projection leaves
-      every bit of S5 as it was (compared byte for byte, so -0.0 turned
-      to +0.0 counts as a change), and otherwise the first stage is
-      evaluated at S afresh.  Each operation, operand and order is that
-      of the plain per-step expressions, so the trajectory has their
-      bits.  The stages run with numpy's overflow and invalid warnings
-      off, and a step whose S5 or error is not finite is rejected, so a
-      blow-up ends in StepUnderflowError, as for a scalar pair.
+      only each accepted S is a fresh array.  Each stage state takes
+      every entry below the diagonal from its mirror above it; otherwise
+      each operation, operand and order is that of the plain per-step
+      expressions, so the trajectory has their bits.  The stages run
+      with numpy's overflow and invalid warnings off, and a step whose
+      S5 or error is not finite is rejected, so a blow-up ends in
+      StepUnderflowError, as for a scalar pair.
+
+    Either state is symmetric by construction, so no projection runs and
+    the last stage, taken at S5, is always the next first stage (FSAL).
 
     Parameters
     ----------
@@ -377,9 +372,6 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
     StepUnderflowError
         If the adaptive step size collapses under the floor (stiff
         blow-up).
-    SymmetryDriftError
-        For a matrix K only: if max|S5 - S5^T| exceeds 1e-9 before
-        projection.
     """
     K = _as_curvature(K)
     t_end = float(t_end)
@@ -426,7 +418,7 @@ def integrate_S(K, t_end, tol=1e-10, eval_times=None):
         if err <= 1.0:
             # land on the target exactly: t + (t_next - t) can miss it by an ulp
             t = t_next if hits_target else t + h
-            stepper.accept(t)
+            stepper.accept()
             times.append(t)
         h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
 
@@ -437,7 +429,7 @@ class _MatrixStepper:
     """integrate_S's steps for a matrix K: the 2n x 2n state in numpy.
 
     trial(h, tol) takes one step from the accepted S and returns its
-    scaled error; accept(t) keeps it; trajectory(times) pairs the
+    scaled error; accept() keeps it; trajectory(times) pairs the
     accepted states with their times.
     """
 
@@ -449,12 +441,15 @@ class _MatrixStepper:
         self.states = [self.S]
         self.ks = np.empty((7, dim, dim))  # stage derivatives; ks[0] is the FSAL slot
         self.flat = self.ks.reshape(7, dim * dim)  # tableau rows contract it in one matmul
+        # the flat index of each entry (i, j)'s upper-triangle mirror
+        # (min(i, j), max(i, j)): every stage takes its entries through it
+        i, j = np.indices((dim, dim))
+        self.mirror = np.minimum(i, j) * dim + np.maximum(i, j)
         # the workspace, written in place at every step: the stage state, its
-        # increment, the error vector, a scratch matrix for the norm and the
-        # drift, and the right-hand side's two temporaries
+        # increment, the error vector, a scratch matrix for the norm, and the
+        # right-hand side's two temporaries
         self.stage = np.empty((dim, dim))
         self.inc = np.empty(dim * dim)
-        self.inc_2d = self.inc.reshape(dim, dim)
         self.errv = np.empty(dim * dim)
         self.sq = np.empty((dim, dim))
         self.work = (np.empty((dim, dim)), np.empty((dim, dim)))
@@ -463,13 +458,15 @@ class _MatrixStepper:
         _riccati_rhs(self.S, *self.rhs_args, self.ks[0], self.work)
 
     def trial(self, h, tol):
-        S, stage, inc, inc_2d = self.S, self.stage, self.inc, self.inc_2d
+        S, stage, inc = self.S.reshape(-1), self.stage, self.inc
         # a stage that overflows leaves inf or NaN behind, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, row, done in self.stages:  # stage = S + h * (row @ done), then k = rhs(stage)
+            for k, row, done in self.stages:  # stage = S + h * (row @ done), mirrored
                 np.matmul(row, done, out=inc)
                 np.multiply(h, inc, out=inc)
-                np.add(S, inc_2d, out=stage)
+                np.add(S, inc, out=inc)
+                # every index is in range: "clip" writes out unbuffered
+                np.take(inc, self.mirror, out=stage, mode="clip")
                 _riccati_rhs(stage, *self.rhs_args, k, self.work)
             # the last stage is taken at the 5th-order solution S5 (FSAL)
             scale = tol * (1.0 + np.abs(stage, out=self.sq).max())
@@ -480,22 +477,10 @@ class _MatrixStepper:
         # entry would scale its error to 0)
         return err if isfinite(err) and isfinite(scale) else nan
 
-    def accept(self, t):
-        S5, sq, ks = self.stage, self.sq, self.ks
-        np.subtract(S5, S5.T, out=sq)
-        drift = float(np.abs(sq, out=sq).max())
-        if drift > SYMMETRY_ABORT:
-            raise SymmetryDriftError(
-                f"symmetry drift {drift:.3e} at t={t:.6g} exceeds {SYMMETRY_ABORT}"
-            )
-        S = np.add(S5, S5.T)
-        np.multiply(0.5, S, out=S)
-        if S.tobytes() == S5.tobytes():  # ks[6] = rhs(S5) is then rhs(S) (FSAL)
-            ks[0] = ks[6]
-        else:  # the projection moved a bit: refresh the first stage
-            _riccati_rhs(S, *self.rhs_args, ks[0], self.work)
-        self.S = S
-        self.states.append(S)
+    def accept(self):
+        self.ks[0] = self.ks[6]  # rhs(S5), and S5 is the new S (FSAL)
+        self.S = self.stage.copy()
+        self.states.append(self.S)
 
     def trajectory(self, times):
         return [(t, BlockSym2n._wrap(S)) for t, S in zip(times, self.states)]
@@ -534,7 +519,7 @@ class _PackedStepper:
         scale = tol * (1.0 + max(abs(ya), abs(yb), abs(yc)))
         return h * max(abs(ea), abs(eb), abs(ec)) / scale
 
-    def accept(self, t):
+    def accept(self):
         ka, kb, kc = self.ka, self.kb, self.kc
         ka[0], kb[0], kc[0] = ka[6], kb[6], kc[6]  # rhs(S5), and S5 is the new S (FSAL)
         self.s = self.s5
@@ -1034,8 +1019,11 @@ def trajectory_to_csv(trajectory):
     whose values equal those of entry_ij bit for bit in every row, as in
     every state integrate_S returns, takes entry_ij's text; one that
     differs anywhere, if only in the sign of a zero or within
-    SYMMETRY_TOL, is formatted from its own values.
+    SYMMETRY_TOL, is formatted from its own values.  An empty trajectory
+    raises ValueError.
     """
+    if not trajectory:
+        raise ValueError("trajectory must not be empty")
     dim = trajectory[0][1].entries.shape[0]
     pairs = list(product(range(dim), repeat=2))
     header = ["t"] + [f"entry_{i}{j}" for i, j in pairs]

@@ -53,7 +53,10 @@ class TestBlockSym2n:
     def test_asymmetry_rejected(self):
         for A in (np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]),
                   np.array([[1.0, 2.0, 0.0, -3.0], [2.0, 1.0, 5.0, 0.0],
-                            [0.0, 4.0, 1.0, 0.0], [-3.0, 0.0, 0.0, 1.0]])):
+                            [0.0, 4.0, 1.0, 0.0], [-3.0, 0.0, 0.0, 1.0]]),
+                  # a NaN drift, and inf - inf on the diagonal without a warning
+                  np.array([[1.0, np.nan], [5.0, 2.0]]),
+                  np.array([[np.inf, 1.0], [2.0, np.inf]])):
             with pytest.raises(ValueError, match="not symmetric"):
                 BlockSym2n(A)
             # same matrix is accepted when projection is requested, whatever
@@ -64,6 +67,16 @@ class TestBlockSym2n:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             BlockSym2n(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: CurvatureBound(matrix=np.zeros((0, 0))), "K must be square"),
+    (lambda: BlockSym2n(np.zeros((0, 0))), "entries must be a square"),
+    (lambda: trajectory_to_csv([]), "trajectory must not be empty"),
+], ids=["curvature-matrix", "block-sym", "trajectory-csv"])
+def test_empty_inputs_rejected_by_name(build, named):
+    with pytest.raises(ValueError, match=named):
+        build()
 
 
 class TestCurvatureBound:
@@ -277,6 +290,13 @@ class TestBoundN:
         want = np.array([[-6 / t**3, 3 / t**2], [3 / t**2, -2 / t]])
         got = bound_N(K, t).entries
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
+
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, np.nan, np.inf])
+    def test_small_time_expansion_refuses_times_outside_its_domain(self, t):
+        K = CurvatureBound(k1=1.0, k2=1.0, n=1)
+        with pytest.raises(InputError, match="must be finite and >= 0"):
+            small_time_S(K, t)
+        assert (small_time_S(K, 0.0).entries == 0.0).all()  # S(0) = 0
 
     def test_times_whose_bound_is_no_float_matrix_are_refused(self):
         # N_xx ~ -6 / t^3: -4.8e307 at 5e-103, then -inf; below ~1.7e-108
