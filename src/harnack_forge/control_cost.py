@@ -70,27 +70,64 @@ class ControlProblem:
         return self.t - self.s
 
 
+def _flow(x0, v0, durations, controls):
+    """Endpoint (x, v) of the exact segment flow from (x0, v0).
+
+    Segment k of duration dt_k under control u_k maps x -> x + dt_k v +
+    dt_k^2/2 u_k and v -> v + dt_k u_k.  Two running sums give the same
+    bits as that per-segment loop: V = accumulate(v0, dt_0 u_0, dt_1 u_1,
+    ...) holds the velocity entering each segment, and the endpoint x is
+    the last of accumulate(x0, dt_0 V_0, (0.5 dt_0) dt_0 u_0, dt_1 V_1,
+    ...), because accumulate adds strictly in sequence, as the loop's
+    (x + dt v) + ((0.5 dt) dt) u does.  Takes (2m + 1) n floats of
+    workspace for m segments in n dimensions.
+    """
+    dt = durations[:, None]
+    m, n = controls.shape
+    V = np.empty((m + 1, n))
+    V[0] = v0
+    np.multiply(dt, controls, out=V[1:])
+    np.add.accumulate(V, axis=0, out=V)
+    X = np.empty((2 * m + 1, n))
+    X[0] = x0
+    np.multiply(dt, V[:-1], out=X[1::2])
+    np.multiply((0.5 * dt) * dt, controls, out=X[2::2])
+    np.add.accumulate(X, axis=0, out=X)
+    return X[-1].copy(), V[-1].copy()
+
+
 class ControlPath:
     """Piecewise-constant-control trajectory with exact segment flow.
 
     Within a segment of duration dt the flow is the exact double
     integrator: x -> x + dt v + dt^2/2 u, v -> v + dt u, so endpoint
-    positions carry no time-stepping error.  The flow runs once, at
-    construction, and only its endpoint is kept.
+    positions carry no time-stepping error.  The flow (_flow) runs once,
+    at construction, and only its endpoint is kept.
+
+    Raises ValueError, naming the input, unless the durations are finite
+    and positive, the controls are finite with shape (m, n) for m
+    durations, and x0 and v0 have shape (n,).
     """
 
     def __init__(self, x0, v0, durations, controls):
         self.durations = np.asarray(durations, dtype=float)
         self.controls = np.asarray(controls, dtype=float)
-        if self.controls.ndim != 2 or self.controls.shape[0] != self.durations.size:
+        if (self.durations.ndim != 1 or self.controls.ndim != 2
+                or self.controls.shape[0] != self.durations.size):
             raise ValueError("controls must have shape (m, n) matching durations")
-        if np.any(self.durations <= 0):
-            raise ValueError("segment durations must be positive")
-        x, v = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
-        for dt, u in zip(self.durations, self.controls):
-            x = x + dt * v + 0.5 * dt * dt * u
-            v = v + dt * u
-        self._end = x, v
+        bad = ~(np.isfinite(self.durations) & (self.durations > 0))
+        if bad.any():
+            raise ValueError("segment durations must be finite and positive, got "
+                             f"{float(self.durations[bad][0])!r}")
+        if not np.isfinite(self.controls).all():
+            raise ValueError("controls must be finite")
+        n = self.controls.shape[1]
+        x0, v0 = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
+        for name, a in (("x0", x0), ("v0", v0)):
+            if a.shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},) to match the "
+                                 f"controls, got shape {a.shape}")
+        self._end = _flow(x0, v0, self.durations, self.controls)
 
     def endpoint(self):
         return self._end[0].copy(), self._end[1].copy()
@@ -146,13 +183,14 @@ def energy_cost(problem):
 
 
 def _correct_last_two(problem, m, controls):
-    """Replace the last two controls so the endpoint is hit exactly."""
+    """Replace the last two controls so the endpoint is hit exactly.
+
+    The first m - 2 controls are flowed (_flow) over segments of length
+    tau / m; the last two then solve the endpoint map from the state they
+    leave.
+    """
     h = problem.tau / m
-    x, v = problem.x0.copy(), problem.v0.copy()
-    for i in range(m - 2):
-        u = controls[i]
-        x = x + h * v + 0.5 * h * h * u
-        v = v + h * u
+    x, v = _flow(problem.x0, problem.v0, np.full(m - 2, h), controls[: m - 2])
     rx = problem.x1 - x - 2 * h * v
     rv = problem.v1 - v
     a = rx / h**2 - rv / (2 * h)
@@ -340,13 +378,20 @@ def harnack_rhs(s, t, cost, n=1, k1=0.0, k2=0.0, U_start=0.0, U_end=0.0):
     taken from the curvature regime (k1, k2) of the potential.  Computed
     in log space and exponentiated at the end, so extreme endpoint pairs
     degrade to 0 or inf gracefully rather than overflowing midway.
+    Raises ValueError unless 0 < s < t.
     """
     lg = log_harnack_rhs(s, t, cost, n=n, k1=k1, k2=k2, U_start=U_start, U_end=U_end)
     return float(np.exp(min(lg, EXP_ARG_CAP)))
 
 
 def log_harnack_rhs(s, t, cost, n=1, k1=0.0, k2=0.0, U_start=0.0, U_end=0.0):
-    """Log of harnack_rhs; an array of costs gives an array of logs."""
+    """Log of harnack_rhs; an array of costs gives an array of logs.
+
+    Raises ValueError unless 0 < s < t: the inequality runs forward in
+    time from s > 0, where s0(s) > 0.
+    """
+    if not 0 < s < t:
+        raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
     s0s = eval_sfuncs(k1, k2, s).s0
     s0t = eval_sfuncs(k1, k2, t).s0
     return (
@@ -374,10 +419,14 @@ def verify_harnack_kernel(s, t, n_pairs=1000, seed=0, box=3.0):
     Draws seeded endpoint pairs (x, v) at time s and (y, w) at time t
     from [-box, box]^4, compares log rho_t(y, w) - log rho_s(x, v)
     against the bound with the closed-form energy cost, and reports the
-    worst ratio.  All pairs are priced as one batch: one Gramian form
+    worst ratio.  Also reports the mean-to-mean gap, where the bound is
+    tight (ratio 1 to rounding): the zero endpoints, whose cost is
+    energy_cost of the zero problem, ride as one more row of the batch.
+    All pairs and that anchor are priced as one batch: one Gramian form
     over the pair columns, one log_density call per state and one
-    log_harnack_rhs call on the cost vector.  Also reports the
-    mean-to-mean gap, where the bound is tight (ratio 1 to rounding).
+    log_harnack_rhs call on the cost vector.  log_density and
+    log_harnack_rhs are elementwise over rows, so the anchor's gap has
+    the bits it has when priced alone.
 
     Raises ValueError unless s and t are finite with 0 < s < t,
     n_pairs >= 1 and box is finite and positive.
@@ -396,20 +445,17 @@ def verify_harnack_kernel(s, t, n_pairs=1000, seed=0, box=3.0):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box, box, size=(n_pairs, 4))
     xs, vs, yt, wt = pts.T
-    costs = _gramian_costs(float(t) - float(s), xs, vs, yt, wt)
-    lhs = log_density(state_t, pts[:, 2:]) - log_density(state_s, pts[:, :2])
-    gaps = lhs - log_harnack_rhs(s, t, costs, n=1)
-    worst = int(np.argmin(gaps))
     # tightness anchor: both means sit on the zero-control optimal path
     prob0 = ControlProblem.make(s, t, [0.0], [0.0], [0.0], [0.0])
-    gap0 = (
-        float(log_density(state_t, np.zeros(2)))
-        - float(log_density(state_s, np.zeros(2)))
-        - log_harnack_rhs(s, t, energy_cost(prob0), n=1)
-    )
+    costs = np.append(_gramian_costs(float(t) - float(s), xs, vs, yt, wt),
+                      energy_cost(prob0))
+    batch = np.vstack([pts, np.zeros(4)])  # the anchor is the last row
+    lhs = log_density(state_t, batch[:, 2:]) - log_density(state_s, batch[:, :2])
+    gaps = lhs - log_harnack_rhs(s, t, costs, n=1)
+    worst = int(np.argmin(gaps[:-1]))
     return KernelHarnackReport(
         s=s, t=t, n_pairs=n_pairs, min_ratio=float(np.exp(min(gaps[worst], EXP_ARG_CAP))),
-        min_pair=tuple(pts[worst].tolist()), equality_gap=abs(float(np.expm1(gap0))),
+        min_pair=tuple(pts[worst].tolist()), equality_gap=abs(float(np.expm1(gaps[-1]))),
     )
 
 
@@ -430,15 +476,17 @@ def _endpoint_fields(col):
     return map(";".join, zip(*[texts] * width))  # width consecutive literals per row
 
 
+COST_CSV_HEADER = ["s", "t", "x0", "v0", "x1", "v1", "cost", "method", "m", "gap"]
+
+
 def cost_csv(rows):
     """Serialize cost rows: s,t,x0,v0,x1,v1,cost,method,m,gap.
 
     Vector endpoint components are joined with ';' inside their field.
     """
-    header = ["s", "t", "x0", "v0", "x1", "v1", "cost", "method", "m", "gap"]
     s, t, x0, v0, x1, v1, cost, method, m, gap = zip(*rows) if rows else [()] * 10
     ends = map(_endpoint_fields, (x0, v0, x1, v1))
-    return _csv.csv_text(header, [
+    return _csv.csv_text(COST_CSV_HEADER, [
         _csv.floats(s), _csv.floats(t), *ends, _csv.floats(cost), method, map(str, m),
         _csv.floats(gap),
     ])

@@ -73,7 +73,8 @@ FORM_CAP = sys.float_info.max * 2.0**-64
 
 
 def _write(cfg, name, text):
-    os.makedirs(cfg.out_dir, exist_ok=True)  # here, so a refused run makes none
+    if not os.path.isdir(cfg.out_dir):  # here, so a refused run makes none
+        os.makedirs(cfg.out_dir, exist_ok=True)
     return _csv.write_artifact(os.path.join(cfg.out_dir, name), text)
 
 
@@ -336,7 +337,28 @@ def _campaign_pde_harnack(cfg):
     return metrics, files, mrep.passed and srep.passed
 
 
+# The control-cost campaign refuses an n_pairs above this, by the same
+# budget as the riccati bounds: its CSV holds two rows per pair, so on
+# 2 vCPUs, with the default m and counting about 0.11 s and 37 MB of
+# interpreter start and import, n_pairs = 100000 takes about 0.8 s and
+# 140 MB, and 200000 about 1.4 s and 240 MB.
+MAX_CONTROL_PAIRS = 100000
+# The control-cost campaign refuses an n_pairs * m above this, by the same
+# budget: the transcription holds several (m, n_pairs) arrays of controls,
+# among them the segment flow's (2m + 1) x n_pairs workspace, so, measured
+# as above, 2000000 takes about 0.3 s and 100 MB (n_pairs = 10000 at
+# m = 200) to 160 MB (n_pairs = 1 at m = 2000000), and n_pairs = 100000 at
+# m = 20 about 0.84 s and 150 MB; 4000000 (n_pairs = 1) takes 290 MB.
+MAX_CONTROL_STACK = 2000000
+
+
 def _control_cost_problem(p):
+    if p["n_pairs"] > MAX_CONTROL_PAIRS:
+        return (f"n_pairs={p['n_pairs']!r}: exceeds the bound "
+                f"MAX_CONTROL_PAIRS={MAX_CONTROL_PAIRS}")
+    if p["n_pairs"] * p["m"] > MAX_CONTROL_STACK:
+        return (f"n_pairs={p['n_pairs']!r}, m={p['m']!r}: n_pairs * m exceeds the "
+                f"bound MAX_CONTROL_STACK={MAX_CONTROL_STACK}")
     if not p["s"] < p["t"]:
         return f"needs s < t, got s={p['s']!r}, t={p['t']!r}"
     return _box_problem(p)
@@ -364,15 +386,33 @@ def _campaign_control_cost(cfg):
                              "normal floats, where the two routes cannot be compared")
     gaps = np.abs(trans - exact) / np.abs(exact)
     worst = float(gaps.max())
-    csv_rows = []
-    for pair, e, c, gap in zip(rows.tolist(), exact.tolist(), trans.tolist(), gaps.tolist()):
-        csv_rows.append((s, t, *pair, e, "closed_form", 0, 0.0))
-        csv_rows.append((s, t, *pair, c, "transcribe", p["m"], gap))
-    csv_path = _write(cfg, "control_costs.csv", control_cost.cost_csv(csv_rows))
+    # the rows of control_cost.cost_csv, two per pair (closed form, then
+    # transcription), with each pair's endpoints formatted once for both
+    n_pairs = rows.shape[0]
+    s_text, t_text = _csv.floats([s, t])
+    ends = ([twice for text in _csv.floats(col) for twice in (text, text)]
+            for col in rows.T)
+    text = _csv.csv_text(
+        control_cost.COST_CSV_HEADER,
+        [repeat(s_text, 2 * n_pairs), repeat(t_text, 2 * n_pairs), *ends,
+         _csv.floats(np.stack([exact, trans], axis=1)),
+         ("closed_form", "transcribe") * n_pairs, ("0", str(m)) * n_pairs,
+         _csv.floats(np.stack([np.zeros_like(gaps), gaps], axis=1))],
+    )
+    csv_path = _write(cfg, "control_costs.csv", text)
     return {"worst_relative_gap": worst}, [csv_path], worst <= p["rel_tol"]
 
 
+# The harnack-integrated campaign refuses an n_pairs above this, by the
+# same budget: measured as above, n_pairs = 1000000 takes about 0.42 s and
+# 150 MB, and 2000000 about 0.8 s and 270 MB.
+MAX_KERNEL_PAIRS = 1000000
+
+
 def _harnack_integrated_problem(p):
+    if p["n_pairs"] > MAX_KERNEL_PAIRS:
+        return (f"n_pairs={p['n_pairs']!r}: exceeds the bound "
+                f"MAX_KERNEL_PAIRS={MAX_KERNEL_PAIRS}")
     if not 0 < p["s"] < p["t"]:
         return f"needs 0 < s < t, got s={p['s']!r}, t={p['t']!r}"
     return _box_problem(p, (p["s"], p["t"]))

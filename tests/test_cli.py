@@ -187,6 +187,13 @@ class TestParse:
             ["harnack-integrated", "--set", "s=1", "--set", "t=5e102"],  # CASE5's cap
             ["kernel-sharpness", "--set", "n=1000"],  # over MAX_SHARPNESS_N
             ["riccati", "--set", "n_eval=100000"],  # over MAX_RICCATI_N_EVAL
+            # exited 3 without a bound: 1.49 GiB and 2.98 GiB arrays under a 3 GB ulimit -v
+            ["control-cost", "--set", "m=100000000"],  # over MAX_CONTROL_STACK
+            ["control-cost", "--set", "n_pairs=100000000"],  # over MAX_CONTROL_PAIRS
+            ["harnack-integrated", "--set", "n_pairs=100000000"],  # over MAX_KERNEL_PAIRS
+            ["control-cost", "--set", "m=2", "--set", "n_pairs=100001"],
+            ["control-cost", "--set", "n_pairs=1", "--set", "m=2000001"],
+            ["harnack-integrated", "--set", "n_pairs=1000001"],
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, tmp_path, capsys):
@@ -305,6 +312,10 @@ class TestParse:
             ["riccati", "--set", "n_eval=10000"],  # at MAX_RICCATI_N_EVAL
             ["riccati", "--set", "n=64"],  # at MAX_RICCATI_N, n_eval * n^2 = 86016
             ["riccati", "--set", "n=10", "--set", "n_eval=1000"],  # at MAX_RICCATI_STACK
+            # at MAX_CONTROL_PAIRS and MAX_CONTROL_STACK
+            ["control-cost", "--set", "n_pairs=100000", "--set", "m=20"],
+            ["control-cost", "--set", "n_pairs=1", "--set", "m=2000000"],  # at MAX_CONTROL_STACK
+            ["harnack-integrated", "--set", "n_pairs=1000000"],  # at MAX_KERNEL_PAIRS
         ],
     )
     def test_valid_values_are_accepted(self, argv):

@@ -101,6 +101,24 @@ class TestControlPath:
         with pytest.raises(ValueError, match="shape"):
             ControlPath([0.0], [0.0], [0.5], [[1.0], [1.0]])
 
+    @pytest.mark.parametrize(
+        "x0, v0, durations, controls, match",
+        [
+            ([0.0], [0.0], [np.nan], [[1.0]], "durations must be finite and positive"),
+            ([0.0], [0.0], [np.inf], [[1.0]], "durations must be finite and positive"),
+            ([0.0], [0.0], [0.5, 0.0], [[1.0], [1.0]], "durations must be finite"),
+            ([0.0], [0.0], [1.0], [[np.nan]], "controls must be finite"),
+            ([0.0], [0.0], [1.0], [[-np.inf]], "controls must be finite"),
+            ([0.0, 1.0], [0.0], [1.0], [[1.0]], r"^x0 must have shape \(1,\)"),
+            ([0.0], 0.0, [1.0], [[1.0]], r"^v0 must have shape \(1,\)"),
+            ([0.0], [0.0, 1.0], [1.0], [[1.0]], r"^v0 must have shape \(1,\)"),
+        ],
+    )
+    def test_garbage_inputs_are_refused_by_name(self, x0, v0, durations, controls, match):
+        # each of these once returned a NaN, warned, or broadcast the endpoint
+        with pytest.raises(ValueError, match=match):
+            ControlPath(x0, v0, durations, controls)
+
 
 class TestSteering:
     def test_rejects_single_segment(self):
@@ -194,6 +212,13 @@ class TestHarnackSweep:
         lg0 = log_harnack_rhs(1.0, 2.0, cost=0.3)
         lg1 = log_harnack_rhs(1.0, 2.0, cost=0.3, U_start=2.0, U_end=1.0)
         assert lg1 - lg0 == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("s, t", [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                      (np.nan, 1.0), (1.0, np.nan)])
+    @pytest.mark.parametrize("rhs", [harnack_rhs, log_harnack_rhs])
+    def test_rhs_needs_forward_window(self, rhs, s, t):
+        with pytest.raises(ValueError, match="0 < s < t"):
+            rhs(s, t, cost=0.0)
 
     def test_kernel_inequality_holds(self):
         rep = verify_harnack_kernel(1.0, 2.0, n_pairs=200, seed=3)

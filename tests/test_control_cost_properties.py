@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from harnack_forge.control_cost import (
     ControlProblem,
     _correct_last_two,
+    _flow,
     _gramian_costs,
     energy_cost,
     log_harnack_rhs,
@@ -15,6 +17,7 @@ from harnack_forge.control_cost import (
     verify_harnack_kernel,
 )
 from harnack_forge.gaussian_kernel import kernel_state, log_density
+from harnack_forge.riccati_engine import EXP_ARG_CAP
 
 # largest endpoint miss of a transcribed path, which re-solves its last two
 # controls through the exact endpoint map
@@ -192,6 +195,65 @@ def test_batched_sweep_matches_per_pair_loop(s, tau, n_pairs, seed):
     assert rep.min_pair == min_pair
     assert rep.min_ratio == pytest.approx(np.exp(min(min_gap, 700.0)), rel=1e-12)
     assert rep.n_pairs == n_pairs
+
+
+def _loop_flow(x0, v0, durations, controls):
+    """The exact segment flow as the per-segment loop it replaced."""
+    x, v = x0, v0
+    for dt, u in zip(durations, controls):
+        x = x + dt * v + 0.5 * dt * dt * u
+        v = v + dt * u
+    return x, v
+
+
+# |entries| <= 1e6 and dt <= 10 over at most 64 segments keep every sum far
+# from overflow, and the explicit zeros put both signed zeros in the draws
+flow_entry = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def flows(draw):
+    """(x0, v0, durations, controls) with m in [0, 64] segments in n in [1, 8]."""
+    m, n = draw(st.integers(0, 64)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        durations = np.full(m, draw(st.floats(1e-3, 10.0)))
+    else:  # log-uniform on [1e-3, 10]
+        durations = 10.0 ** draw(arrays(np.float64, m, elements=st.floats(-3.0, 1.0)))
+    x0, v0 = (draw(arrays(np.float64, n, elements=flow_entry)) for _ in range(2))
+    return x0, v0, durations, draw(arrays(np.float64, (m, n), elements=flow_entry))
+
+
+@given(flows())
+def test_flow_matches_per_segment_loop_bit_for_bit(case):
+    x, v = _flow(*case)
+    ref_x, ref_v = _loop_flow(*case)
+    assert x.tobytes() == ref_x.tobytes()
+    assert v.tobytes() == ref_v.tobytes()
+
+
+@pytest.mark.parametrize("s, t", [(1.0, 2.0), (0.5, 1.0), (0.1, 3.7)])
+@pytest.mark.parametrize("seed, n_pairs", [(0, 1), (5, 1), (0, 1000), (42, 1000),
+                                           (2**31 - 1, 37)])
+def test_sweep_anchor_in_the_batch_matches_it_priced_alone(s, t, seed, n_pairs):
+    # the anchor rides as the batch's last row; it, the worst pair and its
+    # ratio must keep the bits of the anchor priced by separate calls
+    rep = verify_harnack_kernel(s, t, n_pairs=n_pairs, seed=seed, box=3.0)
+    state_s = kernel_state([0.0], [0.0], s)
+    state_t = kernel_state([0.0], [0.0], t)
+    pts = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n_pairs, 4))
+    costs = _gramian_costs(t - s, *pts.T)
+    lhs = log_density(state_t, pts[:, 2:]) - log_density(state_s, pts[:, :2])
+    gaps = lhs - log_harnack_rhs(s, t, costs, n=1)
+    worst = int(np.argmin(gaps))
+    prob0 = ControlProblem.make(s, t, [0.0], [0.0], [0.0], [0.0])
+    gap0 = (
+        float(log_density(state_t, np.zeros(2)))
+        - float(log_density(state_s, np.zeros(2)))
+        - log_harnack_rhs(s, t, energy_cost(prob0), n=1)
+    )
+    assert rep.min_ratio == float(np.exp(min(gaps[worst], EXP_ARG_CAP)))
+    assert rep.min_pair == tuple(pts[worst].tolist())
+    assert rep.equality_gap == abs(float(np.expm1(gap0)))
 
 
 def test_sweep_rejects_empty_pair_set():
